@@ -24,9 +24,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .arith import is_prime, residues
 from .errors import InvalidOperationError, InvalidSubsetError
-from .groups import Element, GroupSpec, all_subgroups
+from .groups import Element, GroupSpec, _difference_index_table, all_subgroups
 
 
 @dataclass(frozen=True)
@@ -47,27 +49,28 @@ class DiffCounts:
 
 
 def difference_counts(g: GroupSpec, S: Sequence[Element]) -> DiffCounts:
-    """Count the ordered difference pairs of S over every nonzero element."""
+    """Count the ordered difference pairs of S over every nonzero element.
+
+    One bincount over the rows and columns of S in the group's difference
+    index table; the diagonal lands on the identity (index 0), which is
+    dropped.  counts and levels follow element order, so level tuples come
+    out sorted.
+    """
     subset = tuple(S)
-    for x in subset:
-        g.validate(x)
+    idx = np.array([g.index(x) for x in subset])  # validates every element
     if len(set(subset)) != len(subset):
         raise InvalidSubsetError("subset has duplicate elements")
     if len(subset) < 2:
         raise InvalidSubsetError("difference structure needs at least 2 elements")
-    raw: dict[Element, int] = {}
-    for a in subset:
-        for b in subset:
-            if a != b:
-                d = g.sub(a, b)
-                raw[d] = raw.get(d, 0) + 1
-    counts = {x: raw.get(x, 0) for x in g.elements() if x != g.zero}
+    diffs = _difference_index_table(g)[idx[:, None], idx]
+    raw = np.bincount(diffs.ravel(), minlength=g.order)[1:].tolist()
+    counts = dict(zip(g.elements()[1:], raw))
     levels: dict[int, list[Element]] = {}
     for x, c in counts.items():
         levels.setdefault(c, []).append(x)
     m = len(subset)
-    assert sum(counts.values()) == m * (m - 1)
-    return DiffCounts(g, subset, counts, {c: tuple(sorted(v)) for c, v in levels.items()})
+    assert sum(raw) == m * (m - 1)
+    return DiffCounts(g, subset, counts, {c: tuple(v) for c, v in levels.items()})
 
 
 def reversal(g: GroupSpec, S: Iterable[Element]) -> tuple[Element, ...]:
@@ -396,50 +399,101 @@ def nested_divisible_chain(
                     (lam, mu), proper=True,
                 )
 
-    subs = all_subgroups(g)
-    sets = [h.as_set() for h in subs]
-    sizes = [len(s) for s in sets]
-    full = next(i for i, s in enumerate(sets) if len(s) == n)
-    triv = next(i for i, s in enumerate(sets) if len(s) == 1)
-
-    def annulus_value(i: int, j: int) -> int | None:
-        vals = {dc.counts[x] for x in sets[j] - sets[i]}
-        return vals.pop() if len(vals) == 1 else None
-
-    def successors(i: int) -> list[int]:
-        out = []
-        for j in range(len(subs)):
-            if sizes[j] > sizes[i] and sizes[j] % sizes[i] == 0 and sets[i] < sets[j]:
-                if annulus_value(i, j) is not None:
-                    out.append(j)
-        return out
-
-    INF = float("inf")
-    dist: list[float] = [INF] * len(subs)
-    dist[full] = 0
-    for i in sorted(range(len(subs)), key=lambda t: -sizes[t]):
-        if i == full:
-            continue
-        for j in successors(i):
-            if dist[j] + 1 < dist[i]:
-                dist[i] = dist[j] + 1
-    if dist[triv] == INF:
+    dag = _chain_dag(g)
+    # counts in element order without the identity, which no annulus contains
+    vals = np.fromiter(dc.counts.values(), dtype=np.int64, count=n - 1)[dag.annulus]
+    lows = np.minimum.reduceat(vals, dag.starts)
+    usable = lows == np.maximum.reduceat(vals, dag.starts)
+    # {0} lies in every other subgroup, so the first len(rank) - 1 edges leave it
+    if not usable[: len(dag.rank) - 1].any():
         return None
 
-    chain_idx = [triv]
-    cur = triv
-    while cur != full:
-        nxt = min(
-            (j for j in successors(cur) if dist[j] == dist[cur] - 1),
-            key=lambda j: subs[j].elements,
-        )
-        chain_idx.append(nxt)
-        cur = nxt
-    lambdas = tuple(
-        annulus_value(chain_idx[k], chain_idx[k + 1]) for k in range(len(chain_idx) - 1)
+    # distance to G over usable edges, sources taken largest first; each
+    # subgroup keeps the edge to its lexicographically first nearest successor
+    src, dst, rank = dag.src, dag.dst, dag.rank
+    full = len(rank) - 1
+    INF = len(rank)
+    dist = [INF] * len(rank)
+    dist[full] = 0
+    step: dict[int, int] = {}
+    for e in reversed(np.flatnonzero(usable).tolist()):
+        i, j = src[e], dst[e]
+        d = dist[j] + 1
+        if d < dist[i] or (d == dist[i] and rank[j] < rank[dst[step[i]]]):
+            dist[i] = d
+            step[i] = e
+    if dist[0] == INF:
+        return None
+
+    chain_idx = [0]
+    lambdas = []
+    while chain_idx[-1] != full:
+        e = step[chain_idx[-1]]
+        chain_idx.append(dst[e])
+        lambdas.append(int(lows[e]))
+    subgroups = tuple(dag.subgroups[i] for i in chain_idx)
+    return NestedChain(g, dc.subset, subgroups, tuple(lambdas), proper=True)
+
+
+@dataclass(frozen=True)
+class _ChainDag:
+    """Every strict inclusion H_i < H_j between subgroups, as candidate chain edges.
+
+    Subgroups are numbered as in all_subgroups (trivial first, G last); edges
+    are sorted by (i, j).  annulus holds the element indices of H_j \\ H_i
+    minus one (positions among the nonzero elements), edge after edge, with
+    edge e starting at starts[e]; rank[i] is H_i's place in element-list order.
+    """
+
+    subgroups: tuple[tuple[Element, ...], ...]
+    src: list[int]
+    dst: list[int]
+    annulus: np.ndarray
+    starts: np.ndarray
+    rank: list[int]
+
+
+_DAG_CHUNK = 1 << 20  # bound on the entries of each matrix built at once
+
+
+@lru_cache(maxsize=None)
+def _chain_dag(g: GroupSpec) -> _ChainDag:
+    subs = all_subgroups(g)
+    count, n = len(subs), g.order
+    pos = {x: i for i, x in enumerate(g.elements())}
+    member = np.zeros((count, n), dtype=bool)
+    member[
+        np.repeat(np.arange(count), [h.order for h in subs]),
+        [pos[x] for h in subs for x in h.elements],
+    ] = True
+    sizes = member.sum(axis=1)
+
+    # H_i < H_j iff |H_i & H_j| = |H_i| < |H_j|; intersections by blocks of rows
+    weights = member.astype(np.float32)
+    rows = max(1, _DAG_CHUNK // count)
+    src_parts, dst_parts = [], []
+    for a in range(0, count, rows):
+        block = sizes[a : a + rows, None]
+        i, j = np.nonzero((weights[a : a + rows] @ weights.T == block) & (sizes > block))
+        src_parts.append(i + a)
+        dst_parts.append(j)
+    src = np.concatenate(src_parts)
+    dst = np.concatenate(dst_parts)
+
+    pairs = max(1, _DAG_CHUNK // n)
+    annulus = np.concatenate([
+        np.nonzero(member[dst[p : p + pairs]] & ~member[src[p : p + pairs]])[1]
+        for p in range(0, len(src), pairs)
+    ]) - 1
+    lengths = sizes[dst] - sizes[src]
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+
+    rank = [0] * count
+    for r, k in enumerate(sorted(range(count), key=lambda i: subs[i].elements)):
+        rank[k] = r
+    return _ChainDag(
+        tuple(h.elements for h in subs), src.tolist(), dst.tolist(), annulus, starts, rank
     )
-    subgroups = tuple(subs[i].elements for i in chain_idx)
-    return NestedChain(g, dc.subset, subgroups, lambdas, proper=True)
 
 
 def is_proper(obj) -> bool:

@@ -2,6 +2,10 @@
 
 Every error raised by library code derives from FramelabError; the CLI maps
 FramelabError to exit code 1 and argparse usage errors to exit code 2.
+InvariantError marks an internal consistency check that failed (a numeric
+value drifting from its closed form, a construction failing re-verification):
+a library defect rather than bad input, but still exit code 1 with a message
+instead of a traceback.
 """
 
 
@@ -39,3 +43,7 @@ class CapacityError(FramelabError):
 
 class DomainError(FramelabError):
     """An argument is outside the mathematical domain of the operation."""
+
+
+class InvariantError(FramelabError):
+    """An internal consistency check failed; the library, not the input, is at fault."""

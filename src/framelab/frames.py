@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .errors import (
 from .groups import (
     Element,
     GroupSpec,
+    _difference_index_table,
     character_phase,
     character_table_columns,
     full_character_table,
@@ -149,8 +149,25 @@ def angle_profile(
     if symbolic:
         extra = (f.n,) + f.group.factors
         forms = [surd.recognize_angle(a, extra_surds=extra) for a in reps]
-        sym = tuple(surd.display(fm) if fm is not None else None for fm in forms)
+        N = f.group.exponent
+        sym = tuple(
+            surd.display(fm)
+            if fm is not None and (fm.coef == 0 or _surd_in_cyclotomic_field(fm.surd, N))
+            else None
+            for fm in forms
+        )
     return AngleProfile(tuple(reps), tuple(mults), tol, ambiguous, sym)
+
+
+def _surd_in_cyclotomic_field(s: int, N: int) -> bool:
+    """Whether sqrt(s), s > 1 squarefree, lies in Q(zeta_N).
+
+    Angles squared are sums of N-th roots of unity, so a recognized form whose
+    surd fails this test is a spurious integer relation.  Q(sqrt(s)) has
+    conductor s when s = 1 (mod 4) and 4s otherwise, and lies in Q(zeta_N)
+    exactly when its conductor divides N.
+    """
+    return (s % 4 == 1 and N % s == 0) or N % (4 * s) == 0
 
 
 @dataclass(frozen=True)
@@ -310,18 +327,6 @@ def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationR
     idx = _difference_index_table(f.group)
     dev_enc = float(np.max(np.abs(lhs - rhs.real[idx])))
     return ModulationReport(dev_def, dev_hs, dev_inv, dev_enc, tol)
-
-
-@lru_cache(maxsize=64)
-def _difference_index_table(g: GroupSpec) -> np.ndarray:
-    """idx[x, y] = element index of y - x."""
-    els = g.elements()
-    n = g.order
-    idx = np.empty((n, n), dtype=np.int64)
-    for i, x in enumerate(els):
-        for j, y in enumerate(els):
-            idx[i, j] = g.index(g.sub(y, x))
-    return idx
 
 
 def is_real_frame(f: FrameSpec) -> bool:

@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     InvalidElementError,
     InvalidSubgroupError,
+    InvariantError,
 )
 
 Element = tuple[int, ...]
@@ -259,7 +260,7 @@ def character_sum_over(g: GroupSpec, z: Element, A: Iterable[Element]) -> comple
         annihilates = all(character_phase(g, z, x) == 0 for x in elems)
         exact = complex(len(elems)) if annihilates else 0j
         if abs(total - exact) > 1e-9:
-            raise RuntimeError(f"subgroup character sum drifted: {total} vs {exact}")
+            raise InvariantError(f"subgroup character sum drifted: {total} vs {exact}")
         return exact
     return total
 
@@ -326,9 +327,8 @@ def subgroup_generated(g: GroupSpec, gens: Iterable[Element]) -> Subgroup:
     return Subgroup(g, tuple(sorted(closure)))
 
 
-@lru_cache(maxsize=8)
-def _index_add_table(g: GroupSpec) -> np.ndarray:
-    """(n, n) table of element-index sums for the lattice walk."""
+def _index_table(g: GroupSpec, sign: int) -> np.ndarray:
+    """(n, n) table with entry [i, j] = index of x_j + sign * x_i."""
     E = _coord_matrix(g)
     n, k = E.shape
     radix = np.ones(k, dtype=np.int64)
@@ -336,8 +336,20 @@ def _index_add_table(g: GroupSpec) -> np.ndarray:
         radix[j] = radix[j + 1] * g.factors[j + 1]
     table = np.zeros((n, n), dtype=np.int64)
     for j, f in enumerate(g.factors):
-        table += ((E[:, None, j] + E[None, :, j]) % f) * radix[j]
+        table += ((E[None, :, j] + sign * E[:, None, j]) % f) * radix[j]
     return table
+
+
+@lru_cache(maxsize=8)
+def _index_add_table(g: GroupSpec) -> np.ndarray:
+    """(n, n) table of element-index sums for the lattice walk."""
+    return _index_table(g, 1)
+
+
+@lru_cache(maxsize=8)
+def _difference_index_table(g: GroupSpec) -> np.ndarray:
+    """idx[i, j] = element index of x_j - x_i, for difference counts and modulation."""
+    return _index_table(g, -1)
 
 
 @lru_cache(maxsize=None)
@@ -394,5 +406,5 @@ def annihilator(g: GroupSpec, H: Subgroup) -> Subgroup:
     els = g.elements()
     ann = Subgroup(g, tuple(x for x, keep in zip(els, mask) if keep))
     if ann.order * H.order != g.order:
-        raise RuntimeError("annihilator cardinality violated n = |Ann|*|H|")
+        raise InvariantError("annihilator cardinality violated n = |Ann|*|H|")
     return ann

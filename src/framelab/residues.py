@@ -16,7 +16,7 @@ import numpy as np
 
 from .arith import is_prime, residues
 from .diffsets import Classification, classify, difference_counts
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .groups import Element, GroupSpec
 
 GAUSS_TOL = 1e-9
@@ -78,7 +78,7 @@ def gauss_sum(a: int, p: int) -> complex:
     numeric = complex(np.exp(2j * np.pi * ks / p).sum())
     closed = gauss_sum_closed_form(a, p)
     if abs(numeric - closed) > GAUSS_TOL:
-        raise RuntimeError(f"gauss sum drifted from closed form: {numeric} vs {closed}")
+        raise InvariantError(f"gauss sum drifted from closed form: {numeric} vs {closed}")
     return numeric
 
 
@@ -97,7 +97,7 @@ def half_gauss_sum(a: int, p: int) -> complex:
     numeric = complex(np.exp(2j * np.pi * ((a * js) % p) / p).sum())
     closed = half_gauss_sum_closed_form(a, p)
     if abs(numeric - closed) > GAUSS_TOL:
-        raise RuntimeError(f"half gauss sum drifted: {numeric} vs {closed}")
+        raise InvariantError(f"half gauss sum drifted: {numeric} vs {closed}")
     return numeric
 
 
@@ -125,7 +125,7 @@ def paley_pds(p: int) -> tuple[tuple[Element, ...], Classification]:
     cls = classify(g, S, chain=False)
     if p % 4 == 3:
         if cls.difference_set_lambda != (p - 3) // 4:
-            raise RuntimeError(f"Paley set at p={p} misclassified: {cls.as_dict()}")
+            raise InvariantError(f"Paley set at p={p} misclassified: {cls.as_dict()}")
     else:
         expected = (p, (p - 1) // 2, (p - 5) // 4, (p - 1) // 4)
         got = (
@@ -134,7 +134,7 @@ def paley_pds(p: int) -> tuple[tuple[Element, ...], Classification]:
             else None
         )
         if got != expected or not cls.regular:
-            raise RuntimeError(f"Paley set at p={p} misclassified: {got} != {expected}")
+            raise InvariantError(f"Paley set at p={p} misclassified: {got} != {expected}")
     return S, cls
 
 
@@ -155,7 +155,7 @@ def quartic_coset_decomposition(p: int) -> tuple[tuple[int, ...], ...]:
         cosets.append(coset)
         covered.update(coset)
     if len(covered) != p - 1:
-        raise RuntimeError(f"quartic cosets fail to partition Z_{p}^*")
+        raise InvariantError(f"quartic cosets fail to partition Z_{p}^*")
     return tuple(cosets)
 
 
@@ -180,10 +180,10 @@ def quartic_gaussian_ds(
     on_res = {dc.counts[(z,)] for z in r2}
     off_res = {dc.counts[(z,)] for z in range(1, p) if z not in r2}
     if len(on_res) != 1 or len(off_res) != 1:
-        raise RuntimeError(f"difference counts not two-level at p={p}")
+        raise InvariantError(f"difference counts not two-level at p={p}")
     lam, mu = on_res.pop(), off_res.pop()
     if (lam - 1 if with_zero else lam) + mu != q:
-        raise RuntimeError(f"lambda+mu != q at p={p}: ({lam}, {mu})")
+        raise InvariantError(f"lambda+mu != q at p={p}: ({lam}, {mu})")
     return S, (lam, mu)
 
 

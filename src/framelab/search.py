@@ -4,8 +4,9 @@ Subsets stream in lexicographic order, are chopped into fixed-size blocks,
 and blocks are mapped (serially or across processes) to per-subset records;
 aggregation merges blocks in index order, so reports are identical for any
 worker count.  Full mode walks all C(n, m) subsets; reduced mode walks the
-C(n-1, m-1) subsets containing the identity, one representative per
-translation class.
+C(n-1, m-1) subsets containing the identity.  That is not one representative
+per translation class: a class of m-subsets with trivial stabilizer has m
+members containing the identity, and all of them are kept and counted.
 """
 
 from __future__ import annotations

@@ -6,8 +6,12 @@ recognizer searches for an integer relation a*v + b + c*sqrt(s) = 0 with
 bounded coefficients; failure is silent (the float value is still reported).
 
 Coefficient bound and acceptance tolerance are coupled: with coefficients up
-to 1e4, spurious relations for a random real verify no better than ~1e-12,
-while genuine relations verify to ~1e-15, so the 3e-13 cutoff separates them.
+to 1e4, genuine relations verify to ~1e-15 and most spurious relations for a
+random real verify no better than ~1e-12, but the 3e-13 cutoff does not
+separate the two.  Spurious relations do pass it: the frame angle of Z14
+{0,2,4,7,8,9} near 0.3003 is accepted with sqrt(42), which cannot occur in
+Q(zeta_14).  A caller that knows the field the value lives in must check the
+surd against it, as frames.angle_profile does.
 """
 
 from __future__ import annotations

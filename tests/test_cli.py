@@ -145,3 +145,19 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--group", "Z6", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_invariant_error_exit_1(capsys, monkeypatch):
+    # a closed form that drifts from the numeric sum is a library defect, but
+    # the CLI still reports it on stderr with exit code 1, not a traceback
+    import framelab.residues as residues
+    from framelab.errors import InvariantError
+
+    monkeypatch.setattr(residues, "gauss_sum_closed_form", lambda a, p: 0j)
+    with pytest.raises(InvariantError):
+        residues.gauss_sum(1, 13)
+    code, out, err = run(capsys, "gauss", "sum", "1", "13")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: gauss sum drifted from closed form")
+    assert "Traceback" not in err

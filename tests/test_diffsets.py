@@ -1,6 +1,8 @@
 """Difference counts, taxonomy classification, chains, zero toggle."""
 
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,8 @@ from framelab.diffsets import (
     translate,
 )
 from framelab.errors import InvalidOperationError, InvalidSubsetError
-from framelab.groups import GroupSpec, parse_subset
+from framelab.groups import GroupSpec, all_subgroups, parse_subset
+from framelab.search import SearchJob, abelian_groups_of_order, enumerate_and_classify
 
 Z6 = GroupSpec((6,))
 Z7 = GroupSpec((7,))
@@ -233,3 +236,59 @@ def test_split_level_chain():
     assert not any(
         frozenset(w.A) in {frozenset(a) for a in chain.subgroups} for w in cls.bidifference_witnesses
     )
+
+
+def brute_force_chains(g, dc):
+    """Every chain {0} = A_0 < ... < A_t = G with count-constant annuli, with its lambdas."""
+    sets = [h.as_set() for h in all_subgroups(g)]
+    out = []
+
+    def extend(path, lambdas):
+        if len(path[-1]) == g.order:
+            out.append((tuple(tuple(sorted(a)) for a in path), tuple(lambdas)))
+            return
+        for b in sets:
+            if path[-1] < b:
+                vals = {dc.counts[x] for x in b - path[-1]}
+                if len(vals) == 1:
+                    extend(path + [b], lambdas + [vals.pop()])
+
+    extend([frozenset([g.zero])], [])
+    return out
+
+
+def test_order8_match_chains_are_minimal_and_lexicographically_first():
+    # the exhaustion-order8 matches: every chain the library reports is the
+    # lexicographically first among the shortest count-constant chains
+    target = (1 / 3, math.sqrt(5) / 3)
+    checked = 0
+    for g in abelian_groups_of_order(8):
+        for r in enumerate_and_classify(SearchJob(g, 3, target_angles=target)).records:
+            dc = difference_counts(g, r.subset)
+            chain = nested_divisible_chain(g, r.subset)
+            found = brute_force_chains(g, dc)
+            assert chain is not None and found
+            shortest = min(len(lams) for _, lams in found)
+            assert chain.t == shortest
+            assert all(a != b for a, b in zip(chain.lambdas, chain.lambdas[1:]))
+            assert (chain.subgroups, chain.lambdas) == min(
+                c for c in found if len(c[1]) == shortest
+            )
+            assert is_proper(chain)
+            checked += 1
+    assert checked == 32 + 16
+
+
+def test_is_proper_rejects_longer_valid_chain():
+    # Z8 {0,1,3}: {0} < {0,4} < Z8 is minimal; inserting {0,2,4,6} keeps every
+    # annulus count-constant but is one step longer
+    Z8 = GroupSpec((8,))
+    subset = S(Z8, "0,1,3")
+    chain = nested_divisible_chain(Z8, subset)
+    assert chain.subgroups[1:] == (((0,), (4,)), tuple(Z8.elements()))
+    assert chain.lambdas == (0, 1)
+    padded_groups = (((0,),), ((0,), (4,)), ((0,), (2,), (4,), (6,)), tuple(Z8.elements()))
+    found = dict(brute_force_chains(Z8, difference_counts(Z8, subset)))
+    assert found[padded_groups] == (0, 1, 1)
+    padded = NestedChain(Z8, subset, padded_groups, (0, 1, 1), proper=True)
+    assert not is_proper(padded)

@@ -250,3 +250,39 @@ def test_modulation_capacity_bound():
             verify_modulation_identities(f)
     finally:
         fr.MODULATION_CAPACITY = old
+
+
+@pytest.mark.parametrize(
+    "group,subset,alpha,kept",
+    [
+        # PSLQ finds sqrt(3589/2069 - 525*sqrt(42)/2069); sqrt(42) is not in Q(zeta_14)
+        ("Z14", "0,2,4,7,8,9", 0.30032295596747305, {0.3333333333333333: "1/3"}),
+        # PSLQ finds sqrt(9869/8020 - 1677*sqrt(34)/8020); sqrt(34) is not in Q(zeta_16)
+        ("Z16", "0,1,6,9,12,15", 0.10622382168008773, {
+            0.2357022603955158: "sqrt(2)/6",
+            0.3569074902558747: "sqrt(1/6 - sqrt(2)/36)",
+            0.4538175588632353: "sqrt(1/6 + sqrt(2)/36)",
+        }),
+    ],
+)
+def test_symbolic_forms_outside_the_cyclotomic_field_are_dropped(group, subset, alpha, kept):
+    prof = angle_profile(F(group, subset), symbolic=True)
+
+    def form(value):
+        (i,) = [i for i, a in enumerate(prof.angles) if abs(a - value) < 1e-12]
+        return prof.symbolic[i]
+
+    assert form(alpha) is None
+    for a, text in kept.items():
+        assert form(a) == text
+
+
+@pytest.mark.parametrize(
+    "s,N,inside",
+    [(13, 13, True), (5, 10, True), (2, 8, True), (2, 4, False), (3, 12, True),
+     (3, 6, False), (13, 26, True), (42, 14, False), (34, 16, False)],
+)
+def test_surd_conductor_rule(s, N, inside):
+    from framelab.frames import _surd_in_cyclotomic_field
+
+    assert _surd_in_cyclotomic_field(s, N) is inside
