@@ -16,6 +16,11 @@ set class is decided directly from that count map:
 Constant counts make a difference set a degenerate member of the two-level
 classes wherever a witness exists; witnesses {0} and the whole group are
 excluded as uninformative.
+
+Scalar classify is the single-subset API (the CLI, frame reports, verify)
+and the reference the row kernel is tested against.  The row kernel,
+classify_rows, gives the search flags of a whole block of subsets from one
+bincount count matrix; search uses it and never calls classify.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .arith import is_prime, residues
-from .errors import InvalidOperationError, InvalidSubsetError
+from .errors import InvalidElementError, InvalidOperationError, InvalidSubsetError
 from .groups import Element, GroupSpec, _difference_index_table, all_subgroups
 
 
@@ -46,6 +51,10 @@ class DiffCounts:
 
     def values(self) -> tuple[int, ...]:
         return tuple(sorted(self.levels))
+
+    def row(self) -> np.ndarray:
+        """The counts in element order, as one int64 row."""
+        return np.fromiter(self.counts.values(), dtype=np.int64, count=len(self.counts))
 
 
 def difference_counts(g: GroupSpec, S: Sequence[Element]) -> DiffCounts:
@@ -294,8 +303,9 @@ def classify(g: GroupSpec, S: Sequence[Element], chain: bool = True) -> Classifi
 
     divisible = relative = None
     if proper_bidifference:
+        row = dc.row()
         for w in witnesses:
-            if _is_subgroup_cached(g, frozenset(w.A)):
+            if _level_is_subgroup(g, row, w.lam):
                 divisible = DivisibleRecord(w.A, w.l, w.lam, w.mu, w.lam != w.mu)
                 break
     elif diff_lambda is not None:
@@ -352,15 +362,20 @@ def classify(g: GroupSpec, S: Sequence[Element], chain: bool = True) -> Classifi
     )
 
 
-def _is_subgroup_cached(g: GroupSpec, elems: frozenset[Element]) -> bool:
-    if len(elems) == 0 or g.order % len(elems) != 0:
-        return False
-    return elems in _subgroup_sets(g)
+def _level_is_subgroup(g: GroupSpec, row: np.ndarray, lam: int) -> bool:
+    """Whether {0} + the level of lam is a subgroup, given the counts as one row."""
+    return np.packbits(row == lam).tobytes() in _subgroup_keys(g)
 
 
 @lru_cache(maxsize=None)
-def _subgroup_sets(g: GroupSpec) -> frozenset[frozenset[Element]]:
-    return frozenset(h.as_set() for h in all_subgroups(g))
+def _subgroup_keys(g: GroupSpec) -> frozenset[bytes]:
+    """Each subgroup's membership over the nonzero elements, as packed bits."""
+    keys = set()
+    for h in all_subgroups(g):
+        mask = np.zeros(g.order, dtype=bool)
+        mask[[g.index(x) for x in h.elements]] = True
+        keys.add(np.packbits(mask[1:]).tobytes())
+    return frozenset(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -379,44 +394,43 @@ def nested_divisible_chain(
     could be merged into a shorter chain).
     """
     dc = _dc if _dc is not None else difference_counts(g, S)
-    n = g.order
     values = dc.values()
     whole = tuple(sorted(g.elements()))
 
     # one count value: the two-term chain {0} < G always works
     if len(values) == 1:
-        return NestedChain(g, dc.subset, (((g.zero,),), whole), (values[0],), proper=True)
+        return NestedChain(g, dc.subset, ((g.zero,), whole), (values[0],), proper=True)
 
     # two count values: a chain of length 2 exists iff a witness is a subgroup,
     # and at most one of the two witnesses can be (index arithmetic on n)
+    row = dc.row()
     if len(values) == 2:
         for lam in values:
-            A = frozenset(dc.levels[lam]) | {g.zero}
-            if _is_subgroup_cached(g, A):
+            if _level_is_subgroup(g, row, lam):
+                A = tuple(sorted(dc.levels[lam] + (g.zero,)))
                 mu = values[1] if lam == values[0] else values[0]
                 return NestedChain(
-                    g, dc.subset, (((g.zero,),), tuple(sorted(A)), whole),
-                    (lam, mu), proper=True,
+                    g, dc.subset, ((g.zero,), A, whole), (lam, mu), proper=True,
                 )
 
     dag = _chain_dag(g)
-    # counts in element order without the identity, which no annulus contains
-    vals = np.fromiter(dc.counts.values(), dtype=np.int64, count=n - 1)[dag.annulus]
-    lows = np.minimum.reduceat(vals, dag.starts)
-    usable = lows == np.maximum.reduceat(vals, dag.starts)
+    total, usable = _edge_sums(dag, row[None])
     # {0} lies in every other subgroup, so the first len(rank) - 1 edges leave it
-    if not usable[: len(dag.rank) - 1].any():
+    if not usable[0, : len(dag.rank) - 1].any():
         return None
 
     # distance to G over usable edges, sources taken largest first; each
     # subgroup keeps the edge to its lexicographically first nearest successor
-    src, dst, rank = dag.src, dag.dst, dag.rank
+    edges = np.flatnonzero(usable[0])
+    src, dst = dag.src[edges].tolist(), dag.dst[edges].tolist()
+    lams = (total[0, edges] // dag.size[edges]).tolist()
+    rank = dag.rank
     full = len(rank) - 1
     INF = len(rank)
     dist = [INF] * len(rank)
     dist[full] = 0
     step: dict[int, int] = {}
-    for e in reversed(np.flatnonzero(usable).tolist()):
+    for e in reversed(range(len(edges))):
         i, j = src[e], dst[e]
         d = dist[j] + 1
         if d < dist[i] or (d == dist[i] and rank[j] < rank[dst[step[i]]]):
@@ -430,7 +444,7 @@ def nested_divisible_chain(
     while chain_idx[-1] != full:
         e = step[chain_idx[-1]]
         chain_idx.append(dst[e])
-        lambdas.append(int(lows[e]))
+        lambdas.append(lams[e])
     subgroups = tuple(dag.subgroups[i] for i in chain_idx)
     return NestedChain(g, dc.subset, subgroups, tuple(lambdas), proper=True)
 
@@ -439,18 +453,20 @@ def nested_divisible_chain(
 class _ChainDag:
     """Every strict inclusion H_i < H_j between subgroups, as candidate chain edges.
 
-    Subgroups are numbered as in all_subgroups (trivial first, G last); edges
-    are sorted by (i, j).  annulus holds the element indices of H_j \\ H_i
-    minus one (positions among the nonzero elements), edge after edge, with
-    edge e starting at starts[e]; rank[i] is H_i's place in element-list order.
+    Subgroups are numbered as in all_subgroups (trivial first, G last); edge
+    e is H_src[e] < H_dst[e], edges sorted by (src, dst), and size[e] is
+    |H_dst \\ H_src|.  out_starts[i] is the first edge out of H_i for every
+    subgroup but G (which has none); rank[i] is H_i's place in element-list
+    order; member[i] is H_i's nonzero elements as a 0/1 row.
     """
 
     subgroups: tuple[tuple[Element, ...], ...]
-    src: list[int]
-    dst: list[int]
-    annulus: np.ndarray
-    starts: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    size: np.ndarray
+    out_starts: np.ndarray
     rank: list[int]
+    member: np.ndarray
 
 
 _DAG_CHUNK = 1 << 20  # bound on the entries of each matrix built at once
@@ -480,20 +496,177 @@ def _chain_dag(g: GroupSpec) -> _ChainDag:
     src = np.concatenate(src_parts)
     dst = np.concatenate(dst_parts)
 
-    pairs = max(1, _DAG_CHUNK // n)
-    annulus = np.concatenate([
-        np.nonzero(member[dst[p : p + pairs]] & ~member[src[p : p + pairs]])[1]
-        for p in range(0, len(src), pairs)
-    ]) - 1
-    lengths = sizes[dst] - sizes[src]
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-
     rank = [0] * count
     for r, k in enumerate(sorted(range(count), key=lambda i: subs[i].elements)):
         rank[k] = r
     return _ChainDag(
-        tuple(h.elements for h in subs), src.tolist(), dst.tolist(), annulus, starts, rank
+        tuple(h.elements for h in subs), src, dst, sizes[dst] - sizes[src],
+        np.searchsorted(src, np.arange(count - 1)), rank, member[:, 1:].astype(np.float64),
     )
+
+
+def _edge_sums(dag: _ChainDag, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of nonzero-element counts and per edge: the annulus sum and usability.
+
+    An edge H_i < H_j is usable when the counts c on its annulus are
+    constant, that is when (sum c)^2 = |H_j \\ H_i| * sum c^2 (equality in
+    Cauchy-Schwarz); the constant is then sum c / |H_j \\ H_i|.  Both sums
+    are differences of per-subgroup sums, which one product with the
+    membership matrix gives for a batch of rows.  Counts are at most m and
+    add up to m(m - 1), so with n <= SUBGROUP_ORDER_BOUND every sum and
+    product is an integer below 2^53: the float product and the int64 test
+    are exact.
+    """
+    c = counts.astype(np.float64)
+    s1 = (c @ dag.member.T).astype(np.int64)
+    s2 = ((c * c) @ dag.member.T).astype(np.int64)
+    total = s1[:, dag.dst] - s1[:, dag.src]
+    return total, total * total == dag.size * (s2[:, dag.dst] - s2[:, dag.src])
+
+
+# ---------------------------------------------------------------------------
+# Row kernel: the search flags of a block of subsets at once
+
+# the boolean columns of classify_rows; its other columns (lam, mu, l, t) are
+# integers with -1 where undefined
+ROW_FLAGS = (
+    "difference_set", "bidifference", "proper_bidifference", "divisible", "relative",
+    "partial", "gaussian", "almost", "nested_divisible", "reversible", "regular",
+    "proper_chain",
+)
+
+_EDGE_CHUNK = 1 << 14  # bound on the (rows, edges) entries of a chain-length batch
+
+
+def classify_rows(g: GroupSpec, rows: np.ndarray) -> dict[str, np.ndarray]:
+    """Search flags of many subsets, given as a (B, m) array of element indices.
+
+    Returns one length-B column per flag of a search record, in record
+    order: the class flags of classify, lam/mu/l of the first bidifference
+    witness (the subgroup one first) and the minimal chain length t.  Every
+    column comes from one (B, n-1) count matrix, a bincount of the rows'
+    difference indices.  The number of levels comes from sorted rows; a
+    two-level witness is a subgroup when its packed level mask is among the
+    subgroup keys; t is 1 or 2 on those fast paths, and only the remaining
+    rows walk the chain DAG, breadth-first from G for all of them at once.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    B, m = rows.shape
+    n = g.order
+    if m < 2:
+        raise InvalidSubsetError("difference structure needs at least 2 elements")
+    if rows.size and not 0 <= rows.min() <= rows.max() < n:
+        raise InvalidElementError(f"element indices must lie in [0, {n})")
+    member = np.zeros((B, n), dtype=bool)
+    member[np.arange(B)[:, None], rows] = True
+    if (member.sum(axis=1) != m).any():
+        raise InvalidSubsetError("subset has duplicate elements")
+
+    table = _difference_index_table(g)
+    diffs = table[rows[:, :, None], rows[:, None, :]] + n * np.arange(B)[:, None, None]
+    counts = np.bincount(diffs.ravel(), minlength=B * n).reshape(B, n)[:, 1:]
+
+    ordered = np.sort(counts, axis=1)
+    lo, hi = ordered[:, 0], ordered[:, -1]
+    levels = 1 + np.count_nonzero(np.diff(ordered, axis=1), axis=1)
+    one, two = levels == 1, levels == 2
+
+    # two levels: the witness {0} + level(lam) is tried with lam = lo, then hi
+    lam = np.where(one | two, lo, -1)
+    mu = np.where(one, lo, np.where(two, hi, -1))
+    witness = np.zeros(B, dtype=bool)
+    keys = _subgroup_keys(g)
+    pair = np.flatnonzero(two)
+    low = counts[pair] == lo[pair, None]
+    for i, a, b in zip(pair.tolist(), np.packbits(low, axis=1), np.packbits(~low, axis=1)):
+        if a.tobytes() in keys:
+            witness[i] = True
+        elif b.tobytes() in keys:
+            witness[i] = True
+            lam[i], mu[i] = hi[i], lo[i]
+    size = np.count_nonzero(counts == lam[:, None], axis=1) + 1
+    # one level: divisible when any subgroup lies strictly between {0} and G
+    divisible = (two & witness) | (one & (len(keys) > 2))
+
+    partial = _constant_split_rows(counts, member[:, 1:])  # A = S + {0}
+    q = _residue_mask(g)
+    gaussian = np.zeros(B, dtype=bool) if q is None else _constant_split_rows(counts, q)
+
+    reversible = (member[:, table[:, 0]] == member).all(axis=1)  # table[:, 0] negates
+
+    t = np.where(one, 1, np.where(two & witness, 2, -1))
+    deep = np.flatnonzero(t < 0)
+    if deep.size:
+        t[deep] = _chain_lengths(_chain_dag(g), counts[deep])
+    nested = t > 0
+    return {
+        "difference_set": one,
+        "bidifference": levels <= 2,
+        "proper_bidifference": two,
+        "divisible": divisible,
+        "relative": divisible & (lam == 0),
+        "partial": partial,
+        "gaussian": gaussian,
+        "almost": two & (hi == lo + 1),
+        "nested_divisible": nested,
+        "reversible": reversible,
+        "regular": reversible & ~member[:, 0],
+        "lam": lam,
+        "mu": mu,
+        "l": np.where(two, size, -1),
+        "t": t,
+        "proper_chain": nested,
+    }
+
+
+def _constant_split_rows(counts: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Per row: one count value on the inside columns and one on the rest, both nonempty."""
+
+    def constant(mask: np.ndarray) -> np.ndarray:
+        return np.where(mask, counts, big).min(axis=1) == np.where(mask, counts, -1).max(axis=1)
+
+    big = counts.max(initial=0) + 1
+    return constant(inside) & constant(~inside)
+
+
+@lru_cache(maxsize=None)
+def _residue_mask(g: GroupSpec) -> np.ndarray | None:
+    """Quadratic residues among the nonzero elements of Z_p, p an odd prime; else None."""
+    if g.rank != 1 or g.order <= 2 or not is_prime(g.order):
+        return None
+    q = np.zeros(g.order - 1, dtype=bool)
+    q[np.array(residues(g.order, 2)) - 1] = True
+    return q
+
+
+def _chain_lengths(dag: _ChainDag, counts: np.ndarray) -> np.ndarray:
+    """Minimal chain length for each row of nonzero-element counts, -1 if none.
+
+    Edges are tested by _edge_sums.  Level k of a breadth-first pass from G
+    holds the subgroups first reached over a usable edge into level k - 1,
+    for every row at once; t is the level of {0}.  Batches take as many rows
+    as keep (rows, edges) arrays within _EDGE_CHUNK.
+    """
+    t = np.full(len(counts), -1)
+    top = len(dag.rank) - 1  # G; every other subgroup is an edge source
+    step = max(1, _EDGE_CHUNK // len(dag.src))
+    for a in range(0, len(counts), step):
+        _, usable = _edge_sums(dag, counts[a : a + step])
+        reached = np.zeros((len(usable), top + 1), dtype=bool)
+        reached[:, top] = True
+        frontier = reached.copy()
+        found = t[a : a + step]  # a view: levels land in t
+        for level in range(1, top + 1):
+            new = np.logical_or.reduceat(usable & frontier[:, dag.dst], dag.out_starts, axis=1)
+            new &= ~reached[:, :top]
+            found[new[:, 0]] = level
+            new[found > 0] = False
+            if not new.any():
+                break
+            reached[:, :top] |= new
+            frontier[:, :top] = new
+            frontier[:, top] = False
+    return t
 
 
 def is_proper(obj) -> bool:

@@ -10,7 +10,7 @@ frame is materialized as an explicit array only for the verification paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -110,25 +110,77 @@ class AngleProfile:
         return {"angles": entries, "tolerance": self.tolerance, "ambiguous": self.ambiguous}
 
 
-def _cluster(values: np.ndarray, tol: float) -> tuple[list[float], list[int], bool]:
-    """Chain-cluster sorted magnitudes at gap <= tol; flag sub-10*tol separations."""
-    order = np.sort(values)
-    reps: list[float] = []
-    mults: list[int] = []
-    start = 0
-    for i in range(1, len(order) + 1):
-        if i == len(order) or order[i] - order[i - 1] > tol:
-            block = order[start:i]
-            reps.append(float(block.mean()))
-            mults.append(len(block))
-            start = i
-    ambiguous = False
-    pos = np.cumsum(mults)
-    for j in range(len(reps) - 1):
-        gap = order[pos[j]] - order[pos[j] - 1]
-        if gap < 10 * tol:
-            ambiguous = True
-    return reps, mults, ambiguous
+@dataclass(frozen=True)
+class Clusters:
+    """Chain clusters of each row of a magnitude array, flattened row after row.
+
+    Row i's clusters are reps[starts[i]:starts[i + 1]] with multiplicities
+    sizes[starts[i]:starts[i + 1]], in increasing order.
+    """
+
+    reps: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
+    ambiguous: np.ndarray  # per row: two clusters closer than 10 * tol
+    tol: float
+
+    @property
+    def d(self) -> np.ndarray:
+        """Number of clusters per row."""
+        return self.starts[1:] - self.starts[:-1]
+
+    def profile(self, i: int) -> AngleProfile:
+        a, b = self.starts[i], self.starts[i + 1]
+        return AngleProfile(
+            tuple(self.reps[a:b].tolist()), tuple(self.sizes[a:b].tolist()),
+            self.tol, bool(self.ambiguous[i]),
+        )
+
+
+def cluster_rows(values: np.ndarray, tol: float) -> Clusters:
+    """Chain-cluster each row of a (B, L) array at gap <= tol; L >= 1.
+
+    A row is sorted and cut wherever neighbours differ by more than tol; a
+    cut closer than 10 * tol marks the row ambiguous.  A cluster's value is
+    its mean, taken as sum / size over all clusters of one size at once:
+    the same pairwise sum over the same contiguous values as ndarray.mean,
+    so the bits match a one-cluster-at-a-time loop.
+    """
+    order = np.sort(values, axis=1)
+    rows, width = order.shape
+    gaps = order[:, 1:] - order[:, :-1]
+    first = np.ones((rows, width), dtype=bool)  # where a cluster begins
+    first[:, 1:] = gaps > tol
+    ambiguous = (first[:, 1:] & (gaps < 10 * tol)).any(axis=1)
+    begin = np.flatnonzero(first)
+    end = np.empty_like(begin)
+    end[:-1] = begin[1:]
+    end[-1:] = rows * width
+    sizes = end - begin
+    flat = order.ravel()
+    reps = np.empty(len(begin))
+    for k in set(sizes.tolist()):
+        sel = sizes == k
+        reps[sel] = flat[begin[sel, None] + np.arange(k)].sum(axis=1) / k
+    starts = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(first.sum(axis=1), out=starts[1:])
+    return Clusters(reps, sizes, starts, ambiguous, tol)
+
+
+def etf_btf(n: int, m: int, c: Clusters) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of c: (ETF, BTF) for frames of n vectors in C^m.
+
+    ETF: one angle, at the Welch bound within c.tol.  BTF: two angles whose
+    tight-sum t1 a1^2 + t2 a2^2 equals (n - m) / m within 1e-8.
+    """
+    d = c.d
+    first = c.starts[:-1]
+    is_etf = (d == 1) & (np.abs(c.reps[first] - welch_bound(n, m)) <= c.tol)
+    is_btf = d == 2
+    a, b = first[is_btf], first[is_btf] + 1
+    tight_sum = c.sizes[a] * c.reps[a] * c.reps[a] + c.sizes[b] * c.reps[b] * c.reps[b]
+    is_btf[is_btf] = np.abs(tight_sum - (n - m) / m) <= 1e-8
+    return is_etf, is_btf
 
 
 def angle_magnitudes(f: FrameSpec) -> np.ndarray:
@@ -143,12 +195,11 @@ def angle_profile(
     f: FrameSpec, tol: float = DEFAULT_ANGLE_TOL, symbolic: bool = False
 ) -> AngleProfile:
     """Cluster the n-1 identity-row magnitudes into the frame's angle set."""
-    mags = angle_magnitudes(f)
-    reps, mults, ambiguous = _cluster(mags, tol)
+    prof = cluster_rows(angle_magnitudes(f)[None, :], tol).profile(0)
     sym: tuple[str | None, ...] = ()
     if symbolic:
         extra = (f.n,) + f.group.factors
-        forms = [surd.recognize_angle(a, extra_surds=extra) for a in reps]
+        forms = [surd.recognize_angle(a, extra_surds=extra) for a in prof.angles]
         N = f.group.exponent
         sym = tuple(
             surd.display(fm)
@@ -156,7 +207,7 @@ def angle_profile(
             else None
             for fm in forms
         )
-    return AngleProfile(tuple(reps), tuple(mults), tol, ambiguous, sym)
+    return replace(prof, symbolic=sym)
 
 
 def _surd_in_cyclotomic_field(s: int, N: int) -> bool:
@@ -205,12 +256,10 @@ class AngularityReport:
 
 def classify_angularity(f: FrameSpec, tol: float = DEFAULT_ANGLE_TOL) -> AngularityReport:
     """d-angularity with ETF (Welch equality) and BTF (2 angles + tight) flags."""
-    prof = angle_profile(f, tol)
-    w = welch_bound(f.n, f.m)
-    is_etf = prof.d == 1 and abs(prof.angles[0] - w) <= tol
-    tight = abs(prof.tight_sum() - (f.n - f.m) / f.m) <= 1e-8
-    is_btf = prof.d == 2 and tight
-    return AngularityReport(prof.d, is_etf, is_btf, w, prof)
+    c = cluster_rows(angle_magnitudes(f)[None, :], tol)
+    is_etf, is_btf = etf_btf(f.n, f.m, c)
+    prof = c.profile(0)
+    return AngularityReport(prof.d, bool(is_etf[0]), bool(is_btf[0]), welch_bound(f.n, f.m), prof)
 
 
 def btf_multiplicities_from_angles(

@@ -1,12 +1,19 @@
 """Exhaustive enumeration and classification of generator subsets.
 
-Subsets stream in lexicographic order, are chopped into fixed-size blocks,
-and blocks are mapped (serially or across processes) to per-subset records;
-aggregation merges blocks in index order, so reports are identical for any
-worker count.  Full mode walks all C(n, m) subsets; reduced mode walks the
-C(n-1, m-1) subsets containing the identity.  That is not one representative
-per translation class: a class of m-subsets with trivial stabilizer has m
-members containing the identity, and all of them are kept and counted.
+Subsets stream in lexicographic order as (B, m) blocks of element indices,
+B <= BLOCK_SIZE, and each block is classified with array operations: the
+angle magnitudes of all its rows come from one gather-sum over the character
+table, clusters and the ETF/BTF decision from frames, and the set classes
+from the diffsets row kernel.  Per-row temporaries are built ROW_CHUNK rows
+at a time, so their size is bounded by rows, not by the job; a record is
+built only for a subset that passes the filter.  The serial path classifies
+each block as it is cut; with jobs > 1 and more than one block a process
+pool maps the blocks.  Aggregation merges blocks in index order, so reports
+are identical for any worker count.  Full mode walks all C(n, m) subsets;
+reduced mode walks the C(n-1, m-1) subsets containing the identity.  That is
+not one representative per translation class: a class of m-subsets with
+trivial stabilizer has m members containing the identity, and all of them
+are kept and counted.
 """
 
 from __future__ import annotations
@@ -17,11 +24,13 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
-from .diffsets import classify
+from .diffsets import ROW_FLAGS, classify, classify_rows  # noqa: F401 (classify stays importable here)
 from .errors import CapacityError, DomainError
+from .frames import cluster_rows, etf_btf
 from .groups import Element, GroupSpec, full_character_table
 
 SUBSET_CAP = 10**7
@@ -98,22 +107,6 @@ class SubsetRecord:
     is_btf: bool
     flags: dict
 
-    def matches_filter(self, job: SearchJob) -> bool:
-        if job.target_angles is not None:
-            t = tuple(sorted(job.target_angles))
-            if len(t) != len(self.angles):
-                return False
-            if any(abs(a - b) > job.angle_tol for a, b in zip(self.angles, t)):
-                return False
-        if job.filter_name is None:
-            return True
-        f = job.filter_name
-        if f == "etf":
-            return self.is_etf
-        if f == "btf":
-            return self.is_btf
-        return bool(self.flags.get(f.replace("-", "_")))
-
 
 @dataclass
 class SearchReport:
@@ -187,122 +180,124 @@ class SearchReport:
         return rows
 
 
-def _cluster_sorted(mags: np.ndarray, tol: float) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    order = np.sort(mags)
-    reps: list[float] = []
-    mults: list[int] = []
-    start = 0
-    for i in range(1, len(order) + 1):
-        if i == len(order) or order[i] - order[i - 1] > tol:
-            reps.append(float(order[start:i].mean()))
-            mults.append(i - start)
-            start = i
-    return tuple(reps), tuple(mults)
+# classes counted in SearchReport.class_counts, in this order
+COUNTED = (
+    "difference_set", "bidifference", "divisible", "relative",
+    "partial", "gaussian", "almost", "nested_divisible", "etf", "btf",
+)
+ROW_CHUNK = 128  # rows per batch of per-row temporaries
 
 
-def _classify_block(
-    g: GroupSpec, block: list[tuple[Element, ...]], tol: float
-) -> list[SubsetRecord]:
-    """Angle profile + taxonomy for one block of subsets."""
+def _filter_column(job: SearchJob) -> str | None:
+    """The column a job filters on; DomainError for an unknown filter name."""
+    if job.filter_name is None:
+        return None
+    name = job.filter_name.replace("-", "_")
+    if name not in ("etf", "btf") + ROW_FLAGS:
+        raise DomainError(
+            f"unknown filter {job.filter_name!r}; expected etf, btf or one of "
+            + ", ".join(f.replace("_", "-") for f in ROW_FLAGS)
+        )
+    return name
+
+
+def _classify_block(job: SearchJob, block: np.ndarray) -> tuple[list[SubsetRecord], np.ndarray]:
+    """Records of the rows of a (B, m) index block that pass the job's filter,
+    and the block's class counts in COUNTED order.
+
+    Rows go ROW_CHUNK at a time: magnitudes |sum_j chi_{g_j}(x)| / m as one
+    gather-sum over the character table (the same sums, bit for bit, as one
+    subset at a time), clusters and ETF/BTF from frames, set classes from
+    diffsets.classify_rows.  A record is built only for a row that is kept.
+    """
+    g, m, tol = job.group, job.m, job.angle_tol
     T = full_character_table(g)
-    zero_idx = g.index(g.zero)
-    n, welch_sq = g.order, None
-    records = []
-    for subset in block:
-        m = len(subset)
-        cols = [g.index(x) for x in subset]
-        sums = T[:, cols].sum(axis=1)
-        mags = np.abs(sums) / m
-        mags = np.delete(mags, zero_idx)
-        angles, mults = _cluster_sorted(mags, tol)
-        w = math.sqrt((n - m) / (m * (n - 1)))
-        is_etf = len(angles) == 1 and abs(angles[0] - w) <= tol
-        tight = abs(sum(t * a * a for a, t in zip(angles, mults)) - (n - m) / m) <= 1e-8
-        is_btf = len(angles) == 2 and tight
-        flags: dict = {}
-        if m >= 2:
-            cls = classify(g, subset)
-            bw = cls.bidifference_witnesses
-            if cls.divisible is not None and bw:  # prefer the subgroup-relative parameters
-                bw = tuple(
-                    sorted(bw, key=lambda w: w.lam != cls.divisible.lam)
-                )
-            chain = cls.nested_divisible
-            flags = {
-                "difference_set": cls.is_difference_set,
-                "bidifference": cls.bidifference,
-                "proper_bidifference": cls.proper_bidifference,
-                "divisible": cls.divisible is not None,
-                "relative": cls.relative is not None,
-                "partial": cls.partial is not None,
-                "gaussian": cls.gaussian is not None,
-                "almost": cls.almost is not None,
-                "nested_divisible": chain is not None,
-                "reversible": cls.reversible,
-                "regular": cls.regular,
-                "lam": bw[0].lam if bw else cls.difference_set_lambda,
-                "mu": bw[0].mu if bw else cls.difference_set_lambda,
-                "l": bw[0].l if bw else None,
-                "t": chain.t if chain is not None else None,
-                "proper_chain": chain.proper if chain is not None else False,
-            }
-        records.append(SubsetRecord(subset, angles, mults, is_etf, is_btf, flags))
-    return records
+    els = g.elements()
+    column = _filter_column(job)
+    target = None if job.target_angles is None else np.sort(job.target_angles)
+    kept: list[SubsetRecord] = []
+    totals = np.zeros(len(COUNTED), dtype=np.int64)
+    for a in range(0, len(block), ROW_CHUNK):
+        rows = block[a : a + ROW_CHUNK]
+        mags = (np.abs(T[:, rows].sum(axis=-1)) / m)[1:].T  # x = 0 is index 0
+        c = cluster_rows(mags, tol)
+        is_etf, is_btf = etf_btf(g.order, m, c)
+        flags = classify_rows(g, rows) if m >= 2 else {}
+        cols = {**flags, "etf": is_etf, "btf": is_btf}
+        totals += [np.count_nonzero(cols[k]) if k in cols else 0 for k in COUNTED]
+
+        keep = np.ones(len(rows), dtype=bool)
+        if target is not None:
+            keep &= c.d == len(target)
+            first = c.starts[:-1][keep, None] + np.arange(len(target))
+            keep[keep] = (np.abs(c.reps[first] - target) <= tol).all(axis=1)
+        if column is not None:
+            keep &= cols[column] if column in cols else False
+        pick = np.flatnonzero(keep)
+        if not pick.size:
+            continue
+        values = {k: v[pick].tolist() for k, v in flags.items()}
+        for k in values.keys() - ROW_FLAGS:
+            values[k] = [None if v < 0 else v for v in values[k]]
+        row_flags = (
+            [dict(zip(values, vs)) for vs in zip(*values.values())]
+            if values else [{} for _ in pick]
+        )
+        starts, reps, sizes = c.starts.tolist(), c.reps.tolist(), c.sizes.tolist()
+        for i, row, etf, btf, fl in zip(
+            pick.tolist(), rows[pick].tolist(), is_etf[pick].tolist(), is_btf[pick].tolist(),
+            row_flags,
+        ):
+            lo, hi = starts[i], starts[i + 1]
+            subset = tuple(map(els.__getitem__, row))
+            kept.append(SubsetRecord(subset, tuple(reps[lo:hi]), tuple(sizes[lo:hi]), etf, btf, fl))
+    return kept, totals
 
 
-def _worker(args: tuple) -> list[SubsetRecord]:
-    g, block, tol = args
-    return _classify_block(g, block, tol)
+def _index_blocks(job: SearchJob) -> Iterator[np.ndarray]:
+    """Subsets in lexicographic order as (B, m) element-index blocks, B <= BLOCK_SIZE."""
+    n, m = job.group.order, job.m
+    if job.mode == "reduced":
+        stream = ((0,) + c for c in itertools.combinations(range(1, n), m - 1))
+    else:
+        stream = itertools.combinations(range(n), m)
+    while block := list(itertools.islice(stream, BLOCK_SIZE)):
+        yield np.array(block, dtype=np.intp)
 
 
 def enumerate_and_classify(job: SearchJob) -> SearchReport:
-    """Classify every subset of the job, filter post hoc, aggregate deterministically."""
+    """Classify every subset of the job, filter, aggregate deterministically.
+
+    Blocks are classified as they are cut on the serial path; with jobs > 1
+    and more than one block, a process pool maps them.  Results merge in
+    block order, so the report is the same for any worker count.
+    """
     g = job.group
     n = g.order
     if not 1 <= job.m <= n:
         raise DomainError(f"m={job.m} out of range for order {n}")
     if job.mode not in ("full", "reduced"):
         raise DomainError(f"unknown mode {job.mode!r}")
+    _filter_column(job)
     total = job.subset_count()
     if total > job.cap:
         raise CapacityError(f"{total} subsets exceed cap {job.cap}")
 
     t0 = time.perf_counter()
-    els = g.elements()
-    if job.mode == "reduced":
-        rest = [x for x in els if x != g.zero]
-        stream = ((g.zero,) + c for c in itertools.combinations(rest, job.m - 1))
-    else:
-        stream = itertools.combinations(els, job.m)
-
-    blocks: list[list[tuple[Element, ...]]] = []
-    while True:
-        block = list(itertools.islice(stream, BLOCK_SIZE))
-        if not block:
-            break
-        blocks.append(block)
-
+    blocks = _index_blocks(job)
     jobs = max(1, job.jobs)
-    if jobs == 1 or len(blocks) <= 1:
-        results = [_classify_block(g, b, job.angle_tol) for b in blocks]
+    if jobs == 1 or total <= BLOCK_SIZE:
+        results = (_classify_block(job, b) for b in blocks)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_worker, [(g, b, job.angle_tol) for b in blocks]))
+            results = list(pool.map(_classify_block, itertools.repeat(job), blocks))
 
-    class_counts: dict[str, int] = {}
     kept: list[SubsetRecord] = []
-    for block_records in results:
-        for r in block_records:
-            for key in ("difference_set", "bidifference", "divisible", "relative",
-                        "partial", "gaussian", "almost", "nested_divisible"):
-                if r.flags.get(key):
-                    class_counts[key] = class_counts.get(key, 0) + 1
-            if r.is_etf:
-                class_counts["etf"] = class_counts.get("etf", 0) + 1
-            if r.is_btf:
-                class_counts["btf"] = class_counts.get("btf", 0) + 1
-            if r.matches_filter(job):
-                kept.append(r)
+    totals = np.zeros(len(COUNTED), dtype=np.int64)
+    for records, counts in results:
+        kept.extend(records)
+        totals += counts
+    class_counts = {k: v for k, v in zip(COUNTED, totals.tolist()) if v}
     return SearchReport(job, kept, total, class_counts, time.perf_counter() - t0)
 
 

@@ -39,14 +39,14 @@ def oracle_nested_divisible_chain(g, S, _dc=None):
     subs = all_subgroups(g)
     sets = [h.as_set() for h in subs]
     if len(values) == 1:
-        return NestedChain(g, dc.subset, (((g.zero,),), whole), (values[0],), proper=True)
+        return NestedChain(g, dc.subset, ((g.zero,), whole), (values[0],), proper=True)
     if len(values) == 2:
         for lam in values:
             A = frozenset(dc.levels[lam]) | {g.zero}
             if A in sets:
                 mu = values[1] if lam == values[0] else values[0]
                 return NestedChain(
-                    g, dc.subset, (((g.zero,),), tuple(sorted(A)), whole),
+                    g, dc.subset, ((g.zero,), tuple(sorted(A)), whole),
                     (lam, mu), proper=True,
                 )
     sizes = [len(s) for s in sets]
@@ -131,9 +131,8 @@ def test_dag_edges_are_strict_inclusions(factors):
     dag = diffsets._chain_dag(g)
     sets = [frozenset(h) for h in dag.subgroups]
     pairs = [(i, j) for i in range(len(sets)) for j in range(len(sets)) if sets[i] < sets[j]]
-    assert list(zip(dag.src, dag.dst)) == pairs
+    assert list(zip(dag.src.tolist(), dag.dst.tolist())) == pairs
+    assert dag.size.tolist() == [len(sets[j] - sets[i]) for i, j in pairs]
     nonzero = g.elements()[1:]
-    bounds = list(dag.starts) + [len(dag.annulus)]
-    for e, (i, j) in enumerate(pairs):
-        annulus = [nonzero[k] for k in dag.annulus[bounds[e] : bounds[e + 1]]]
-        assert annulus == sorted(sets[j] - sets[i])
+    for i, h in enumerate(sets):
+        assert dag.member[i].tolist() == [float(x in h) for x in nonzero]

@@ -161,3 +161,10 @@ def test_invariant_error_exit_1(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: gauss sum drifted from closed form")
     assert "Traceback" not in err
+
+
+def test_search_unknown_filter_exit_1(capsys):
+    code, out, err = run(capsys, "search", "--group", "Z7", "-m", "3", "--filter", "differnce-set")
+    assert code == 1
+    assert out == ""
+    assert "unknown filter 'differnce-set'" in err

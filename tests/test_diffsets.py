@@ -19,7 +19,7 @@ from framelab.diffsets import (
     translate,
 )
 from framelab.errors import InvalidOperationError, InvalidSubsetError
-from framelab.groups import GroupSpec, all_subgroups, parse_subset
+from framelab.groups import GroupSpec, all_subgroups, parse_group, parse_subset
 from framelab.search import SearchJob, abelian_groups_of_order, enumerate_and_classify
 
 Z6 = GroupSpec((6,))
@@ -158,6 +158,27 @@ def test_nested_chain_z2z4():
     assert chain.subgroups[2] == ((0, 0), (0, 2), (1, 0), (1, 2))
     assert chain.proper
     assert is_proper(chain)
+
+
+@pytest.mark.parametrize(
+    "group,subset,t",
+    [
+        ("Z7", "0,1,3", 1),
+        ("Z6", "0,1,3", 2),
+        ("Z8", "0,1,4", 3),
+        ("Z2xZ2", "(0,0),(0,1),(1,0)", 1),
+        ("Z2xZ4", "(0,0),(0,1),(0,2)", 2),
+        ("Z2xZ4", "(0,0),(1,0),(0,1)", 3),
+    ],
+)
+def test_chain_starts_at_the_trivial_subgroup(group, subset, t):
+    # t = 1 and t = 2 come from the fast paths, t = 3 from the subgroup DAG
+    g = parse_group(group)
+    cls = classify(g, S(g, subset))
+    assert cls.nested_divisible.t == t
+    assert cls.nested_divisible.subgroups[0] == (g.zero,)
+    zero = g.zero[0] if g.rank == 1 else list(g.zero)
+    assert cls.as_dict()["nested_divisible"]["subgroups"][0] == [zero]
 
 
 def test_nested_chain_z6_and_z9():

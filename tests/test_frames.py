@@ -11,6 +11,7 @@ from framelab.frames import (
     angle_profile,
     btf_multiplicities_from_angles,
     classify_angularity,
+    cluster_rows,
     frame_inner_product,
     frame_report,
     is_real_frame,
@@ -235,6 +236,45 @@ def test_cluster_ambiguity_flag():
     assert prof.ambiguous  # 0.4698 and 0.5 sit 0.030 < 0.04 apart
     prof_fine = angle_profile(F("Z9", "0,1,3,4"), tol=1e-7)
     assert not prof_fine.ambiguous
+
+
+def oracle_cluster(values, tol):
+    """The one-row clustering loop cluster_rows replaced."""
+    order = np.sort(values)
+    reps, mults = [], []
+    start = 0
+    for i in range(1, len(order) + 1):
+        if i == len(order) or order[i] - order[i - 1] > tol:
+            block = order[start:i]
+            reps.append(float(block.mean()))
+            mults.append(len(block))
+            start = i
+    pos = np.cumsum(mults)
+    ambiguous = any(order[pos[j]] - order[pos[j] - 1] < 10 * tol for j in range(len(reps) - 1))
+    return reps, mults, ambiguous
+
+
+def test_cluster_rows_match_one_row_loop():
+    # rows of every length 1..63 made of planted clusters of random sizes, some of
+    # them closer than 10 * tol, so every cluster size and both ambiguity outcomes occur
+    rng = np.random.default_rng(5)
+    tol = 1e-7
+    for width in range(1, 64):
+        rows = []
+        for _ in range(20):
+            row = []
+            while len(row) < width:
+                k = int(rng.integers(1, width - len(row) + 1))
+                centre = row[-1] + 5 * tol if row and rng.random() < 0.2 else rng.uniform(0, 1)
+                row.extend(centre + rng.uniform(0, tol / 4, k))
+            rows.append(rng.permutation(row))
+        c = cluster_rows(np.array(rows), tol)
+        for i, row in enumerate(rows):
+            reps, mults, ambiguous = oracle_cluster(row, tol)
+            prof = c.profile(i)
+            assert list(prof.angles) == reps  # bit for bit
+            assert list(prof.multiplicities) == mults
+            assert prof.ambiguous == ambiguous
 
 
 def test_modulation_capacity_bound():

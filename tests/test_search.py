@@ -1,6 +1,7 @@
 """Enumeration, filtering, determinism, cross-group matching."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from framelab.diffsets import translate
 from framelab.errors import CapacityError, DomainError
 from framelab.groups import GroupSpec, parse_group
 from framelab.search import (
+    BLOCK_SIZE,
     SearchJob,
     abelian_groups_of_order,
     cross_group_angle_match,
@@ -69,6 +71,30 @@ def test_determinism_across_worker_counts():
     rep2 = enumerate_and_classify(SearchJob(g, 3, target_angles=TARGET_833, jobs=3))
     assert [r.subset for r in rep1.records] == [r.subset for r in rep2.records]
     assert rep1.class_counts == rep2.class_counts
+
+
+def test_process_pool_matches_serial():
+    # C(16, 5) = 4368 subsets: two blocks, so jobs=2 takes the process pool
+    g = parse_group("Z16")
+    job = SearchJob(g, 5, mode="full")
+    assert job.subset_count() > BLOCK_SIZE
+    serial = enumerate_and_classify(job).to_dict()
+    pooled = enumerate_and_classify(replace(job, jobs=2)).to_dict()
+    del serial["runtime_seconds"], pooled["runtime_seconds"]
+    assert pooled == serial
+    assert serial["total_enumerated"] == 4368
+
+
+@pytest.mark.parametrize("name", ["differnce-set", "lam", "t", "btf_without_bidifference", ""])
+def test_unknown_filter_is_rejected(name):
+    with pytest.raises(DomainError, match="unknown filter"):
+        enumerate_and_classify(SearchJob(parse_group("Z7"), 3, filter_name=name))
+
+
+@pytest.mark.parametrize("name", ["etf", "btf", "difference-set", "difference_set",
+                                  "proper-bidifference", "nested-divisible", "regular"])
+def test_known_filters_are_accepted(name):
+    enumerate_and_classify(SearchJob(parse_group("Z7"), 3, filter_name=name))
 
 
 def test_find_btfs_z6_includes_dds():
