@@ -17,22 +17,25 @@ Constant counts make a difference set a degenerate member of the two-level
 classes wherever a witness exists; witnesses {0} and the whole group are
 excluded as uninformative.
 
-Scalar classify is the single-subset API (the CLI, frame reports, verify)
-and the reference the row kernel is tested against.  The row kernel,
-classify_rows, gives the search flags of a whole block of subsets from one
-bincount count matrix; search uses it and never calls classify.
+The row kernel, classify_rows, decides every class for a whole block of
+subsets from one bincount count matrix; search calls it on blocks.  classify
+is the single-subset view of the same kernel (the CLI, frame reports,
+verify): it calls classify_rows on one row and only builds the records
+around its flags.  Minimal chains come from one breadth-first pass over the
+subgroup inclusion DAG, _chain_levels: search reads the chain length from
+it, and the scalar chain walks its levels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .arith import is_prime, residues
-from .errors import InvalidElementError, InvalidOperationError, InvalidSubsetError
+from .errors import InvalidElementError, InvalidOperationError, InvalidSubsetError, InvariantError
 from .groups import Element, GroupSpec, _difference_index_table, all_subgroups
 
 
@@ -78,7 +81,8 @@ def difference_counts(g: GroupSpec, S: Sequence[Element]) -> DiffCounts:
     for x, c in counts.items():
         levels.setdefault(c, []).append(x)
     m = len(subset)
-    assert sum(raw) == m * (m - 1)
+    if sum(raw) != m * (m - 1):
+        raise InvariantError(f"difference counts add up to {sum(raw)}, not {m * (m - 1)}")
     return DiffCounts(g, subset, counts, {c: tuple(v) for c, v in levels.items()})
 
 
@@ -151,7 +155,6 @@ class NestedChain:
     subset: tuple[Element, ...]
     subgroups: tuple[tuple[Element, ...], ...]
     lambdas: tuple[int, ...]
-    proper: bool
 
     @property
     def t(self) -> int:
@@ -199,8 +202,17 @@ class Classification:
     def _els(self, xs: Iterable[Element]) -> list:
         return [self._el(x) for x in xs]
 
+    def _record(self, r) -> dict | None:
+        """A class record as JSON: its fields in order, element sets as lists."""
+        if r is None:
+            return None
+        d = {f.name: getattr(r, f.name) for f in fields(r)}
+        for key in d.keys() & {"A", "H"}:
+            d[key] = self._els(d[key])
+        return d
+
     def as_dict(self) -> dict:
-        c = self
+        c, chain = self, self.nested_divisible
         return {
             "schema": 1,
             "group": c.group.name,
@@ -212,159 +224,89 @@ class Classification:
             ),
             "bidifference": c.bidifference,
             "proper_bidifference": c.proper_bidifference,
-            "bidifference_witnesses": [
-                {"A": c._els(w.A), "l": w.l, "lam": w.lam, "mu": w.mu}
-                for w in c.bidifference_witnesses
-            ],
-            "divisible": (
-                None
-                if c.divisible is None
-                else {
-                    "H": c._els(c.divisible.H),
-                    "l": c.divisible.l,
-                    "lam": c.divisible.lam,
-                    "mu": c.divisible.mu,
-                    "proper": c.divisible.proper,
-                }
-            ),
-            "relative": (
-                None
-                if c.relative is None
-                else {"H": c._els(c.relative.H), "l": c.relative.l, "mu": c.relative.mu}
-            ),
-            "partial": (
-                None
-                if c.partial is None
-                else {
-                    "lam": c.partial.lam,
-                    "mu": c.partial.mu,
-                    "zero_in_s": c.partial.zero_in_s,
-                    "proper": c.partial.proper,
-                }
-            ),
-            "gaussian": (
-                None
-                if c.gaussian is None
-                else {
-                    "p": c.gaussian.p,
-                    "lam": c.gaussian.lam,
-                    "mu": c.gaussian.mu,
-                    "proper": c.gaussian.proper,
-                }
-            ),
-            "almost": (
-                None if c.almost is None else {"lam": c.almost.lam, "t": c.almost.t}
-            ),
-            "nested_divisible": (
-                None
-                if c.nested_divisible is None
-                else {
-                    "t": c.nested_divisible.t,
-                    "lambdas": list(c.nested_divisible.lambdas),
-                    "subgroups": [c._els(a) for a in c.nested_divisible.subgroups],
-                    "proper": c.nested_divisible.proper,
-                }
-            ),
+            "bidifference_witnesses": [c._record(w) for w in c.bidifference_witnesses],
+            **{
+                k: c._record(getattr(c, k))
+                for k in ("divisible", "relative", "partial", "gaussian", "almost")
+            },
+            "nested_divisible": None if chain is None else {
+                "t": chain.t,
+                "lambdas": list(chain.lambdas),
+                "subgroups": [c._els(a) for a in chain.subgroups],
+                "proper": True,  # schema 1 key: a returned chain is minimal by construction
+            },
             "reversible": c.reversible,
             "regular": c.regular,
         }
 
 
-def _constant_split(
-    dc: DiffCounts, A: frozenset[Element]
-) -> tuple[int, int] | None:
-    """(lam, mu) when counts are constant on A\\{0} and on the complement."""
-    g = dc.group
-    inside = {dc.counts[x] for x in A if x != g.zero}
-    outside = {dc.counts[x] for x in dc.counts if x not in A}
-    if len(inside) != 1 or len(outside) != 1:
-        return None
-    return inside.pop(), outside.pop()
+def classify(g: GroupSpec, S: Sequence[Element]) -> Classification:
+    """Full taxonomy membership of a generator subset: classify_rows on one row.
 
-
-def classify(g: GroupSpec, S: Sequence[Element], chain: bool = True) -> Classification:
-    """Full taxonomy membership of a generator subset."""
+    Every class decision (count levels, the subgroup witness, the partial
+    and Gaussian splits, the chain length t, reversibility) is the row
+    kernel's.  This function only builds the records around it: the
+    bidifference witness sets, the divisible H, the partial and Gaussian
+    (lam, mu) read from the count row, the almost t, and the chain subgroups.
+    """
     dc = difference_counts(g, S)
     subset = dc.subset
-    n, m = g.order, dc.m
-    values = dc.values()
     zero = g.zero
+    idx = np.array([[g.index(x) for x in subset]])
+    k = {name: col[0].item() for name, col in classify_rows(g, idx).items()}
+    values = dc.values()
+    lam, mu = k["lam"], k["mu"]
 
-    diff_lambda = values[0] if len(values) == 1 else None
-
-    witnesses: list[BidifferenceWitness] = []
-    if len(values) == 2:
-        for lam, mu in ((values[0], values[1]), (values[1], values[0])):
-            A = tuple(sorted(dc.levels[lam] + (zero,)))
-            witnesses.append(BidifferenceWitness(A, len(A), lam, mu))
-
-    bidifference = len(values) <= 2
-    proper_bidifference = len(values) == 2
+    witnesses = []
+    if k["proper_bidifference"]:
+        for a, b in ((values[0], values[1]), (values[1], values[0])):
+            A = tuple(sorted(dc.levels[a] + (zero,)))
+            witnesses.append(BidifferenceWitness(A, len(A), a, b))
 
     divisible = relative = None
-    if proper_bidifference:
-        row = dc.row()
-        for w in witnesses:
-            if _level_is_subgroup(g, row, w.lam):
-                divisible = DivisibleRecord(w.A, w.l, w.lam, w.mu, w.lam != w.mu)
-                break
-    elif diff_lambda is not None:
-        for h in all_subgroups(g):
-            if 1 < h.order < n:
-                divisible = DivisibleRecord(
-                    h.elements, h.order, diff_lambda, diff_lambda, False
-                )
-                break
-    if divisible is not None and divisible.lam == 0:
+    if k["divisible"]:
+        if k["difference_set"]:  # any subgroup strictly between {0} and G
+            H = next(h.elements for h in all_subgroups(g) if 1 < h.order < g.order)
+        else:
+            H = tuple(sorted(dc.levels[lam] + (zero,)))
+        divisible = DivisibleRecord(H, len(H), lam, mu, lam != mu)
+    if k["relative"]:
         relative = RelativeRecord(divisible.H, divisible.l, divisible.mu)
 
-    partial = None
-    A_s = frozenset(subset) | {zero}
-    if len(A_s) < n:
-        split = _constant_split(dc, A_s)
-        if split is not None:
-            lam, mu = split
-            partial = PartialRecord(lam, mu, zero in subset, lam != mu)
+    partial = gaussian = almost = None
+    if k["partial"]:
+        a, b = _split(dc, frozenset(subset))
+        partial = PartialRecord(a, b, zero in subset, a != b)
+    if k["gaussian"]:
+        a, b = _split(dc, frozenset((r,) for r in residues(g.order, 2)))
+        gaussian = GaussianRecord(g.order, a, b, a != b)
+    if k["almost"]:
+        almost = AlmostRecord(values[0], len(dc.levels[values[0]]))
 
-    gaussian = None
-    if g.rank == 1 and g.factors[0] > 2 and is_prime(g.factors[0]):
-        p = g.factors[0]
-        A_q = frozenset((r,) for r in residues(p, 2)) | {zero}
-        split = _constant_split(dc, A_q)
-        if split is not None:
-            lam, mu = split
-            gaussian = GaussianRecord(p, lam, mu, lam != mu)
-
-    almost = None
-    if len(values) == 2 and values[1] == values[0] + 1:
-        lam = values[0]
-        almost = AlmostRecord(lam, len(dc.levels[lam]))
-
-    nested = nested_divisible_chain(g, subset, _dc=dc) if chain else None
-
-    rev = frozenset(reversal(g, subset)) == frozenset(subset)
     return Classification(
         group=g,
         subset=subset,
         counts=dc,
-        difference_set_lambda=diff_lambda,
-        bidifference=bidifference,
-        proper_bidifference=proper_bidifference,
+        difference_set_lambda=lam if k["difference_set"] else None,
+        bidifference=k["bidifference"],
+        proper_bidifference=k["proper_bidifference"],
         bidifference_witnesses=tuple(witnesses),
         divisible=divisible,
         relative=relative,
         partial=partial,
         gaussian=gaussian,
         almost=almost,
-        nested_divisible=nested,
-        reversible=rev,
-        regular=rev and zero not in subset,
+        nested_divisible=_chain(dc, k["t"], divisible),
+        reversible=k["reversible"],
+        regular=k["regular"],
     )
 
 
-def _level_is_subgroup(g: GroupSpec, row: np.ndarray, lam: int) -> bool:
-    """Whether {0} + the level of lam is a subgroup, given the counts as one row."""
-    return np.packbits(row == lam).tobytes() in _subgroup_keys(g)
+def _split(dc: DiffCounts, inside: frozenset[Element]) -> tuple[int, int]:
+    """(lam, mu): the counts at the first nonzero element in inside and outside it."""
+    a = next(x for x in dc.counts if x in inside)
+    b = next(x for x in dc.counts if x not in inside)
+    return dc.counts[a], dc.counts[b]
 
 
 @lru_cache(maxsize=None)
@@ -382,71 +324,49 @@ def _subgroup_keys(g: GroupSpec) -> frozenset[bytes]:
 # Nested divisible chains
 
 
-def nested_divisible_chain(
-    g: GroupSpec, S: Sequence[Element], _dc: DiffCounts | None = None
-) -> NestedChain | None:
-    """Minimal-length subgroup chain whose annuli are count-constant.
+def nested_divisible_chain(g: GroupSpec, S: Sequence[Element]) -> NestedChain | None:
+    """Minimal-length subgroup chain whose annuli are count-constant, or None.
 
-    Shortest path from the trivial subgroup to the full group in the DAG
-    whose edges H -> H' require H < H' and a single count value on H' \\ H;
-    among minimal chains the lexicographically smallest is returned.  Minimal
-    chains automatically have distinct adjacent lambdas (equal neighbours
-    could be merged into a shorter chain).
+    The nested_divisible record of classify: among minimal chains the
+    lexicographically smallest (see _chain).  Minimal chains automatically
+    have distinct adjacent lambdas (equal neighbours could be merged into a
+    shorter chain).
     """
-    dc = _dc if _dc is not None else difference_counts(g, S)
-    values = dc.values()
+    return classify(g, S).nested_divisible
+
+
+def _chain(dc: DiffCounts, t: int, divisible: DivisibleRecord | None) -> NestedChain | None:
+    """The chain of the row kernel's length t (-1: none) for a count structure.
+
+    t = 1 is {0} < G and t = 2 is {0} < H < G, H the subgroup witness
+    divisible.H.  A longer chain follows the subgroup levels of
+    _chain_levels, the pass that gave t: from {0}, each step goes over a
+    usable edge to the lowest-ranked subgroup (first in element-list order)
+    one level nearer G, so the chain is the lexicographically first of the
+    minimal ones.
+    """
+    g = dc.group
     whole = tuple(sorted(g.elements()))
-
-    # one count value: the two-term chain {0} < G always works
-    if len(values) == 1:
-        return NestedChain(g, dc.subset, ((g.zero,), whole), (values[0],), proper=True)
-
-    # two count values: a chain of length 2 exists iff a witness is a subgroup,
-    # and at most one of the two witnesses can be (index arithmetic on n)
-    row = dc.row()
-    if len(values) == 2:
-        for lam in values:
-            if _level_is_subgroup(g, row, lam):
-                A = tuple(sorted(dc.levels[lam] + (g.zero,)))
-                mu = values[1] if lam == values[0] else values[0]
-                return NestedChain(
-                    g, dc.subset, ((g.zero,), A, whole), (lam, mu), proper=True,
-                )
-
+    if t < 0:
+        return None
+    if t == 1:
+        return NestedChain(g, dc.subset, ((g.zero,), whole), dc.values())
+    if t == 2:
+        return NestedChain(
+            g, dc.subset, ((g.zero,), divisible.H, whole), (divisible.lam, divisible.mu)
+        )
     dag = _chain_dag(g)
-    total, usable = _edge_sums(dag, row[None])
-    # {0} lies in every other subgroup, so the first len(rank) - 1 edges leave it
-    if not usable[0, : len(dag.rank) - 1].any():
-        return None
-
-    # distance to G over usable edges, sources taken largest first; each
-    # subgroup keeps the edge to its lexicographically first nearest successor
-    edges = np.flatnonzero(usable[0])
-    src, dst = dag.src[edges].tolist(), dag.dst[edges].tolist()
-    lams = (total[0, edges] // dag.size[edges]).tolist()
-    rank = dag.rank
-    full = len(rank) - 1
-    INF = len(rank)
-    dist = [INF] * len(rank)
-    dist[full] = 0
-    step: dict[int, int] = {}
-    for e in reversed(range(len(edges))):
-        i, j = src[e], dst[e]
-        d = dist[j] + 1
-        if d < dist[i] or (d == dist[i] and rank[j] < rank[dst[step[i]]]):
-            dist[i] = d
-            step[i] = e
-    if dist[0] == INF:
-        return None
-
-    chain_idx = [0]
-    lambdas = []
-    while chain_idx[-1] != full:
-        e = step[chain_idx[-1]]
-        chain_idx.append(dst[e])
-        lambdas.append(lams[e])
-    subgroups = tuple(dag.subgroups[i] for i in chain_idx)
-    return NestedChain(g, dc.subset, subgroups, tuple(lambdas), proper=True)
+    row = dc.row()[None]
+    total, usable = _edge_sums(dag, row)
+    level = _chain_levels(dag, row)[0]
+    down = usable[0] & (level[dag.dst] == level[dag.src] - 1)
+    path, lambdas = [0], []
+    while level[path[-1]] > 0:
+        e = np.flatnonzero(down & (dag.src == path[-1]))
+        e = e[np.argmin(dag.rank[dag.dst[e]])]
+        path.append(int(dag.dst[e]))
+        lambdas.append(int(total[0, e] // dag.size[e]))
+    return NestedChain(g, dc.subset, tuple(dag.subgroups[i] for i in path), tuple(lambdas))
 
 
 @dataclass(frozen=True)
@@ -465,7 +385,7 @@ class _ChainDag:
     dst: np.ndarray
     size: np.ndarray
     out_starts: np.ndarray
-    rank: list[int]
+    rank: np.ndarray
     member: np.ndarray
 
 
@@ -496,9 +416,8 @@ def _chain_dag(g: GroupSpec) -> _ChainDag:
     src = np.concatenate(src_parts)
     dst = np.concatenate(dst_parts)
 
-    rank = [0] * count
-    for r, k in enumerate(sorted(range(count), key=lambda i: subs[i].elements)):
-        rank[k] = r
+    rank = np.empty(count, dtype=np.int64)
+    rank[sorted(range(count), key=lambda i: subs[i].elements)] = np.arange(count)
     return _ChainDag(
         tuple(h.elements for h in subs), src, dst, sizes[dst] - sizes[src],
         np.searchsorted(src, np.arange(count - 1)), rank, member[:, 1:].astype(np.float64),
@@ -528,7 +447,8 @@ def _edge_sums(dag: _ChainDag, counts: np.ndarray) -> tuple[np.ndarray, np.ndarr
 # Row kernel: the search flags of a block of subsets at once
 
 # the boolean columns of classify_rows; its other columns (lam, mu, l, t) are
-# integers with -1 where undefined
+# integers with -1 where undefined.  proper_chain is a schema-1 alias of
+# nested_divisible: the chain behind t is minimal by construction.
 ROW_FLAGS = (
     "difference_set", "bidifference", "proper_bidifference", "divisible", "relative",
     "partial", "gaussian", "almost", "nested_divisible", "reversible", "regular",
@@ -548,7 +468,8 @@ def classify_rows(g: GroupSpec, rows: np.ndarray) -> dict[str, np.ndarray]:
     difference indices.  The number of levels comes from sorted rows; a
     two-level witness is a subgroup when its packed level mask is among the
     subgroup keys; t is 1 or 2 on those fast paths, and only the remaining
-    rows walk the chain DAG, breadth-first from G for all of them at once.
+    rows go through _chain_levels, breadth-first from G for all of them at
+    once.  classify is this function on one row.
     """
     rows = np.asarray(rows, dtype=np.intp)
     B, m = rows.shape
@@ -597,7 +518,7 @@ def classify_rows(g: GroupSpec, rows: np.ndarray) -> dict[str, np.ndarray]:
     t = np.where(one, 1, np.where(two & witness, 2, -1))
     deep = np.flatnonzero(t < 0)
     if deep.size:
-        t[deep] = _chain_lengths(_chain_dag(g), counts[deep])
+        t[deep] = _chain_levels(_chain_dag(g), counts[deep])[:, 0]
     nested = t > 0
     return {
         "difference_set": one,
@@ -639,34 +560,39 @@ def _residue_mask(g: GroupSpec) -> np.ndarray | None:
     return q
 
 
-def _chain_lengths(dag: _ChainDag, counts: np.ndarray) -> np.ndarray:
-    """Minimal chain length for each row of nonzero-element counts, -1 if none.
+def _chain_levels(dag: _ChainDag, counts: np.ndarray) -> np.ndarray:
+    """Each subgroup's level, per row of nonzero-element counts: (rows, subgroups).
 
-    Edges are tested by _edge_sums.  Level k of a breadth-first pass from G
-    holds the subgroups first reached over a usable edge into level k - 1,
-    for every row at once; t is the level of {0}.  Batches take as many rows
-    as keep (rows, edges) arrays within _EDGE_CHUNK.
+    One breadth-first pass from G over the edges _edge_sums finds usable,
+    for every row at once: G is level 0, and level k holds the subgroups
+    first reached over a usable edge into level k - 1.  A row stops at the
+    level that reaches {0}, so level[:, 0] is the minimal chain length t;
+    -1 marks a subgroup the row did not reach (for {0}: no chain).  Levels
+    are counted as levels waited unreached: an addition per level is cheaper
+    than a masked store.  Batches keep (rows, edges) arrays within _EDGE_CHUNK.
     """
-    t = np.full(len(counts), -1)
     top = len(dag.rank) - 1  # G; every other subgroup is an edge source
+    level = np.full((len(counts), top + 1), -1)
+    level[:, top] = 0
     step = max(1, _EDGE_CHUNK // len(dag.src))
     for a in range(0, len(counts), step):
         _, usable = _edge_sums(dag, counts[a : a + step])
-        reached = np.zeros((len(usable), top + 1), dtype=bool)
-        reached[:, top] = True
-        frontier = reached.copy()
-        found = t[a : a + step]  # a view: levels land in t
-        for level in range(1, top + 1):
+        unreached = np.ones((len(usable), top), dtype=bool)
+        waited = np.zeros((len(usable), top), dtype=int)
+        frontier = np.zeros((len(usable), top + 1), dtype=bool)
+        frontier[:, top] = True
+        for _ in range(top):
+            waited += unreached
             new = np.logical_or.reduceat(usable & frontier[:, dag.dst], dag.out_starts, axis=1)
-            new &= ~reached[:, :top]
-            found[new[:, 0]] = level
-            new[found > 0] = False
+            new &= unreached
+            unreached ^= new
+            new[~unreached[:, 0]] = False  # rows that reached {0} stop
             if not new.any():
                 break
-            reached[:, :top] |= new
             frontier[:, :top] = new
             frontier[:, top] = False
-    return t
+        level[a : a + step, :top] = np.where(unreached, -1, waited)
+    return level
 
 
 def is_proper(obj) -> bool:
@@ -698,7 +624,7 @@ def pds_zero_toggle(
     re-verified by classification.
     """
     subset = tuple(S)
-    cls = classify(g, subset, chain=False)
+    cls = classify(g, subset)
     if cls.partial is None or not cls.reversible:
         raise InvalidOperationError("zero toggle needs a reversible partial difference set")
     n, m = cls.n, cls.m
@@ -714,12 +640,7 @@ def pds_zero_toggle(
             raise InvalidOperationError("adjoining the identity needs a regular set")
         new_set = tuple(sorted(subset + (zero,)))
         new_params = (n, m + 1, cls.partial.lam + 2, cls.partial.mu)
-    check = classify(g, new_set, chain=False)
-    if check.partial is None or (
-        check.n,
-        check.m,
-        check.partial.lam,
-        check.partial.mu,
-    ) != new_params:
+    check = classify(g, new_set).partial
+    if check is None or (n, len(new_set), check.lam, check.mu) != new_params:
         raise InvalidOperationError("toggled set failed re-classification")
     return new_set, new_params

@@ -196,17 +196,20 @@ def angle_profile(
 ) -> AngleProfile:
     """Cluster the n-1 identity-row magnitudes into the frame's angle set."""
     prof = cluster_rows(angle_magnitudes(f)[None, :], tol).profile(0)
-    sym: tuple[str | None, ...] = ()
-    if symbolic:
-        extra = (f.n,) + f.group.factors
-        forms = [surd.recognize_angle(a, extra_surds=extra) for a in prof.angles]
-        N = f.group.exponent
-        sym = tuple(
-            surd.display(fm)
-            if fm is not None and (fm.coef == 0 or _surd_in_cyclotomic_field(fm.surd, N))
-            else None
-            for fm in forms
-        )
+    return _with_symbolic(f, prof) if symbolic else prof
+
+
+def _with_symbolic(f: FrameSpec, prof: AngleProfile) -> AngleProfile:
+    """prof with the recognized exact form of each angle, None where there is none."""
+    extra = (f.n,) + f.group.factors
+    forms = [surd.recognize_angle(a, extra_surds=extra) for a in prof.angles]
+    N = f.group.exponent
+    sym = tuple(
+        surd.display(fm)
+        if fm is not None and (fm.coef == 0 or _surd_in_cyclotomic_field(fm.surd, N))
+        else None
+        for fm in forms
+    )
     return replace(prof, symbolic=sym)
 
 
@@ -389,9 +392,9 @@ def is_real_frame(f: FrameSpec) -> bool:
 
 
 def frame_report(f: FrameSpec, tol: float = DEFAULT_ANGLE_TOL) -> dict:
-    """JSON-ready report for one frame (schema version 1)."""
-    prof = angle_profile(f, tol, symbolic=True)
+    """JSON-ready report for one frame (schema version 1), from one clustering."""
     ang = classify_angularity(f, tol)
+    prof = _with_symbolic(f, ang.profile)
     tight = verify_tightness(f)
     gens: list = [
         x[0] if f.group.rank == 1 else list(x) for x in f.generators

@@ -122,7 +122,7 @@ def paley_pds(p: int) -> tuple[tuple[Element, ...], Classification]:
     _require_odd_prime(p)
     g = GroupSpec((p,))
     S = tuple((r,) for r in residues(p, 2))
-    cls = classify(g, S, chain=False)
+    cls = classify(g, S)
     if p % 4 == 3:
         if cls.difference_set_lambda != (p - 3) // 4:
             raise InvariantError(f"Paley set at p={p} misclassified: {cls.as_dict()}")
@@ -238,14 +238,14 @@ def quartic_special_cases(p: int) -> QuarticCaseReport:
         S = tuple((z,) for z in residues(p, 4))
         if with_zero:
             S = ((0,),) + S
-        cls = classify(g, S, chain=False)
+        cls = classify(g, S)
         return cls.difference_set_lambda == lam
 
     def check_almost(with_zero: bool, lam: int, t: int) -> bool:
         S = tuple((z,) for z in residues(p, 4))
         if with_zero:
             S = ((0,),) + S
-        cls = classify(g, S, chain=False)
+        cls = classify(g, S)
         return cls.almost is not None and (cls.almost.lam, cls.almost.t) == (lam, t)
 
     if conditions["p=4a^2+1, a odd"]:

@@ -336,7 +336,8 @@ def cross_group_angle_match(
     """Match counts for a target angle set across every abelian group of order n.
 
     Counts are split by whether the matching subset is a bidifference set or
-    carries a nested divisible chain.
+    carries a nested divisible chain; proper_chain_matches is a schema-1
+    alias of nested_divisible_matches (a returned chain is minimal).
     """
     if n > 64:
         raise CapacityError(f"cross-group matching capped at order 64, got {n}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .frames import (
     verify_modulation_identities,
     welch_bound,
 )
-from .groups import GroupSpec, parse_group, parse_subset
+from .groups import GroupSpec, all_subgroups, parse_group, parse_subset
 from .predictions import (
     dds_angles,
     gaussian_angles,
@@ -42,7 +43,7 @@ from .residues import (
     quartic_gaussian_ds,
     quartic_special_cases,
 )
-from .search import SearchJob, abelian_groups_of_order, cross_group_angle_match, enumerate_and_classify
+from .search import SearchJob, abelian_groups_of_order, enumerate_and_classify
 
 
 @dataclass(frozen=True)
@@ -60,43 +61,55 @@ def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
 # Suites
 
 
+def _shortest_chain(g: GroupSpec, subset) -> float:
+    """Length of the shortest count-constant subgroup chain of subset (inf: none).
+
+    Brute force, independent of the chain DAG: counts from the ordered
+    pairs of subset, then every chain {0} = A_0 < ... < A_t = G whose annuli
+    A_i \\ A_(i-1) each carry a single count value.
+    """
+    counts = Counter(g.sub(a, b) for a in subset for b in subset if a != b)
+    sets = [h.as_set() for h in all_subgroups(g)]
+
+    def shortest(A: frozenset) -> float:
+        if len(A) == g.order:
+            return 0
+        return min(
+            (1 + shortest(B) for B in sets if A < B and len({counts[x] for x in B - A}) == 1),
+            default=math.inf,
+        )
+
+    return shortest(frozenset([g.zero]))
+
+
 def suite_exhaustion_order8(jobs: int = 1) -> list[CheckResult]:
-    """3-subsets of the order-8 groups matching the angle set {1/3, sqrt(5)/3}."""
+    """3-subsets of the order-8 groups matching the angle set {1/3, sqrt(5)/3}.
+
+    One search per group.  A match's chain is proper when its length t is
+    the shortest found by trying every subgroup chain (_shortest_chain).
+    """
     t0 = time.perf_counter()
     target = (1 / 3, math.sqrt(5) / 3)
-    rep = cross_group_angle_match(8, 3, target, tol=1e-7, jobs=jobs)
     expected = {"Z2xZ2xZ2": 0, "Z2xZ4": 32, "Z8": 16}
     out = []
-    for grp in rep["groups"]:
-        name = grp["group"]
-        want = expected[name]
-        out.append(
-            _check(
-                f"exhaustion-order8/{name}-count",
-                grp["match_count"] == want,
-                f"found {grp['match_count']} matches, expected {want}",
-            )
-        )
-        out.append(
-            _check(
-                f"exhaustion-order8/{name}-all-proper-nested",
-                grp["proper_chain_matches"] == grp["match_count"],
-                f"{grp['proper_chain_matches']}/{grp['match_count']} proper chains",
-            )
-        )
-        out.append(
-            _check(
-                f"exhaustion-order8/{name}-no-bidifference",
-                grp["bidifference_matches"] == 0,
-                f"{grp['bidifference_matches']} bidifference matches",
-            )
-        )
+    chain_lengths = {}
+    for g in abelian_groups_of_order(8):
+        name, want = g.name, expected[g.name]
+        found = enumerate_and_classify(SearchJob(g, 3, target_angles=target, jobs=jobs)).records
+        chain_lengths[name] = {r.flags["t"] for r in found}
+        proper = sum(1 for r in found if r.flags["t"] == _shortest_chain(g, r.subset))
+        bidifference = sum(1 for r in found if r.flags["bidifference"])
+        out += [
+            _check(f"exhaustion-order8/{name}-count", len(found) == want,
+                   f"found {len(found)} matches, expected {want}"),
+            _check(f"exhaustion-order8/{name}-all-proper-nested", proper == len(found),
+                   f"{proper}/{len(found)} proper chains"),
+            _check(f"exhaustion-order8/{name}-no-bidifference", bidifference == 0,
+                   f"{bidifference} bidifference matches"),
+        ]
     # every Z2xZ4 / Z8 match is an (8,3,3) chain
     for gname in ("Z2xZ4", "Z8"):
-        g = parse_group(gname)
-        job = SearchJob(g, 3, target_angles=target, jobs=jobs)
-        report = enumerate_and_classify(job)
-        ts = {r.flags.get("t") for r in report.records}
+        ts = chain_lengths[gname]
         out.append(
             _check(
                 f"exhaustion-order8/{gname}-chain-length",
@@ -346,7 +359,7 @@ def suite_quartic() -> list[CheckResult]:
             )
         )
         g = GroupSpec((p,))
-        cls = classify(g, S, chain=False)
+        cls = classify(g, S)
         out.append(
             _check(
                 f"quartic/p{p}-gaussian",
@@ -492,33 +505,34 @@ def suite_tables() -> list[CheckResult]:
     return out
 
 
+# search record columns that depend on S itself, not only on its difference counts
+_SET_COLUMNS = ("partial", "reversible", "regular")
+
+
 def suite_properties() -> list[CheckResult]:
-    """Cross-cutting invariants on a sweep of small groups."""
+    """Cross-cutting invariants on a sweep of small groups.
+
+    Classification sweeps read one search per (group, m); the translates and
+    reversals they compare with are computed here, apart from the search.
+    """
     import itertools
 
     out = []
     t0 = time.perf_counter()
 
-    # translation invariance of classification parameters
+    # translation invariance of the count-derived record columns: S + c against S
     bad_translate = 0
     checked_translate = 0
     for n in (6, 8, 9):
         for g in abelian_groups_of_order(n):
-            els = g.elements()
-            for subset in itertools.combinations(els, 3):
-                base = classify(g, subset, chain=False)
-                base_key = (
-                    base.difference_set_lambda,
-                    tuple(sorted((w.l, w.lam, w.mu) for w in base.bidifference_witnesses)),
-                )
-                for c in els[1:]:
-                    moved = classify(g, tuple(sorted(translate(g, subset, c))), chain=False)
-                    key = (
-                        moved.difference_set_lambda,
-                        tuple(sorted((w.l, w.lam, w.mu) for w in moved.bidifference_witnesses)),
-                    )
+            keys = {
+                r.subset: {k: v for k, v in r.flags.items() if k not in _SET_COLUMNS}
+                for r in enumerate_and_classify(SearchJob(g, 3)).records
+            }
+            for subset, key in keys.items():
+                for c in g.elements()[1:]:
                     checked_translate += 1
-                    if key != base_key:
+                    if keys.get(tuple(sorted(translate(g, subset, c)))) != key:
                         bad_translate += 1
     out.append(
         _check(
@@ -563,18 +577,17 @@ def suite_properties() -> list[CheckResult]:
         )
     )
 
-    # every detected proper partial set is reversible
+    # every detected proper partial set (lam != mu, so not a difference set)
+    # is reversible
     bad_rev = 0
     found_pds = 0
     for n in (5, 8, 9, 13):
         for g in abelian_groups_of_order(n):
-            els = g.elements()
             for m in (3, 4):
-                for subset in itertools.combinations(els, m):
-                    cls = classify(g, subset, chain=False)
-                    if cls.partial is not None and cls.partial.proper:
+                for r in enumerate_and_classify(SearchJob(g, m, filter_name="partial")).records:
+                    if not r.flags["difference_set"]:
                         found_pds += 1
-                        if frozenset(reversal(g, subset)) != frozenset(subset):
+                        if frozenset(reversal(g, r.subset)) != frozenset(r.subset):
                             bad_rev += 1
     out.append(
         _check(
@@ -630,5 +643,5 @@ def run_suite(name: str, **kwargs) -> list[CheckResult]:
             results.extend(suite())
         return results
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+        raise DomainError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     return SUITES[name](**kwargs)

@@ -136,9 +136,9 @@ def test_criterion_8_quartic_special_cases():
     results = suite_quartic_special()
     g37 = GroupSpec((37,))
     S37, _ = quartic_gaussian_ds(37)
-    assert classify(g37, S37, chain=False).difference_set_lambda == 2
+    assert classify(g37, S37).difference_set_lambda == 2
     S29, _ = quartic_gaussian_ds(29)
-    cls29 = classify(GroupSpec((29,)), S29, chain=False)
+    cls29 = classify(GroupSpec((29,)), S29)
     assert cls29.almost is not None and (cls29.almost.lam, cls29.almost.t) == (1, 14)
     prof = angle_profile(FrameSpec(GroupSpec((29,)), S29))
     want = sorted(

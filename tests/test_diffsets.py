@@ -3,6 +3,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,7 +118,7 @@ def test_difference_set_degenerate_memberships():
     # composite order difference sets pick up a degenerate subgroup witness
     g16 = GroupSpec((4, 4))
     axes = S(g16, "(0,1),(0,2),(0,3),(1,0),(2,0),(3,0)")
-    cls16 = classify(g16, axes, chain=False)
+    cls16 = classify(g16, axes)
     assert cls16.difference_set_lambda == 2
     assert cls16.divisible is not None and not cls16.divisible.proper
 
@@ -156,7 +157,6 @@ def test_nested_chain_z2z4():
     assert chain.lambdas == (2, 0, 1)
     assert chain.subgroups[1] == ((0, 0), (1, 0))
     assert chain.subgroups[2] == ((0, 0), (0, 2), (1, 0), (1, 2))
-    assert chain.proper
     assert is_proper(chain)
 
 
@@ -202,7 +202,6 @@ def test_is_proper_params():
         S(Z6, "0,1,3"),
         (((0,),), ((0,), (3,)), ((0,), (2,), (4,)) , tuple(sorted(Z6.elements()))),
         (2, 1, 1),
-        proper=False,
     )
     # a hand-built 3-step chain over the Z6 set is not minimal
     assert not is_proper(padded)
@@ -216,8 +215,8 @@ def test_translation_invariance(data):
     m = data.draw(st.integers(min_value=2, max_value=4))
     subset = tuple(sorted(data.draw(st.permutations(els))[:m]))
     c = data.draw(st.sampled_from(els))
-    base = classify(g, subset, chain=False)
-    moved = classify(g, tuple(sorted(translate(g, subset, c))), chain=False)
+    base = classify(g, subset)
+    moved = classify(g, tuple(sorted(translate(g, subset, c))))
     assert base.difference_set_lambda == moved.difference_set_lambda
     key = lambda cls: tuple(sorted((w.l, w.lam, w.mu) for w in cls.bidifference_witnesses))
     assert key(base) == key(moved)
@@ -229,7 +228,7 @@ def test_translation_invariance(data):
 
 def test_counting_identity_all_witnesses():
     for g, text in [(Z6, "0,1,3"), (Z9, "0,1,3,4"), (Z13, "1,3,4,9,10,12")]:
-        cls = classify(g, S(g, text), chain=False)
+        cls = classify(g, S(g, text))
         m, n = cls.m, cls.n
         for w in cls.bidifference_witnesses:
             assert m * (m - 1) == w.lam * (w.l - 1) + w.mu * (n - w.l)
@@ -240,7 +239,7 @@ def test_gaussian_counting_identity_quartics():
     for p, q in [(13, 1), (29, 3), (37, 4)]:
         g = GroupSpec((p,))
         r4 = tuple((z,) for z in residues(p, 4))
-        cls = classify(g, r4, chain=False)
+        cls = classify(g, r4)
         assert cls.gaussian is not None
         assert cls.gaussian.lam + cls.gaussian.mu == q
 
@@ -311,5 +310,15 @@ def test_is_proper_rejects_longer_valid_chain():
     padded_groups = (((0,),), ((0,), (4,)), ((0,), (2,), (4,), (6,)), tuple(Z8.elements()))
     found = dict(brute_force_chains(Z8, difference_counts(Z8, subset)))
     assert found[padded_groups] == (0, 1, 1)
-    padded = NestedChain(Z8, subset, padded_groups, (0, 1, 1), proper=True)
+    padded = NestedChain(Z8, subset, padded_groups, (0, 1, 1))
     assert not is_proper(padded)
+
+
+def test_difference_counts_invariant_is_a_typed_error(monkeypatch):
+    # a table that sends every difference to the identity loses every pair
+    from framelab import diffsets
+    from framelab.errors import InvariantError
+
+    monkeypatch.setattr(diffsets, "_difference_index_table", lambda g: np.zeros((g.order, g.order), int))
+    with pytest.raises(InvariantError):
+        difference_counts(Z6, S(Z6, "0,1,3"))

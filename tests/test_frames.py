@@ -326,3 +326,27 @@ def test_surd_conductor_rule(s, N, inside):
     from framelab.frames import _surd_in_cyclotomic_field
 
     assert _surd_in_cyclotomic_field(s, N) is inside
+
+
+@pytest.mark.parametrize("group,subset", [("Z6", "0,1,3"), ("Z2xZ4", "(0,0),(1,0),(0,1)")])
+def test_frame_report_clusters_once(monkeypatch, group, subset):
+    from framelab import frames
+
+    calls = {"angle_magnitudes": 0, "cluster_rows": 0}
+
+    def counted(name):
+        original = getattr(frames, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(frames, name, counted(name))
+    report = frame_report(F(group, subset))
+    assert calls == {"angle_magnitudes": 1, "cluster_rows": 1}
+    monkeypatch.undo()
+    prof = angle_profile(F(group, subset), symbolic=True)
+    assert report["angles"] == prof.as_dict()["angles"]

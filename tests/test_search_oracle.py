@@ -2,9 +2,10 @@
 
 The oracle below is the old block classifier kept in logic: per subset, a
 character-table sum, a clustering loop taking each cluster's mean, the
-ETF/BTF decision, scalar classify and the flag dict; then the old filter and
-class counting.  Reports must agree field for field (runtime aside) and
-row for row in CSV.
+ETF/BTF decision, the scalar classifier of scalar_oracle.py (not the
+library's classify, which is the row kernel on one row) and the flag dict;
+then the old filter and class counting.  Reports must agree field for field
+(runtime aside) and row for row in CSV.
 """
 
 import itertools
@@ -12,8 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from scalar_oracle import classify
 
-from framelab.diffsets import classify
 from framelab.groups import GroupSpec, full_character_table
 from framelab.search import (
     SearchJob,
@@ -74,7 +75,7 @@ def oracle_record(g, subset, tol):
             "mu": bw[0].mu if bw else cls.difference_set_lambda,
             "l": bw[0].l if bw else None,
             "t": chain.t if chain is not None else None,
-            "proper_chain": chain.proper if chain is not None else False,
+            "proper_chain": chain is not None,  # the oracle's chain is minimal
         }
     return SubsetRecord(subset, angles, mults, is_etf, is_btf, flags)
 
