@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 
@@ -43,3 +44,11 @@ def smallest_prime_factor(n: int) -> int:
 def residues(p: int, s: int) -> tuple[int, ...]:
     """The s-th power residues in the multiplicative group mod p, sorted."""
     return tuple(sorted({pow(z, s, p) for z in range(1, p)}))
+
+
+def four_square_plus(n: int, c: int) -> int | None:
+    """The a >= 0 with n = 4a^2 + c, or None when n has no such form."""
+    if n < c:
+        return None
+    a = math.isqrt((n - c) // 4)
+    return a if 4 * a * a + c == n else None

@@ -2,8 +2,9 @@
 
 Subcommands: classify, angles, predict, search, gauss, tables, verify.
 Exit codes: 0 success, 1 domain error, 2 usage error.  Reports are JSON
-(schema field = 1) unless CSV or text is selected; `--out` writes to a file,
-with the format inferred from a .json/.csv suffix.
+(schema field = 1); search and tables also write CSV, chosen with
+`--format csv`.  `--out` writes to a file, with the format inferred from a
+.json/.csv suffix.
 """
 
 from __future__ import annotations
@@ -235,14 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="taxonomy + frame report for one subset")
     _frame_args(p)
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("angles", help="angle profile and tightness for one subset")
     _frame_args(p)
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_angles)
 
@@ -257,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero-in-s", action="store_true", dest="zero_in_s")
     p.add_argument("--group")
     p.add_argument("--set", dest="subset")
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_predict)
 
@@ -269,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("full", "reduced"), default="full")
     p.add_argument("--jobs", type=int, default=0, help="0 = FRAMELAB_JOBS or 1")
     p.add_argument("--out", help="report path (.json or .csv)")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("gauss", help="residue classes and quadratic sums as JSON")
@@ -278,34 +276,28 @@ def build_parser() -> argparse.ArgumentParser:
         q = gs.add_parser(name)
         q.add_argument("a", type=int)
         q.add_argument("p", type=int)
-        q.add_argument("--format", choices=("json", "text"), default="json")
         q.add_argument("--out")
     q = gs.add_parser("residues")
     q.add_argument("p", type=int)
     q.add_argument("--power", type=int, choices=(2, 4), default=2)
-    q.add_argument("--format", choices=("json", "text"), default="json")
     q.add_argument("--out")
     q = gs.add_parser("cosets")
     q.add_argument("p", type=int)
-    q.add_argument("--format", choices=("json", "text"), default="json")
     q.add_argument("--out")
     q = gs.add_parser("paley")
     q.add_argument("p", type=int)
-    q.add_argument("--format", choices=("json", "text"), default="json")
     q.add_argument("--out")
     q = gs.add_parser("quartic")
     q.add_argument("p", type=int)
     q.add_argument("--with-zero", action="store_true", dest="zero_in_s")
-    q.add_argument("--format", choices=("json", "text"), default="json")
     q.add_argument("--out")
     q = gs.add_parser("special")
     q.add_argument("p", type=int)
-    q.add_argument("--format", choices=("json", "text"), default="json")
     q.add_argument("--out")
     p.set_defaults(func=cmd_gauss)
 
     p = sub.add_parser("tables", help="tabulated families with sample instantiations")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="csv")
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_tables)
 

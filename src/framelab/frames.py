@@ -5,13 +5,14 @@ unit vectors f_x = (1/sqrt(m)) (chi_{g_j}(x))_j.  Everything observable about
 the frame reduces to character sums: <f_x, f_y> = (1/m) sum_j chi_{g_j}(x-y),
 so angle profiles need only the n-1 sums against the identity index, and the
 frame is materialized as an explicit array only for the verification paths.
+The closed-form modulation operators are read from the difference index
+table: entry (a, b) of X_xi is n/m exactly when g_b - g_a = xi.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .groups import (
     character_phase,
     character_table_columns,
     full_character_table,
+    phase_column,
 )
 
 DEFAULT_ANGLE_TOL = 1e-7
@@ -302,14 +304,19 @@ class ModulationOperator:
 
 def modulation_operator(f: FrameSpec, xi: Element) -> ModulationOperator:
     """Closed form: entry (a,b) is n/m when g_b - g_a = xi, else 0."""
-    f.group.validate(xi)
-    m, n = f.m, f.n
-    entries = np.zeros((m, m), dtype=complex)
-    for a, ga in enumerate(f.generators):
-        for b, gb in enumerate(f.generators):
-            if f.group.sub(gb, ga) == xi:
-                entries[a, b] = n / m
-    return ModulationOperator(xi, entries)
+    return ModulationOperator(xi, _closed_operators(f, f.group.index(xi)))
+
+
+def _closed_operators(f: FrameSpec, z: int | np.ndarray) -> np.ndarray:
+    """(n/m) [D[i_a, i_b] == z], D the difference index table on the generators.
+
+    D[i_a, i_b] is the index of g_b - g_a, so for an element index z this is
+    the (m, m) closed-form operator at that element; z = arange(n)[:, None, None]
+    gives all n operators as one (n, m, m) array.
+    """
+    ids = [f.group.index(g) for g in f.generators]
+    D = _difference_index_table(f.group)[np.ix_(ids, ids)]
+    return np.where(D == z, f.n / f.m, 0.0).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -346,10 +353,15 @@ class ModulationReport:
 def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationReport:
     """Check the three modulation-operator identities on an explicit frame.
 
-    (i)  pairwise Hilbert-Schmidt orthogonality of the operators,
-    (ii) Fourier inversion back to the rank-one projections,
-    (iii) n^2 |<f_x,f_y>|^2 = sum_xi chi_{y-x}(xi) ||X_xi||^2_HS,
-    plus agreement of the definitional sums with the closed-form entries.
+    The closed-form operators X_xi come from the difference index table
+    (_closed_operators); the other side of every check comes from the
+    character table and the explicit frame vectors:
+    (o)   the definitional sums sum_x chi_xi(x) f_x f_x^*, one einsum,
+          agree with the closed forms entrywise;
+    (i)   the closed forms are pairwise Hilbert-Schmidt orthogonal;
+    (ii)  Fourier inversion of the closed forms gives back f_x f_x^*;
+    (iii) n^2 |<f_x,f_y>|^2 from the Gram matrix equals
+          sum_xi chi_{y-x}(xi) ||X_xi||^2_HS.
     """
     n, m = f.n, f.m
     if n * m * m > MODULATION_CAPACITY:
@@ -358,9 +370,7 @@ def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationR
     T = full_character_table(f.group)
     # definitional operators, all xi at once: D[z,a,b] = sum_x T[x,z] V[x,a] conj(V[x,b])
     D = np.einsum("xz,xa,xb->zab", T, V, V.conj(), optimize=True)
-    closed = np.stack(
-        [modulation_operator(f, xi).entries for xi in f.group.elements()]
-    )
+    closed = _closed_operators(f, np.arange(n)[:, None, None])
     dev_def = float(np.max(np.abs(D - closed)))
 
     flat = closed.reshape(n, m * m)
@@ -382,13 +392,13 @@ def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationR
 
 
 def is_real_frame(f: FrameSpec) -> bool:
-    """True when every selected character takes only the values +-1 (exact phases)."""
-    half = Fraction(1, 2)
-    return all(
-        character_phase(f.group, g, x) in (0, half)
-        for g in f.generators
-        for x in f.group.elements()
-    )
+    """True when every selected character takes only the values +-1.
+
+    chi_g(x) is real exactly when twice its integer phase is 0 mod the
+    exponent, read from one phase_column per generator.
+    """
+    N = f.group.exponent
+    return all(not ((2 * phase_column(f.group, g)) % N).any() for g in f.generators)
 
 
 def frame_report(f: FrameSpec, tol: float = DEFAULT_ANGLE_TOL) -> dict:

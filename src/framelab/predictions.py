@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import surd
-from .arith import is_prime, is_prime_power
+from .arith import four_square_plus, is_prime, is_prime_power
 from .diffsets import NestedChain
 from .errors import InvalidParametersError
 from .frames import btf_multiplicities_from_angles, welch_bound
@@ -277,22 +277,12 @@ def quartic_family_angles(p: int, with_zero: bool) -> AnglePrediction | None:
     if not is_prime(p) or p % 8 != 5 or p <= 5:
         return None
     m = (p + 3) // 4 if with_zero else (p - 1) // 4
-
-    def sq(c: int) -> bool:
-        r = math.isqrt((p - c) // 4) if (p - c) % 4 == 0 and p >= c else -1
-        return r >= 0 and 4 * r * r + c == p
-
-    def odd_sq(c: int) -> bool:
-        if (p - c) % 4 != 0 or p < c:
-            return False
-        r = math.isqrt((p - c) // 4)
-        return 4 * r * r + c == p and r % 2 == 1
-
+    root = {c: four_square_plus(p, c) for c in (1, 9, 25, 49)}  # p = 4 root^2 + c
     params = {"p": p, "m": m, "with_zero": with_zero}
     if not with_zero:
-        if odd_sq(1):
+        if root[1] is not None and root[1] % 2 == 1:
             return _etf_prediction("quartic-residue", "quartic-family-rule", params, p, m)
-        if sq(9) or sq(25):
+        if root[9] is not None or root[25] is not None:
             den = Fraction(1, (p - 1) ** 2)
             pairs = []
             for sign in (+1, -1):
@@ -300,9 +290,9 @@ def quartic_family_angles(p: int, with_zero: bool) -> AnglePrediction | None:
                 pairs.append((a[0], a[1], (p - 1) // 2))
             return _assemble("quartic-residue", "quartic-family-rule", params, p, m, pairs)
         return None
-    if odd_sq(9):
+    if root[9] is not None and root[9] % 2 == 1:
         return _etf_prediction("quartic-residue", "quartic-family-rule", params, p, m)
-    if sq(1) or sq(49):
+    if root[1] is not None or root[49] is not None:
         den = Fraction(1, (p + 3) ** 2)
         pairs = []
         for sign in (+1, -1):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import is_prime, residues
+from .arith import four_square_plus, is_prime, residues
 from .diffsets import Classification, classify, difference_counts
 from .errors import DomainError, InvariantError
 from .groups import Element, GroupSpec
@@ -197,13 +197,6 @@ class QuarticCaseReport:
     verified: bool
 
 
-def _square_root_if(n: int) -> int | None:
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
 def quartic_special_cases(p: int) -> QuarticCaseReport:
     """Check the four quadratic representability conditions for p = 1 mod 4.
 
@@ -217,18 +210,12 @@ def quartic_special_cases(p: int) -> QuarticCaseReport:
     g = GroupSpec((p,))
     m4 = (p - 1) // 4
 
-    def odd_root(c: int) -> bool:
-        a = _square_root_if((p - c) // 4) if (p - c) % 4 == 0 else None
-        return a is not None and a % 2 == 1
-
-    def any_root(c: int) -> bool:
-        return (p - c) % 4 == 0 and _square_root_if((p - c) // 4) is not None
-
+    root = {c: four_square_plus(p, c) for c in (1, 9, 25, 49)}  # p = 4 root^2 + c
     conditions = {
-        "p=4a^2+1, a odd": odd_root(1),
-        "p=4a^2+9, a odd": odd_root(9),
-        "p=9+4a^2 or p=25+4a^2": any_root(9) or any_root(25),
-        "p=1+4a^2 or p=49+4a^2": any_root(1) or any_root(49),
+        "p=4a^2+1, a odd": root[1] is not None and root[1] % 2 == 1,
+        "p=4a^2+9, a odd": root[9] is not None and root[9] % 2 == 1,
+        "p=9+4a^2 or p=25+4a^2": root[9] is not None or root[25] is not None,
+        "p=1+4a^2 or p=49+4a^2": root[1] is not None or root[49] is not None,
     }
 
     implications: list[dict] = []

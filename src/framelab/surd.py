@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import sqrt
 
 import mpmath
 
@@ -119,9 +119,3 @@ def display(form: SurdForm) -> str:
     rat, coef = form.rat, form.coef
     sign = "+" if coef > 0 else "-"
     return f"sqrt({_frac_str(rat)} {sign} {_coeff_sqrt_str(abs(coef), form.surd)})"
-
-
-def i_sqrt_exact(n: int) -> int | None:
-    """Integer square root when exact, else None."""
-    r = isqrt(n)
-    return r if r * r == n else None

@@ -3,6 +3,16 @@
 Every suite returns a list of CheckResult records; callers render one
 pass/fail line per check.  The suites are also the backing for the
 acceptance test module.
+
+The two sides of a check are computed apart.  Sweeps over subsets read one
+search per (group, m), whose ETF/BTF columns come from angle magnitudes and
+clusters and whose class columns come from difference counts; what they are
+compared with (the other column, translates, reversals, the brute-force
+chain in _shortest_chain) is computed beside it.  The modulation check sets
+closed-form operators from the difference index table against sums over the
+character table; the example, Paley, quartic and table suites set closed
+forms from predictions and residues against frames built from characters;
+gauss-sums sets numeric sums against their closed forms.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import is_prime
-from .diffsets import classify, difference_counts, pds_zero_toggle, reversal, translate
+from .diffsets import classify, pds_zero_toggle, reversal, translate
 from .errors import DomainError
 from .frames import (
     FrameSpec,
@@ -24,7 +34,6 @@ from .frames import (
     btf_multiplicities_from_angles,
     classify_angularity,
     verify_modulation_identities,
-    welch_bound,
 )
 from .groups import GroupSpec, all_subgroups, parse_group, parse_subset
 from .predictions import (
@@ -238,36 +247,32 @@ def suite_z9_example() -> list[CheckResult]:
 
 
 def suite_etf_difference(max_order: int = 10) -> list[CheckResult]:
-    """Equiangularity <=> one-level difference structure, exhaustively."""
-    t0 = time.perf_counter()
-    from .groups import full_character_table
-    import itertools
+    """Equiangularity <=> one-level difference structure, exhaustively.
 
+    One etf-filtered search per (group, m).  Its ETF column comes from angle
+    magnitudes and clusters, its difference-set column from difference
+    counts, so the two sides are computed apart.  A mismatch is a kept ETF
+    without the difference_set flag, or a difference set the filter dropped:
+    the check holds when every kept record is a difference set and
+    class_counts["difference_set"] equals the number kept.
+    """
+    t0 = time.perf_counter()
     checked = 0
-    mismatches = []
+    mismatches = 0
     for n in range(2, max_order + 1):
         for g in abelian_groups_of_order(n):
-            T = full_character_table(g)
-            zero_idx = g.index(g.zero)
-            els = g.elements()
             for m in range(2, n + 1):
-                w = welch_bound(n, m)
-                for subset in itertools.combinations(els, m):
-                    cols = [g.index(x) for x in subset]
-                    mags = np.abs(T[:, cols].sum(axis=1)) / m
-                    mags = np.delete(mags, zero_idx)
-                    is_etf = bool(np.max(np.abs(mags - w)) <= 1e-7)
-                    dc = difference_counts(g, subset)
-                    is_ds = len(dc.levels) == 1
-                    checked += 1
-                    if is_etf != is_ds:
-                        mismatches.append((g.name, subset))
+                report = enumerate_and_classify(SearchJob(g, m, filter_name="etf"))
+                both = sum(1 for r in report.records if r.flags["difference_set"])
+                difference_sets = report.class_counts.get("difference_set", 0)
+                mismatches += len(report.records) + difference_sets - 2 * both
+                checked += report.total_enumerated
     elapsed = time.perf_counter() - t0
     return [
         _check(
             "etf-difference/equivalence",
             not mismatches,
-            f"{checked} subsets over orders 2..{max_order}, {len(mismatches)} mismatches",
+            f"{checked} subsets over orders 2..{max_order}, {mismatches} mismatches",
         ),
         _check("etf-difference/runtime", elapsed < 30.0, f"{elapsed:.3f}s"),
     ]

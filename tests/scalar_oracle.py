@@ -1,4 +1,4 @@
-"""The scalar taxonomy code the library's row kernel replaced, kept as a test oracle.
+"""Scalar code the library's array kernels replaced, kept as a test oracle.
 
 classify below is the set-based classifier the library used before
 diffsets.classify became a one-row view of diffsets.classify_rows: counts
@@ -7,7 +7,16 @@ tested with Python sets, and the minimal subgroup chain as a shortest path
 recomputed from the subgroup lattice for every subset.  None of it calls
 the library's count kernel, row kernel or chain DAG, so tests that compare
 the library against it are not comparing the library with itself.
+
+oracle_modulation_operator and oracle_is_real_frame are the frames
+functions before they read the difference index table and integer phase
+columns: one GroupSpec.sub per generator pair, one exact Fraction phase
+per (generator, element).
 """
+
+from fractions import Fraction
+
+import numpy as np
 
 from framelab.arith import is_prime, residues
 from framelab.diffsets import (
@@ -22,7 +31,7 @@ from framelab.diffsets import (
     RelativeRecord,
     reversal,
 )
-from framelab.groups import all_subgroups
+from framelab.groups import all_subgroups, character_phase
 
 
 def oracle_difference_counts(g, S):
@@ -186,4 +195,23 @@ def classify(g, S):
         nested_divisible=nested,
         reversible=rev,
         regular=rev and zero not in subset,
+    )
+
+
+def oracle_modulation_operator(f, xi):
+    """Closed-form entries of X_xi: (a, b) is n/m when g_b - g_a = xi."""
+    entries = np.zeros((f.m, f.m), dtype=complex)
+    for a, ga in enumerate(f.generators):
+        for b, gb in enumerate(f.generators):
+            if f.group.sub(gb, ga) == xi:
+                entries[a, b] = f.n / f.m
+    return entries
+
+
+def oracle_is_real_frame(f):
+    half = Fraction(1, 2)
+    return all(
+        character_phase(f.group, g, x) in (0, half)
+        for g in f.generators
+        for x in f.group.elements()
     )

@@ -147,6 +147,24 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("angles", "--group", "Z7", "--set", "0,1,3"),
+        ("classify", "--group", "Z7", "--set", "0,1,3"),
+        ("predict", "dds", "-n", "6", "-m", "3", "-l", "2", "--lam", "2", "--mu", "1"),
+        ("gauss", "legendre", "2", "7"),
+        ("search", "--group", "Z7", "-m", "3"),
+        ("tables",),
+    ],
+)
+def test_format_text_is_a_usage_error(capsys, argv):
+    # only search and tables take --format, and only json or csv
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "text"])
+    assert exc.value.code == 2
+
+
 def test_invariant_error_exit_1(capsys, monkeypatch):
     # a closed form that drifts from the numeric sum is a library defect, but
     # the CLI still reports it on stderr with exit code 1, not a traceback

@@ -1,10 +1,13 @@
 """Frame construction, angle profiles, tightness, modulation operators."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scalar_oracle
 
+from framelab import frames
 from framelab.errors import DomainError, InconsistentAnglesError
 from framelab.frames import (
     FrameSpec,
@@ -21,6 +24,7 @@ from framelab.frames import (
     welch_bound,
 )
 from framelab.groups import GroupSpec, parse_group, parse_subset
+from framelab.search import abelian_groups_of_order
 
 
 def F(group: str, subset: str) -> FrameSpec:
@@ -188,11 +192,49 @@ def test_modulation_identities():
         assert modulation_operator(f, xi).hs_norm_sq == pytest.approx(49 / 9)
 
 
+def _small_frames(max_order: int = 8):
+    """Every frame on every nonempty subset of every group of order <= max_order."""
+    for n in range(2, max_order + 1):
+        for g in abelian_groups_of_order(n):
+            for m in range(1, n + 1):
+                for subset in itertools.combinations(g.elements(), m):
+                    yield FrameSpec(g, subset)
+
+
+def test_modulation_operator_matches_scalar_oracle():
+    checked = 0
+    for f in _small_frames():
+        for xi in f.group.elements():
+            want = scalar_oracle.oracle_modulation_operator(f, xi)
+            assert np.array_equal(modulation_operator(f, xi).entries, want), (f, xi)
+            checked += 1
+    assert checked == 7689
+
+
+def test_modulation_check_fails_on_transposed_difference_table(monkeypatch):
+    # the transposed table gives X_(-xi) in place of X_xi; only the
+    # definitional sums, from the character table, can see it
+    f = F("Z7", "0,1,3")
+    assert verify_modulation_identities(f).passed
+    table = frames._difference_index_table
+    monkeypatch.setattr(frames, "_difference_index_table", lambda g: table(g).T)
+    rep = verify_modulation_identities(f)
+    assert not rep.passed
+    assert rep.definitional_deviation == pytest.approx(7 / 3)
+
+
 def test_is_real_frame():
     assert is_real_frame(F("Z2xZ2xZ2", "(0,0,0),(1,0,1),(1,1,0)"))
     assert not is_real_frame(F("Z7", "0,1,3"))
     assert is_real_frame(F("Z8", "0,4"))
     assert not is_real_frame(F("Z8", "0,2"))
+
+
+def test_is_real_frame_matches_scalar_oracle():
+    verdicts = [
+        is_real_frame(f) == scalar_oracle.oracle_is_real_frame(f) for f in _small_frames()
+    ]
+    assert len(verdicts) == 1026 and all(verdicts)
 
 
 def test_frame_report_schema_and_roundtrip():

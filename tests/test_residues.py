@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from framelab.arith import is_prime, residues
+from framelab.arith import four_square_plus, is_prime, residues
 from framelab.errors import DomainError
 from framelab.residues import (
     gauss_sum,
@@ -179,3 +179,14 @@ def test_gauss_sum_magnitude_is_sqrt_p():
     for p in (7, 13, 29, 53):
         for a in (1, 2, 3):
             assert abs(gauss_sum(a, p)) == pytest.approx(math.sqrt(p), abs=1e-9)
+
+
+def test_four_square_plus_against_brute_force():
+    # the p = 4a^2 + c representations behind the quartic special cases and
+    # the quartic family predictor
+    for p in range(5, 1000, 4):
+        if not is_prime(p):
+            continue
+        for c in (1, 9, 25, 49):
+            want = next((a for a in range(p) if 4 * a * a + c == p), None)
+            assert four_square_plus(p, c) == want, (p, c)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from framelab import verify
+from framelab import frames, verify
 from framelab.errors import DomainError
 
 
@@ -47,6 +47,17 @@ def test_proper_nested_check_fails_on_a_chain_one_step_too_long(monkeypatch):
     assert checks["exhaustion-order8/Z2xZ4-all-proper-nested"].detail == "0/32 proper chains"
     assert checks["exhaustion-order8/Z8-all-proper-nested"].detail == "0/16 proper chains"
     assert not checks["exhaustion-order8/Z8-all-proper-nested"].passed
+
+
+def test_etf_difference_sweep_fails_under_a_shifted_welch_bound(monkeypatch):
+    checks = {r.name: r for r in verify.suite_etf_difference()}
+    equivalence = checks["etf-difference/equivalence"]
+    assert equivalence.passed
+    assert equivalence.detail == "2988 subsets over orders 2..10, 0 mismatches"
+    welch = frames.welch_bound
+    monkeypatch.setattr(frames, "welch_bound", lambda n, m: welch(n, m) + 0.01)
+    checks = {r.name: r for r in verify.suite_etf_difference()}
+    assert not checks["etf-difference/equivalence"].passed
 
 
 def test_unknown_suite_is_a_domain_error():
