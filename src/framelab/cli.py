@@ -208,13 +208,17 @@ def cmd_tables(args) -> int:
     return 0
 
 
+# the options each verify suite reads; giving one it does not read is an error
+_VERIFY_OPTIONS = {"modulation": ("group", "subset"), "etf-difference": ("max_order",)}
+_FLAGS = {"group": "--group", "subset": "--set", "max_order": "--max-order"}
+
+
 def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite == "modulation" and args.group:
-        kwargs = {"group": args.group, "subset": args.subset}
-    elif args.suite == "etf-difference" and args.max_order:
-        kwargs = {"max_order": args.max_order}
-    results = run_suite(args.suite, **kwargs)
+    given = {k: getattr(args, k) for k in _FLAGS if getattr(args, k) is not None}
+    unread = [_FLAGS[k] for k in given if k not in _VERIFY_OPTIONS.get(args.suite, ())]
+    if unread:
+        raise FramelabError(f"verify {args.suite} does not take {', '.join(unread)}")
+    results = run_suite(args.suite, **given)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -253,7 +253,8 @@ def classify(g: GroupSpec, S: Sequence[Element]) -> Classification:
     subset = dc.subset
     zero = g.zero
     idx = np.array([[g.index(x) for x in subset]])
-    k = {name: col[0].item() for name, col in classify_rows(g, idx).items()}
+    cols, level = _row_kernel(g, idx)
+    k = {name: col[0].item() for name, col in cols.items()}
     values = dc.values()
     lam, mu = k["lam"], k["mu"]
 
@@ -296,7 +297,7 @@ def classify(g: GroupSpec, S: Sequence[Element]) -> Classification:
         partial=partial,
         gaussian=gaussian,
         almost=almost,
-        nested_divisible=_chain(dc, k["t"], divisible),
+        nested_divisible=_chain(dc, k["t"], divisible, level),
         reversible=k["reversible"],
         regular=k["regular"],
     )
@@ -335,15 +336,18 @@ def nested_divisible_chain(g: GroupSpec, S: Sequence[Element]) -> NestedChain | 
     return classify(g, S).nested_divisible
 
 
-def _chain(dc: DiffCounts, t: int, divisible: DivisibleRecord | None) -> NestedChain | None:
+def _chain(
+    dc: DiffCounts, t: int, divisible: DivisibleRecord | None, level: np.ndarray | None
+) -> NestedChain | None:
     """The chain of the row kernel's length t (-1: none) for a count structure.
 
     t = 1 is {0} < G and t = 2 is {0} < H < G, H the subgroup witness
-    divisible.H.  A longer chain follows the subgroup levels of
-    _chain_levels, the pass that gave t: from {0}, each step goes over a
-    usable edge to the lowest-ranked subgroup (first in element-list order)
-    one level nearer G, so the chain is the lexicographically first of the
-    minimal ones.
+    divisible.H.  A longer chain follows level, the (1, subgroups) output
+    of the _chain_levels pass that gave t (the row kernel hands it over, so
+    the pass runs once): from {0}, each step goes over a usable edge to
+    the lowest-ranked subgroup (first in element-list order) one level
+    nearer G, so the chain is the lexicographically first of the minimal
+    ones.
     """
     g = dc.group
     whole = tuple(sorted(g.elements()))
@@ -356,12 +360,10 @@ def _chain(dc: DiffCounts, t: int, divisible: DivisibleRecord | None) -> NestedC
             g, dc.subset, ((g.zero,), divisible.H, whole), (divisible.lam, divisible.mu)
         )
     dag = _chain_dag(g)
-    row = dc.row()[None]
-    total, usable = _edge_sums(dag, row)
-    level = _chain_levels(dag, row)[0]
-    down = usable[0] & (level[dag.dst] == level[dag.src] - 1)
+    total, usable = _edge_sums(dag, dc.row()[None])
+    down = usable[0] & (level[0, dag.dst] == level[0, dag.src] - 1)
     path, lambdas = [0], []
-    while level[path[-1]] > 0:
+    while level[0, path[-1]] > 0:
         e = np.flatnonzero(down & (dag.src == path[-1]))
         e = e[np.argmin(dag.rank[dag.dst[e]])]
         path.append(int(dag.dst[e]))
@@ -471,6 +473,18 @@ def classify_rows(g: GroupSpec, rows: np.ndarray) -> dict[str, np.ndarray]:
     rows go through _chain_levels, breadth-first from G for all of them at
     once.  classify is this function on one row.
     """
+    return _row_kernel(g, rows)[0]
+
+
+def _row_kernel(
+    g: GroupSpec, rows: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """The columns of classify_rows, and the _chain_levels output behind t.
+
+    The levels have one row per row that missed both fast paths (t not 1
+    or 2), in row order; None when every row took a fast path.  classify
+    walks its deep chain on them, so the level pass runs once.
+    """
     rows = np.asarray(rows, dtype=np.intp)
     B, m = rows.shape
     n = g.order
@@ -517,8 +531,10 @@ def classify_rows(g: GroupSpec, rows: np.ndarray) -> dict[str, np.ndarray]:
 
     t = np.where(one, 1, np.where(two & witness, 2, -1))
     deep = np.flatnonzero(t < 0)
+    level = None
     if deep.size:
-        t[deep] = _chain_levels(_chain_dag(g), counts[deep])[:, 0]
+        level = _chain_levels(_chain_dag(g), counts[deep])
+        t[deep] = level[:, 0]
     nested = t > 0
     return {
         "difference_set": one,
@@ -537,7 +553,7 @@ def classify_rows(g: GroupSpec, rows: np.ndarray) -> dict[str, np.ndarray]:
         "l": np.where(two, size, -1),
         "t": t,
         "proper_chain": nested,
-    }
+    }, level
 
 
 def _constant_split_rows(counts: np.ndarray, inside: np.ndarray) -> np.ndarray:

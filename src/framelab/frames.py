@@ -355,35 +355,35 @@ def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationR
 
     The closed-form operators X_xi come from the difference index table
     (_closed_operators); the other side of every check comes from the
-    character table and the explicit frame vectors:
-    (o)   the definitional sums sum_x chi_xi(x) f_x f_x^*, one einsum,
-          agree with the closed forms entrywise;
-    (i)   the closed forms are pairwise Hilbert-Schmidt orthogonal;
-    (ii)  Fourier inversion of the closed forms gives back f_x f_x^*;
+    character table T and the frame vectors V = T[:, ids] / sqrt(m).  All
+    operators are flattened to rows of length m^2, so each side is one
+    matrix product with T, with W[x, a m + b] = V[x, a] conj(V[x, b]) the
+    rank-one operators f_x f_x^*:
+    (o)   the definitional sums sum_x chi_xi(x) f_x f_x^*, T^T W, agree with
+          the closed forms entrywise;
+    (i)   the closed forms are pairwise Hilbert-Schmidt orthogonal: their
+          Gram matrix is diagonal, and its diagonal holds ||X_xi||^2_HS;
+    (ii)  Fourier inversion of the closed forms, conj(T) X / n, gives back W;
     (iii) n^2 |<f_x,f_y>|^2 from the Gram matrix equals
           sum_xi chi_{y-x}(xi) ||X_xi||^2_HS.
     """
     n, m = f.n, f.m
     if n * m * m > MODULATION_CAPACITY:
         raise CapacityError(f"modulation check needs n*m^2 <= {MODULATION_CAPACITY}")
-    V = f.vectors()
     T = full_character_table(f.group)
-    # definitional operators, all xi at once: D[z,a,b] = sum_x T[x,z] V[x,a] conj(V[x,b])
-    D = np.einsum("xz,xa,xb->zab", T, V, V.conj(), optimize=True)
-    closed = _closed_operators(f, np.arange(n)[:, None, None])
-    dev_def = float(np.max(np.abs(D - closed)))
+    V = T[:, [f.group.index(g) for g in f.generators]] / math.sqrt(m)
+    W = (V[:, :, None] * V.conj()[:, None, :]).reshape(n, m * m)
+    closed = _closed_operators(f, np.arange(n)[:, None, None]).reshape(n, m * m)
+    dev_def = float(np.max(np.abs(T.T @ W - closed)))
 
-    flat = closed.reshape(n, m * m)
-    grams = flat @ flat.conj().T
-    dev_hs = float(np.max(np.abs(grams - np.diag(np.diag(grams)))))
+    grams = closed @ closed.conj().T
+    hs = grams.diagonal()
+    dev_hs = float(np.max(np.abs(grams - np.diag(hs))))
 
     # Fourier inversion: f_x f_x^* = (1/n) sum_xi conj(chi_x(xi)) X_xi
-    recon = np.einsum("xz,zab->xab", T.conj(), closed, optimize=True) / n
-    outer = np.einsum("xa,xb->xab", V, V.conj(), optimize=True)
-    dev_inv = float(np.max(np.abs(recon - outer)))
+    dev_inv = float(np.max(np.abs(T.conj() @ closed / n - W)))
 
-    hs = np.einsum("zab,zab->z", closed, closed.conj(), optimize=True).real
-    rhs = T @ hs  # rhs[z] = sum_xi chi_z(xi) ||X_xi||^2
+    rhs = T @ hs.real  # rhs[z] = sum_xi chi_z(xi) ||X_xi||^2
     G = V @ V.conj().T
     lhs = (n * n) * np.abs(G) ** 2
     idx = _difference_index_table(f.group)

@@ -8,15 +8,20 @@ The two sides of a check are computed apart.  Sweeps over subsets read one
 search per (group, m), whose ETF/BTF columns come from angle magnitudes and
 clusters and whose class columns come from difference counts; what they are
 compared with (the other column, translates, reversals, the brute-force
-chain in _shortest_chain) is computed beside it.  The modulation check sets
-closed-form operators from the difference index table against sums over the
-character table; the example, Paley, quartic and table suites set closed
+chain in _shortest_chain) is computed beside it.  The tight-sum and
+equidistribution sweep reads character-table blocks, all m-subsets of a
+group at once (_frame_violations): identity-row magnitudes clustered in one
+call, and the Gram magnitudes of every frame as one batched product.  The
+modulation check sets closed-form operators from the difference index table
+against products with the character table, visiting its random frames
+group by group; the example, Paley, quartic and table suites set closed
 forms from predictions and residues against frames built from characters;
 gauss-sums sets numeric sums against their closed forms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -29,13 +34,15 @@ from .arith import is_prime
 from .diffsets import classify, pds_zero_toggle, reversal, translate
 from .errors import DomainError
 from .frames import (
+    DEFAULT_ANGLE_TOL,
     FrameSpec,
     angle_profile,
     btf_multiplicities_from_angles,
     classify_angularity,
+    cluster_rows,
     verify_modulation_identities,
 )
-from .groups import GroupSpec, all_subgroups, parse_group, parse_subset
+from .groups import GroupSpec, all_subgroups, full_character_table, parse_group, parse_subset
 from .predictions import (
     dds_angles,
     gaussian_angles,
@@ -256,6 +263,8 @@ def suite_etf_difference(max_order: int = 10) -> list[CheckResult]:
     the check holds when every kept record is a difference set and
     class_counts["difference_set"] equals the number kept.
     """
+    if max_order < 2:
+        raise DomainError(f"etf-difference sweep needs --max-order >= 2, got {max_order}")
     t0 = time.perf_counter()
     checked = 0
     mismatches = 0
@@ -466,6 +475,8 @@ def suite_modulation(
     """Hilbert-Schmidt orthogonality, inversion, and the angle encoding identity."""
     t0 = time.perf_counter()
     out = []
+    if subset is not None and group is None:
+        raise DomainError("modulation check on a named set needs --group")
     if group is not None:
         if not subset:
             raise DomainError("modulation check on a named group needs --set")
@@ -477,9 +488,10 @@ def suite_modulation(
                 out.append(_check(f"modulation/{group}-{key}", val <= rep.tolerance, f"{val:.2e}"))
         return out
     rng = random.Random(seed)
+    drawn = [_random_frame(rng, max_order) for _ in range(trials)]
     worst = {"definitional": 0.0, "hs": 0.0, "inversion": 0.0, "encoding": 0.0}
-    for _ in range(trials):
-        f = _random_frame(rng, max_order)
+    # one group after another, so each group's tables are built once
+    for f in sorted(drawn, key=lambda f: f.group.factors):
         rep = verify_modulation_identities(f)
         worst["definitional"] = max(worst["definitional"], rep.definitional_deviation)
         worst["hs"] = max(worst["hs"], rep.hs_orthogonality_deviation)
@@ -510,6 +522,35 @@ def suite_tables() -> list[CheckResult]:
     return out
 
 
+def _frame_violations(g: GroupSpec, m: int) -> tuple[int, int, int]:
+    """(frames, tight-sum violations, equidistribution violations) over all m-subsets.
+
+    The frames of all m-subsets are one (B, m) block of character columns of
+    T = full_character_table(g).  Tight sum: the identity-row magnitudes
+    |sum_j T[x, idx_j]| / m (the gather-sum of search, bit for bit
+    angle_magnitudes) clustered in one cluster_rows call, then sum t a^2 per
+    row against (n - m) / m.  Equidistribution: the Gram magnitudes
+    |V V^*| of V = T[:, idx] / sqrt(m) as one batched product; with the
+    diagonal set to -1 and each row sorted, every row must be the same.
+    """
+    n = g.order
+    T = full_character_table(g)
+    idx = np.array(list(itertools.combinations(range(n), m)), dtype=np.intp)
+    cols = T[:, idx]  # (n, B, m)
+    c = cluster_rows((np.abs(cols.sum(axis=-1)) / m)[1:].T, DEFAULT_ANGLE_TOL)
+    tight = np.add.reduceat(c.sizes * c.reps * c.reps, c.starts[:-1])
+    V = np.moveaxis(cols, 0, 1) / math.sqrt(m)  # (B, n, m)
+    G = np.abs(V @ V.conj().swapaxes(1, 2))
+    G[:, np.arange(n), np.arange(n)] = -1.0
+    rows = np.sort(G, axis=2)
+    spread = (rows.max(axis=1) - rows.min(axis=1)).max(axis=1)
+    return (
+        len(idx),
+        int(np.count_nonzero(np.abs(tight - (n - m) / m) > 1e-8)),
+        int(np.count_nonzero(spread > 1e-9)),
+    )
+
+
 # search record columns that depend on S itself, not only on its difference counts
 _SET_COLUMNS = ("partial", "reversible", "regular")
 
@@ -519,9 +560,8 @@ def suite_properties() -> list[CheckResult]:
 
     Classification sweeps read one search per (group, m); the translates and
     reversals they compare with are computed here, apart from the search.
+    The frame sweep reads one character-table block per (group, m).
     """
-    import itertools
-
     out = []
     t0 = time.perf_counter()
 
@@ -548,25 +588,14 @@ def suite_properties() -> list[CheckResult]:
     )
 
     # equidistribution and the tight-sum identity for every frame in the sweep
-    bad_equi = 0
-    bad_tight = 0
-    frames = 0
+    frames = bad_tight = bad_equi = 0
     for n in range(2, 9):
         for g in abelian_groups_of_order(n):
-            els = g.elements()
             for m in range(1, n + 1):
-                for subset in itertools.combinations(els, m):
-                    f = FrameSpec(g, subset)
-                    prof = angle_profile(f)
-                    frames += 1
-                    if abs(prof.tight_sum() - (n - m) / m) > 1e-8:
-                        bad_tight += 1
-                    V = f.vectors()
-                    G = np.abs(V @ V.conj().T)
-                    np.fill_diagonal(G, -1.0)
-                    rows = np.sort(G, axis=1)
-                    if np.max(rows.max(axis=0) - rows.min(axis=0)) > 1e-9:
-                        bad_equi += 1
+                counted, tight, equi = _frame_violations(g, m)
+                frames += counted
+                bad_tight += tight
+                bad_equi += equi
     out.append(
         _check(
             "properties/tight-sum-identity",

@@ -11,9 +11,16 @@ the library against it are not comparing the library with itself.
 oracle_modulation_operator and oracle_is_real_frame are the frames
 functions before they read the difference index table and integer phase
 columns: one GroupSpec.sub per generator pair, one exact Fraction phase
-per (generator, element).
+per (generator, element).  oracle_verify_modulation_identities is the
+identity check before it became matrix products: four einsums over the
+(n, m, m) operator stack.
+
+oracle_frame_violations is the properties sweep before it went by
+(group, m) blocks: one FrameSpec per subset, its angle_profile tight sum
+and the spread of its sorted Gram rows from f.vectors().
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +38,13 @@ from framelab.diffsets import (
     RelativeRecord,
     reversal,
 )
-from framelab.groups import all_subgroups, character_phase
+from framelab.frames import FrameSpec, ModulationReport, _closed_operators, angle_profile
+from framelab.groups import (
+    _difference_index_table,
+    all_subgroups,
+    character_phase,
+    full_character_table,
+)
 
 
 def oracle_difference_counts(g, S):
@@ -215,3 +228,45 @@ def oracle_is_real_frame(f):
         for g in f.generators
         for x in f.group.elements()
     )
+
+
+def oracle_verify_modulation_identities(f, tol=1e-8):
+    n, m = f.n, f.m
+    V = f.vectors()
+    T = full_character_table(f.group)
+    D = np.einsum("xz,xa,xb->zab", T, V, V.conj(), optimize=True)
+    closed = _closed_operators(f, np.arange(n)[:, None, None])
+    dev_def = float(np.max(np.abs(D - closed)))
+
+    flat = closed.reshape(n, m * m)
+    grams = flat @ flat.conj().T
+    dev_hs = float(np.max(np.abs(grams - np.diag(np.diag(grams)))))
+
+    recon = np.einsum("xz,zab->xab", T.conj(), closed, optimize=True) / n
+    outer = np.einsum("xa,xb->xab", V, V.conj(), optimize=True)
+    dev_inv = float(np.max(np.abs(recon - outer)))
+
+    hs = np.einsum("zab,zab->z", closed, closed.conj(), optimize=True).real
+    rhs = T @ hs
+    G = V @ V.conj().T
+    lhs = (n * n) * np.abs(G) ** 2
+    idx = _difference_index_table(f.group)
+    dev_enc = float(np.max(np.abs(lhs - rhs.real[idx])))
+    return ModulationReport(dev_def, dev_hs, dev_inv, dev_enc, tol)
+
+
+def oracle_frame_violations(g, m):
+    """(frames, tight-sum violations, equidistribution violations) over the m-subsets."""
+    frames = bad_tight = bad_equi = 0
+    for subset in itertools.combinations(g.elements(), m):
+        f = FrameSpec(g, subset)
+        frames += 1
+        if abs(angle_profile(f).tight_sum() - (g.order - m) / m) > 1e-8:
+            bad_tight += 1
+        V = f.vectors()
+        G = np.abs(V @ V.conj().T)
+        np.fill_diagonal(G, -1.0)
+        rows = np.sort(G, axis=1)
+        if np.max(rows.max(axis=0) - rows.min(axis=0)) > 1e-9:
+            bad_equi += 1
+    return frames, bad_tight, bad_equi

@@ -59,3 +59,19 @@ def test_dag_edges_are_strict_inclusions(factors):
     nonzero = g.elements()[1:]
     for i, h in enumerate(sets):
         assert dag.member[i].tolist() == [float(x in h) for x in nonzero]
+
+
+def test_deep_classify_runs_one_level_pass(monkeypatch):
+    levels = diffsets._chain_levels
+    calls = []
+
+    def counted(dag, counts):
+        calls.append(len(counts))
+        return levels(dag, counts)
+
+    monkeypatch.setattr(diffsets, "_chain_levels", counted)
+    g = GroupSpec((2, 4))
+    chain = classify(g, ((0, 0), (1, 0), (0, 1))).nested_divisible
+    assert chain.t == 3
+    assert chain == scalar_oracle.oracle_nested_divisible_chain(g, ((0, 0), (1, 0), (0, 1)))
+    assert calls == [1]

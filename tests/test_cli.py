@@ -135,6 +135,34 @@ def test_verify_modulation_named_frame(capsys):
     assert out.count("PASS") == 4
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (("modulation", "--set", "0,1,3"), "--group"),
+        (("modulation", "--group", "Z6"), "--set"),
+        (("modulation", "--max-order", "4"), "--max-order"),
+        (("properties", "--set", "0,1"), "--set"),
+        (("all", "--max-order", "4"), "--max-order"),
+        (("etf-difference", "--group", "Z6", "--set", "0,1,3"), "--group, --set"),
+    ],
+)
+def test_verify_rejects_options_the_suite_does_not_read(capsys, argv, flags):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 1
+    assert out == ""  # nothing ran
+    assert err.startswith("error: ") and flags in err
+
+
+def test_verify_etf_difference_reads_max_order(capsys):
+    code, out, _ = run(capsys, "verify", "etf-difference", "--max-order", "5")
+    assert code == 0
+    assert "over orders 2..5" in out
+    # below 2 the sweep is empty and would pass on no subsets
+    code, out, err = run(capsys, "verify", "etf-difference", "--max-order", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--max-order >= 2" in err
+
+
 def test_domain_error_exit_1(capsys):
     code, _, err = run(capsys, "gauss", "legendre", "3", "9")
     assert code == 1

@@ -1,9 +1,17 @@
 """The verify suites' own checks: each must be able to fail."""
 
+import itertools
+import random
+from collections import Counter
+
+import numpy as np
 import pytest
+import scalar_oracle
 
 from framelab import frames, verify
 from framelab.errors import DomainError
+from framelab.frames import FrameSpec
+from framelab.search import abelian_groups_of_order
 
 
 def _verdicts(results):
@@ -63,3 +71,101 @@ def test_etf_difference_sweep_fails_under_a_shifted_welch_bound(monkeypatch):
 def test_unknown_suite_is_a_domain_error():
     with pytest.raises(DomainError):
         verify.run_suite("no-such-suite")
+
+
+def _sweep_cases():
+    """(group, m) for every m-subset size of every group of order <= 8."""
+    for n in range(2, 9):
+        for g in abelian_groups_of_order(n):
+            for m in range(1, n + 1):
+                yield g, m
+
+
+def test_frame_sweep_matches_scalar_oracle():
+    frames_seen = 0
+    for g, m in _sweep_cases():
+        got = verify._frame_violations(g, m)
+        assert got == scalar_oracle.oracle_frame_violations(g, m), (g, m)
+        frames_seen += got[0]
+    assert frames_seen == 1026
+
+
+def test_frame_sweep_matches_scalar_oracle_on_scaled_magnitudes(monkeypatch):
+    # both sides cluster through cluster_rows: scaled, they must fail alike
+    cluster_rows = frames.cluster_rows
+
+    def scaled(values, tol):
+        return cluster_rows(values * 1.01, tol)
+
+    monkeypatch.setattr(frames, "cluster_rows", scaled)
+    monkeypatch.setattr(verify, "cluster_rows", scaled)
+    bad = 0
+    for g, m in _sweep_cases():
+        got = verify._frame_violations(g, m)
+        assert got == scalar_oracle.oracle_frame_violations(g, m), (g, m)
+        bad += got[1]
+    assert bad > 0
+
+
+def test_equidistribution_fails_under_a_non_character_column(monkeypatch):
+    table = verify.full_character_table
+
+    def mutated(g):
+        T = table(g).copy()
+        phases = np.random.default_rng(0).random(g.order)
+        T[:, -1] = np.exp(2j * np.pi * phases)  # not a homomorphism
+        return T
+
+    monkeypatch.setattr(verify, "full_character_table", mutated)
+    got = _verdicts(verify.suite_properties())
+    assert not got["properties/equidistribution"]
+    assert got["properties/translation-invariance"]
+
+
+def test_tight_sum_fails_under_scaled_magnitudes(monkeypatch):
+    cluster_rows = verify.cluster_rows
+    monkeypatch.setattr(verify, "cluster_rows", lambda v, tol: cluster_rows(v * 1.01, tol))
+    got = _verdicts(verify.suite_properties())
+    assert not got["properties/tight-sum-identity"]
+    assert got["properties/equidistribution"]
+
+
+def _suite_draw():
+    """The modulation suite's frames in draw order, from its default seed."""
+    rng = random.Random(718)
+    return [verify._random_frame(rng, 32) for _ in range(200)]
+
+
+def test_modulation_identities_match_the_einsum_oracle():
+    small = [
+        FrameSpec(g, S)
+        for n in range(2, 7)
+        for g in abelian_groups_of_order(n)
+        for m in range(1, n + 1)
+        for S in itertools.combinations(g.elements(), m)
+    ]
+    assert len(small) == 134
+    for f in small + _suite_draw():
+        got = frames.verify_modulation_identities(f)
+        want = scalar_oracle.oracle_verify_modulation_identities(f)
+        for key in (
+            "definitional_deviation", "hs_orthogonality_deviation",
+            "inversion_deviation", "angle_encoding_deviation",
+        ):
+            assert abs(getattr(got, key) - getattr(want, key)) <= 1e-12, (f, key)
+        assert got.passed == want.passed, f
+
+
+def test_modulation_suite_visits_the_drawn_frames_group_by_group(monkeypatch):
+    visited = []
+    check = verify.verify_modulation_identities
+
+    def record(f):
+        visited.append((f.group.factors, f.generators))
+        return check(f)
+
+    monkeypatch.setattr(verify, "verify_modulation_identities", record)
+    assert all(r.passed for r in verify.suite_modulation())
+    drawn = [(f.group.factors, f.generators) for f in _suite_draw()]
+    assert Counter(visited) == Counter(drawn)
+    assert [k for k, _ in visited] == sorted(k for k, _ in drawn)
