@@ -312,11 +312,11 @@ def _closed_operators(f: FrameSpec, z: int | np.ndarray) -> np.ndarray:
 
     D[i_a, i_b] is the index of g_b - g_a, so for an element index z this is
     the (m, m) closed-form operator at that element; z = arange(n)[:, None, None]
-    gives all n operators as one (n, m, m) array.
+    gives all n operators as one (n, m, m) array.  The operators are real.
     """
     ids = [f.group.index(g) for g in f.generators]
     D = _difference_index_table(f.group)[np.ix_(ids, ids)]
-    return np.where(D == z, f.n / f.m, 0.0).astype(complex)
+    return np.where(D == z, f.n / f.m, 0.0)
 
 
 @dataclass(frozen=True)
@@ -358,7 +358,8 @@ def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationR
     character table T and the frame vectors V = T[:, ids] / sqrt(m).  All
     operators are flattened to rows of length m^2, so each side is one
     matrix product with T, with W[x, a m + b] = V[x, a] conj(V[x, b]) the
-    rank-one operators f_x f_x^*:
+    rank-one operators f_x f_x^*.  The closed forms stay real, and each
+    difference is taken in place in its product's result:
     (o)   the definitional sums sum_x chi_xi(x) f_x f_x^*, T^T W, agree with
           the closed forms entrywise;
     (i)   the closed forms are pairwise Hilbert-Schmidt orthogonal: their
@@ -374,16 +375,22 @@ def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationR
     V = T[:, [f.group.index(g) for g in f.generators]] / math.sqrt(m)
     W = (V[:, :, None] * V.conj()[:, None, :]).reshape(n, m * m)
     closed = _closed_operators(f, np.arange(n)[:, None, None]).reshape(n, m * m)
-    dev_def = float(np.max(np.abs(T.T @ W - closed)))
+    diff = T.T @ W
+    diff -= closed
+    dev_def = float(np.max(np.abs(diff)))
 
-    grams = closed @ closed.conj().T
-    hs = grams.diagonal()
-    dev_hs = float(np.max(np.abs(grams - np.diag(hs))))
+    grams = closed @ closed.T
+    hs = grams.diagonal().copy()
+    np.fill_diagonal(grams, 0.0)
+    dev_hs = float(np.max(np.abs(grams)))
 
     # Fourier inversion: f_x f_x^* = (1/n) sum_xi conj(chi_x(xi)) X_xi
-    dev_inv = float(np.max(np.abs(T.conj() @ closed / n - W)))
+    np.matmul(T.conj(), closed, out=diff)
+    diff /= n
+    diff -= W
+    dev_inv = float(np.max(np.abs(diff)))
 
-    rhs = T @ hs.real  # rhs[z] = sum_xi chi_z(xi) ||X_xi||^2
+    rhs = T @ hs  # rhs[z] = sum_xi chi_z(xi) ||X_xi||^2
     G = V @ V.conj().T
     lhs = (n * n) * np.abs(G) ** 2
     idx = _difference_index_table(f.group)

@@ -181,10 +181,14 @@ def _phase_weights(g: GroupSpec) -> np.ndarray:
     return np.array([N // f for f in g.factors], dtype=np.int64)
 
 
+def _roots_of_unity(N: int) -> np.ndarray:
+    """exp(2 pi i k / N) for k = 0..N-1; built afresh on every call."""
+    return np.exp(2j * np.pi * np.arange(N) / N)
+
+
 @lru_cache(maxsize=None)
 def _root_table(g: GroupSpec) -> np.ndarray:
-    N = g.exponent
-    return np.exp(2j * np.pi * np.arange(N) / N)
+    return _roots_of_unity(g.exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -229,22 +233,35 @@ def phase_column(g: GroupSpec, y: Element) -> np.ndarray:
     return (_coord_matrix(g) @ w) % N
 
 
-def character_column(g: GroupSpec, y: Element) -> np.ndarray:
-    """Complex values chi_x(y) for every x, in element order."""
-    return _root_table(g)[phase_column(g, y)]
+def _character_block(g: GroupSpec, Y: np.ndarray) -> np.ndarray:
+    """(n, m) values chi_y(x) for the (m, k) coordinate rows Y, as one phase product.
+
+    Entry [x, j] is the root of unity of phase (E . w) @ Y^T mod N, E the
+    element coordinates and w the weights N / n_j: the integer phases of
+    phase_column, so the values are bit for bit those of one column at a time.
+    """
+    phases = ((_coord_matrix(g) * _phase_weights(g)) @ Y.T) % g.exponent
+    return _root_table(g)[phases]
 
 
 def character_table_columns(g: GroupSpec, gens: Sequence[Element]) -> np.ndarray:
     """(n, m) array with column j = chi_{gens[j]} evaluated at every element."""
-    return np.column_stack([character_column(g, y) for y in gens])
+    for y in gens:
+        g.validate(y)
+    return _character_block(g, np.array(gens, dtype=np.int64).reshape(len(gens), g.rank))
 
 
 @lru_cache(maxsize=16)
 def full_character_table(g: GroupSpec) -> np.ndarray:
-    """(n, n) table chi_y(x), row x, column y; cached for search workloads."""
+    """(n, n) table chi_y(x), row x, column y, as one integer phase product.
+
+    The phases ((E . w) @ E^T) mod N index the root table, so a rebuild costs
+    one (n, k) @ (k, n) integer product and one gather (tens of microseconds
+    at n = 64); the cache serves search workloads that revisit one group.
+    """
     if g.order > 1024:
         raise CapacityError(f"full character table capped at order 1024, got {g.order}")
-    return character_table_columns(g, g.elements())
+    return _character_block(g, _coord_matrix(g))
 
 
 def character_sum_over(g: GroupSpec, z: Element, A: Iterable[Element]) -> complex:

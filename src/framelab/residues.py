@@ -1,25 +1,36 @@
 """Residue classes mod p, Gauss sums, and quartic-residue set constructions.
 
-Quadratic sums are evaluated both numerically and by the classical closed
-forms (+-sqrt(p), +-i*sqrt(p) according to p mod 4 and the Legendre symbol);
-the numeric and closed values are required to agree to 1e-9.  The quartic
-machinery covers primes p = 8q+5, where the fourth powers split the residues
-and furnish two-level difference structures relative to the quadratic ones.
+The full and half quadratic sums come from one kernel, _quadratic_sums,
+vectorized over a: row a gathers root[(a j) mod p] from the p-th roots of
+unity (groups._roots_of_unity, the values of the root table of Z_p, built
+per call so that no table outlives it) and sums them, with j running over
+the squares x^2 (full sums) or over {0} + the quadratic residues (half
+sums).  The closed forms (+-sqrt(p), +-i*sqrt(p) according to p mod 4, or
+their halves shifted by 1/2) take the sign of a from Euler's criterion
+(legendre), never from the residue set the half sums run over, so the two
+sides are computed apart.  gauss_sum and half_gauss_sum are the kernel on
+one a, required to agree with the closed form to 1e-9; gauss_sum_table
+gives both sides for every a of one prime.  Residue sets and quadratic
+sums build tables of size p, so they take p <= PRIME_BOUND only, checked
+before anything else (a larger p is a CapacityError whether or not it is
+prime, so no unbounded primality test runs on it).  The quartic machinery
+covers primes p = 8q+5, where the fourth powers split the residues and
+furnish two-level difference structures relative to the quadratic ones.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import four_square_plus, is_prime, residues
 from .diffsets import Classification, classify, difference_counts
-from .errors import DomainError, InvariantError
-from .groups import Element, GroupSpec
+from .errors import CapacityError, DomainError, InvariantError
+from .groups import Element, GroupSpec, _roots_of_unity
 
 GAUSS_TOL = 1e-9
+PRIME_BOUND = 1 << 16  # largest p for the O(p) residue sets and quadratic sums
 
 
 @dataclass(frozen=True)
@@ -36,7 +47,7 @@ class ResidueClass:
 
 
 def residue_class(p: int, s: int = 2) -> ResidueClass:
-    _require_odd_prime(p)
+    _require_table_prime(p)
     if s not in (2, 4):
         raise DomainError(f"only square and fourth-power residues supported, got s={s}")
     if s == 4 and p % 4 != 1:
@@ -47,6 +58,13 @@ def residue_class(p: int, s: int = 2) -> ResidueClass:
 def _require_odd_prime(p: int) -> None:
     if p == 2 or not is_prime(p):
         raise DomainError(f"{p} is not an odd prime")
+
+
+def _require_table_prime(p: int) -> None:
+    """An odd prime small enough for tables of size p; checked before any is built."""
+    if p > PRIME_BOUND:
+        raise CapacityError(f"residue tables capped at p <= {PRIME_BOUND}, got {p}")
+    _require_odd_prime(p)
 
 
 def legendre(a: int, p: int) -> int:
@@ -69,44 +87,81 @@ def quartic_symbol(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def gauss_sum(a: int, p: int) -> complex:
-    """Full quadratic sum over x in Z_p of e^(2 pi i a x^2 / p)."""
-    _require_odd_prime(p)
+def _quadratic_sums(a: np.ndarray, p: int, half: bool) -> np.ndarray:
+    """Per entry of a: the full (half=False) or half quadratic sum mod p.
+
+    A gather from the root table of Z_p and a row sum: the full sum adds
+    root[(a x^2) mod p] over x in Z_p, the half sum root[(a j) mod p] over
+    j in {0} + R_2.  Rows go PRIME_BOUND // p at a time, so no gathered
+    table exceeds PRIME_BOUND entries whatever len(a) is; nothing here
+    compares with the closed forms.
+    """
+    _require_table_prime(p)
+    if half:
+        js = np.array((0,) + residues(p, 2), dtype=np.int64)
+    else:
+        js = np.arange(p, dtype=np.int64) ** 2
+    root = _roots_of_unity(p)
+    rows = PRIME_BOUND // p
+    return np.concatenate([
+        root[(a[i : i + rows, None] * js) % p].sum(axis=1) for i in range(0, len(a), rows)
+    ])
+
+
+def _closed_forms(signs, p: int, half: bool):
+    """The four-case closed forms for residue signs s (+-1, or an array of them).
+
+    Full sum: s sqrt(p) for p = 1 mod 4, i s sqrt(p) for p = 3 mod 4; the
+    half sum is (1 + that) / 2.
+    """
+    signed = signs * np.sqrt(p)
+    full = signed if p % 4 == 1 else 1j * signed
+    return (1 + full) / 2 if half else full
+
+
+def _checked_sum(a: int, p: int, half: bool) -> complex:
+    """The kernel on one a, held to its closed form within GAUSS_TOL."""
+    kind = "half gauss sum" if half else "gauss sum"
+    _require_table_prime(p)
     if a % p == 0:
-        raise DomainError("gauss sum defined for a nonzero mod p")
-    ks = (a * np.arange(p, dtype=np.int64) ** 2) % p
-    numeric = complex(np.exp(2j * np.pi * ks / p).sum())
-    closed = gauss_sum_closed_form(a, p)
+        raise DomainError(f"{kind} defined for a nonzero mod p")
+    numeric = complex(_quadratic_sums(np.array([a], dtype=np.int64), p, half)[0])
+    closed = half_gauss_sum_closed_form(a, p) if half else gauss_sum_closed_form(a, p)
     if abs(numeric - closed) > GAUSS_TOL:
-        raise InvariantError(f"gauss sum drifted from closed form: {numeric} vs {closed}")
+        raise InvariantError(f"{kind} drifted from closed form: {numeric} vs {closed}")
     return numeric
+
+
+def gauss_sum_table(p: int, half: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(numeric, closed) for a = 1..p-1: the full (or half) quadratic sums and their closed forms.
+
+    The numeric row is one kernel call over all a; the closed forms are
+    signed by legendre(a, p) per a.  Nothing here compares the two.
+    """
+    _require_table_prime(p)
+    a = np.arange(1, p, dtype=np.int64)
+    signs = np.array([legendre(x, p) for x in range(1, p)])
+    return _quadratic_sums(a, p, half), _closed_forms(signs, p, half)
+
+
+def gauss_sum(a: int, p: int) -> complex:
+    """Full quadratic sum over x in Z_p of e^(2 pi i a x^2 / p), p <= PRIME_BOUND."""
+    return _checked_sum(a, p, half=False)
 
 
 def gauss_sum_closed_form(a: int, p: int) -> complex:
-    sign = legendre(a, p)
-    root = math.sqrt(p)
-    return complex(sign * root) if p % 4 == 1 else complex(0, sign * root)
+    """legendre(a, p) sqrt(p) for p = 1 mod 4, i legendre(a, p) sqrt(p) for p = 3 mod 4."""
+    return complex(_closed_forms(legendre(a, p), p, half=False))
 
 
 def half_gauss_sum(a: int, p: int) -> complex:
-    """Sum of e^(2 pi i a j / p) over the quadratic residues and zero."""
-    _require_odd_prime(p)
-    if a % p == 0:
-        raise DomainError("half gauss sum defined for a nonzero mod p")
-    js = np.array((0,) + residues(p, 2), dtype=np.int64)
-    numeric = complex(np.exp(2j * np.pi * ((a * js) % p) / p).sum())
-    closed = half_gauss_sum_closed_form(a, p)
-    if abs(numeric - closed) > GAUSS_TOL:
-        raise InvariantError(f"half gauss sum drifted: {numeric} vs {closed}")
-    return numeric
+    """Sum of e^(2 pi i a j / p) over the quadratic residues and zero, p <= PRIME_BOUND."""
+    return _checked_sum(a, p, half=True)
 
 
 def half_gauss_sum_closed_form(a: int, p: int) -> complex:
-    sign = legendre(a, p)
-    root = math.sqrt(p)
-    if p % 4 == 1:
-        return complex((1 + sign * root) / 2)
-    return complex(0.5, sign * root / 2)
+    """(1 + gauss_sum_closed_form(a, p)) / 2."""
+    return complex(_closed_forms(legendre(a, p), p, half=True))
 
 
 # ---------------------------------------------------------------------------

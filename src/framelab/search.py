@@ -24,6 +24,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -37,12 +38,13 @@ SUBSET_CAP = 10**7
 BLOCK_SIZE = 4096
 
 
+@lru_cache(maxsize=None)
 def abelian_groups_of_order(n: int) -> tuple[GroupSpec, ...]:
     """Every abelian group of order n, one per isomorphism type.
 
     Factor n into prime powers and take one partition of each exponent;
     factors are flattened and sorted ascending, e.g. order 8 gives
-    Z2xZ2xZ2, Z2xZ4, Z8.
+    Z2xZ2xZ2, Z2xZ4, Z8.  Cached: the result is a tuple of frozen specs.
     """
     if n < 2:
         raise DomainError(f"group order must be >= 2, got {n}")

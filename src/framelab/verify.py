@@ -8,15 +8,19 @@ The two sides of a check are computed apart.  Sweeps over subsets read one
 search per (group, m), whose ETF/BTF columns come from angle magnitudes and
 clusters and whose class columns come from difference counts; what they are
 compared with (the other column, translates, reversals, the brute-force
-chain in _shortest_chain) is computed beside it.  The tight-sum and
-equidistribution sweep reads character-table blocks, all m-subsets of a
-group at once (_frame_violations): identity-row magnitudes clustered in one
-call, and the Gram magnitudes of every frame as one batched product.  The
-modulation check sets closed-form operators from the difference index table
-against products with the character table, visiting its random frames
-group by group; the example, Paley, quartic and table suites set closed
-forms from predictions and residues against frames built from characters;
-gauss-sums sets numeric sums against their closed forms.
+chain in _shortest_chain) is computed beside it; translates go by one
+translate call per (group, shift), whose permutation moves every subset row
+at once.  The tight-sum and equidistribution sweep reads character-table
+blocks, all m-subsets of a group at once (_frame_violations): identity-row
+magnitudes clustered in one call, and the Gram magnitudes of every frame as
+one batched product.  The modulation check sets closed-form operators from
+the difference index table against products with the character table,
+visiting its random frames group by group; the example, Paley, quartic and
+table suites set closed forms from predictions and residues against frames
+built from characters; gauss-sums sets the quadratic sums of all a of a
+prime, from one kernel call, against closed forms signed by Euler's
+criterion.  A sweep that would cover nothing (no prime, no trial, no
+group) is a DomainError, not a pass.
 """
 
 from __future__ import annotations
@@ -50,10 +54,7 @@ from .predictions import (
     run_all_table_checks,
 )
 from .residues import (
-    gauss_sum,
-    gauss_sum_closed_form,
-    half_gauss_sum,
-    half_gauss_sum_closed_form,
+    gauss_sum_table,
     paley_pds,
     quartic_coset_decomposition,
     quartic_gaussian_ds,
@@ -328,31 +329,29 @@ def suite_paley() -> list[CheckResult]:
 
 
 def suite_gauss_sums(max_p: int = 97) -> list[CheckResult]:
-    """Numeric quadratic sums against the four-case closed forms, all a, p <= max_p."""
-    t0 = time.perf_counter()
+    """Numeric quadratic sums against the four-case closed forms, all a, p <= max_p.
+
+    Per prime and kind, one gauss_sum_table call gives the numeric sums of
+    every a in 1..p-1 (one kernel gather from the root table) beside their
+    closed forms, signed by Euler's criterion rather than by the residue set
+    the half sums run over.
+    """
     primes = [p for p in range(3, max_p + 1) if is_prime(p)]
-    worst_full = 0.0
-    worst_half = 0.0
+    if not primes:
+        raise DomainError(f"gauss-sums sweep needs an odd prime <= max_p, got max_p={max_p}")
+    t0 = time.perf_counter()
+    worst = {"full": 0.0, "half": 0.0}
     for p in primes:
-        for a in range(1, p):
-            worst_full = max(worst_full, abs(gauss_sum(a, p) - gauss_sum_closed_form(a, p)))
-            worst_half = max(
-                worst_half, abs(half_gauss_sum(a, p) - half_gauss_sum_closed_form(a, p))
-            )
+        for kind in worst:
+            numeric, closed = gauss_sum_table(p, half=kind == "half")
+            worst[kind] = max(worst[kind], float(np.abs(numeric - closed).max()))
     elapsed = time.perf_counter() - t0
-    return [
-        _check(
-            "gauss-sums/full",
-            worst_full <= 1e-9,
-            f"max deviation {worst_full:.2e} over p <= {max_p}",
-        ),
-        _check(
-            "gauss-sums/half",
-            worst_half <= 1e-9,
-            f"max deviation {worst_half:.2e} over p <= {max_p}",
-        ),
-        _check("gauss-sums/runtime", elapsed < 5.0, f"{elapsed:.3f}s"),
+    out = [
+        _check(f"gauss-sums/{kind}", dev <= 1e-9, f"max deviation {dev:.2e} over p <= {max_p}")
+        for kind, dev in worst.items()
     ]
+    out.append(_check("gauss-sums/runtime", elapsed < 5.0, f"{elapsed:.3f}s"))
+    return out
 
 
 QUARTIC_PRIMES = (13, 29, 37, 53, 61)
@@ -487,6 +486,10 @@ def suite_modulation(
             if key.endswith("_deviation"):
                 out.append(_check(f"modulation/{group}-{key}", val <= rep.tolerance, f"{val:.2e}"))
         return out
+    if trials < 1:
+        raise DomainError(f"modulation check needs at least one trial, got {trials}")
+    if max_order < 2:
+        raise DomainError(f"modulation check needs max_order >= 2, got {max_order}")
     rng = random.Random(seed)
     drawn = [_random_frame(rng, max_order) for _ in range(trials)]
     worst = {"definitional": 0.0, "hs": 0.0, "inversion": 0.0, "encoding": 0.0}
@@ -560,6 +563,10 @@ def suite_properties() -> list[CheckResult]:
 
     Classification sweeps read one search per (group, m); the translates and
     reversals they compare with are computed here, apart from the search.
+    Translation invariance makes one translate(g, g.elements(), c) call per
+    (group, c): the index permutation it gives moves all subset rows by one
+    gather, each moved row is sorted and looked up by its packed key, and
+    the count-derived columns of the two records are compared entrywise.
     The frame sweep reads one character-table block per (group, m).
     """
     out = []
@@ -570,15 +577,24 @@ def suite_properties() -> list[CheckResult]:
     checked_translate = 0
     for n in (6, 8, 9):
         for g in abelian_groups_of_order(n):
-            keys = {
-                r.subset: {k: v for k, v in r.flags.items() if k not in _SET_COLUMNS}
-                for r in enumerate_and_classify(SearchJob(g, 3)).records
-            }
-            for subset, key in keys.items():
-                for c in g.elements()[1:]:
-                    checked_translate += 1
-                    if keys.get(tuple(sorted(translate(g, subset, c)))) != key:
-                        bad_translate += 1
+            records = enumerate_and_classify(SearchJob(g, 3)).records
+            pos = {x: i for i, x in enumerate(g.elements())}
+            rows = np.array([[pos[x] for x in r.subset] for r in records])
+            # the count-derived record columns, one row per subset
+            flags = np.array(
+                [[v for k, v in r.flags.items() if k not in _SET_COLUMNS] for r in records],
+                dtype=object,
+            )
+            radix = n ** np.arange(3)
+            row_of = np.full(n**3, -1)
+            row_of[rows @ radix] = np.arange(len(rows))
+            for c in g.elements()[1:]:
+                # translate moves the whole group once; subset rows follow by gather
+                perm = np.array([pos[y] for y in translate(g, g.elements(), c)])
+                moved = row_of[np.sort(perm[rows], axis=1) @ radix]
+                checked_translate += len(rows)
+                same = (flags[moved] == flags).all(axis=1)
+                bad_translate += int(np.count_nonzero((moved < 0) | ~same))
     out.append(
         _check(
             "properties/translation-invariance",

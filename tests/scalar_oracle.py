@@ -18,9 +18,15 @@ identity check before it became matrix products: four einsums over the
 oracle_frame_violations is the properties sweep before it went by
 (group, m) blocks: one FrameSpec per subset, its angle_profile tight sum
 and the spread of its sorted Gram rows from f.vectors().
+
+oracle_full_character_table is the character table before it became one
+phase product: one phase column per element, stacked.  The oracle_*gauss*
+functions are the quadratic sums before the gather kernel, one exp array
+per (a, p), and their closed forms with the sign from Python's pow.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -41,9 +47,11 @@ from framelab.diffsets import (
 from framelab.frames import FrameSpec, ModulationReport, _closed_operators, angle_profile
 from framelab.groups import (
     _difference_index_table,
+    _root_table,
     all_subgroups,
     character_phase,
     full_character_table,
+    phase_column,
 )
 
 
@@ -270,3 +278,36 @@ def oracle_frame_violations(g, m):
         if np.max(rows.max(axis=0) - rows.min(axis=0)) > 1e-9:
             bad_equi += 1
     return frames, bad_tight, bad_equi
+
+
+def oracle_full_character_table(g):
+    """(n, n) table chi_y(x), built one character column at a time."""
+    return np.column_stack([_root_table(g)[phase_column(g, y)] for y in g.elements()])
+
+
+def oracle_gauss_sum(a, p):
+    ks = (a * np.arange(p, dtype=np.int64) ** 2) % p
+    return complex(np.exp(2j * np.pi * ks / p).sum())
+
+
+def oracle_half_gauss_sum(a, p):
+    js = np.array((0,) + residues(p, 2), dtype=np.int64)
+    return complex(np.exp(2j * np.pi * ((a * js) % p) / p).sum())
+
+
+def _oracle_sign(a, p):
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def oracle_gauss_sum_closed_form(a, p):
+    root = math.sqrt(p)
+    sign = _oracle_sign(a, p)
+    return complex(sign * root) if p % 4 == 1 else complex(0, sign * root)
+
+
+def oracle_half_gauss_sum_closed_form(a, p):
+    root = math.sqrt(p)
+    sign = _oracle_sign(a, p)
+    if p % 4 == 1:
+        return complex((1 + sign * root) / 2)
+    return complex(0.5, sign * root / 2)

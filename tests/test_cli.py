@@ -163,6 +163,25 @@ def test_verify_etf_difference_reads_max_order(capsys):
     assert err.startswith("error: ") and "--max-order >= 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("gauss", "sum", "1", "65537"), ("gauss", "half-sum", "1", "65537"),
+     ("gauss", "residues", "65537")],
+)
+def test_gauss_prime_above_the_bound_exit_1(capsys, argv):
+    # 65537 is the first prime above residues.PRIME_BOUND = 2^16
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: residue tables capped at p <= 65536")
+
+
+@pytest.mark.parametrize("action", ["sum", "half-sum"])
+def test_gauss_sum_mod_zero_exit_1(capsys, action):
+    code, out, err = run(capsys, "gauss", action, "1", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: 0 is not an odd prime")
+
+
 def test_domain_error_exit_1(capsys):
     code, _, err = run(capsys, "gauss", "legendre", "3", "9")
     assert code == 1

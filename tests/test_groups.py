@@ -3,7 +3,9 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scalar_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from framelab.groups import (
     character_eval,
     character_phase,
     character_sum_over,
+    full_character_table,
     full_group_sum,
     make_subgroup,
     parse_element,
@@ -23,6 +26,7 @@ from framelab.groups import (
     parse_subset,
     subgroup_generated,
 )
+from framelab.search import abelian_groups_of_order
 
 Z6 = GroupSpec((6,))
 Z7 = GroupSpec((7,))
@@ -209,3 +213,11 @@ def test_character_value_unit_modulus():
                 assert abs(abs(v.complex_value) - 1) < 1e-12
     assert character_eval(Z8, (4,), (1,)).is_real
     assert not character_eval(Z8, (1,), (1,)).is_real
+
+
+def test_full_character_table_matches_column_oracle():
+    groups = [g for n in range(2, 65) for g in abelian_groups_of_order(n)]
+    assert len(groups) == 116
+    for g in groups:
+        want = scalar_oracle.oracle_full_character_table(g)
+        assert np.array_equal(full_character_table(g), want), g

@@ -1,14 +1,23 @@
 """Legendre symbols, Gauss sums, Paley and quartic constructions."""
 
+import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+import scalar_oracle
 
+from framelab import residues as residues_module
 from framelab.arith import four_square_plus, is_prime, residues
-from framelab.errors import DomainError
+from framelab.errors import CapacityError, DomainError
+from framelab.groups import _root_table
 from framelab.residues import (
+    PRIME_BOUND,
+    _quadratic_sums,
     gauss_sum,
     gauss_sum_closed_form,
+    gauss_sum_table,
     half_gauss_sum,
     half_gauss_sum_closed_form,
     legendre,
@@ -190,3 +199,103 @@ def test_four_square_plus_against_brute_force():
         for c in (1, 9, 25, 49):
             want = next((a for a in range(p) if 4 * a * a + c == p), None)
             assert four_square_plus(p, c) == want, (p, c)
+
+
+def test_quadratic_sums_match_scalar_oracle_bit_for_bit():
+    # the kernel gathers the same roots exp(2 pi i k / p) the scalar loop
+    # computed and sums each row in the same pairwise order
+    for p in PRIMES_TO_97:
+        a = np.arange(1, p, dtype=np.int64)
+        full = _quadratic_sums(a, p, half=False)
+        half = _quadratic_sums(a, p, half=True)
+        for i, ai in enumerate(range(1, p)):
+            want_full = scalar_oracle.oracle_gauss_sum(ai, p)
+            want_half = scalar_oracle.oracle_half_gauss_sum(ai, p)
+            assert complex(full[i]) == want_full == gauss_sum(ai, p), (ai, p)
+            assert complex(half[i]) == want_half == half_gauss_sum(ai, p), (ai, p)
+
+
+def test_quadratic_sums_in_row_blocks_match_scalar_oracle():
+    # 256 rows of 257 entries exceed PRIME_BOUND: the kernel takes two blocks
+    p = 257
+    assert (p - 1) * p > PRIME_BOUND
+    a = np.arange(1, p, dtype=np.int64)
+    for half, oracle in ((False, scalar_oracle.oracle_gauss_sum),
+                         (True, scalar_oracle.oracle_half_gauss_sum)):
+        got = _quadratic_sums(a, p, half)
+        assert [complex(v) for v in got] == [oracle(ai, p) for ai in range(1, p)]
+
+
+def test_quadratic_sums_memory_is_bounded_by_the_block():
+    # 16 copies of every a: one unblocked table would hold 4096 * 257 entries
+    # (about 33 MB of index, product and complex temporaries)
+    p = 257
+    a = np.tile(np.arange(1, p, dtype=np.int64), 16)
+    tracemalloc.start()
+    try:
+        got = _quadratic_sums(a, p, half=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, np.tile(got[: p - 1], 16))
+    assert peak < 4 * 1024 * 1024
+
+
+def test_gauss_sum_table_matches_scalar_oracle_bit_for_bit():
+    # both sides for every a of a prime: the kernel row and the closed forms
+    # signed by legendre, each equal to the scalar loop it replaced
+    cases = (
+        (False, scalar_oracle.oracle_gauss_sum, scalar_oracle.oracle_gauss_sum_closed_form,
+         gauss_sum_closed_form),
+        (True, scalar_oracle.oracle_half_gauss_sum,
+         scalar_oracle.oracle_half_gauss_sum_closed_form, half_gauss_sum_closed_form),
+    )
+    for p in PRIMES_TO_97:
+        for half, oracle_sum, oracle_closed, closed_form in cases:
+            numeric, closed = gauss_sum_table(p, half)
+            assert [complex(v) for v in numeric] == [oracle_sum(a, p) for a in range(1, p)]
+            want = [oracle_closed(a, p) for a in range(1, p)]
+            assert [complex(v) for v in closed] == want, (p, half)
+            assert want == [closed_form(a, p) for a in range(1, p)], (p, half)
+
+
+def _no_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an O(p) table was built past the capacity check")
+
+    monkeypatch.setattr(residues_module, "residues", refuse)
+    monkeypatch.setattr(residues_module, "_roots_of_unity", refuse)
+
+
+def test_prime_above_the_bound_is_a_capacity_error_before_any_table(monkeypatch):
+    q = next(q for q in itertools.count(PRIME_BOUND + 1) if is_prime(q))
+    _no_tables(monkeypatch)
+    for call in (gauss_sum, half_gauss_sum):
+        with pytest.raises(CapacityError):
+            call(1, q)
+    with pytest.raises(CapacityError):
+        gauss_sum_table(q)
+    for s in (2, 4):
+        with pytest.raises(CapacityError):
+            residue_class(q, s)
+    # the closed forms and symbols need no table
+    assert abs(gauss_sum_closed_form(1, q)) == pytest.approx(math.sqrt(q))
+    assert legendre(1, q) == 1
+
+
+def test_largest_prime_under_the_bound_still_sums():
+    p = next(p for p in range(PRIME_BOUND, 2, -1) if is_prime(p))
+    cached = _root_table.cache_info().currsize
+    assert abs(gauss_sum(3, p) - gauss_sum_closed_form(3, p)) <= 1e-9
+    # the roots of unity are built per call: no table of size p is kept
+    assert _root_table.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 9, -7])
+def test_quadratic_sums_need_an_odd_prime(p):
+    # p = 0 used to reach a % p; p = 1 used to report a multiple of p
+    for call in (gauss_sum, half_gauss_sum):
+        with pytest.raises(DomainError, match="not an odd prime"):
+            call(1, p)
+    with pytest.raises(DomainError, match="not an odd prime"):
+        gauss_sum_table(p)

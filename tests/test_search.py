@@ -28,6 +28,8 @@ def test_abelian_groups_of_order():
     assert len(abelian_groups_of_order(36)) == 4
     with pytest.raises(DomainError):
         abelian_groups_of_order(1)
+    # cached: the verify suites ask for the same orders on every pass
+    assert abelian_groups_of_order(32) is abelian_groups_of_order(32)
 
 
 def test_subset_counts_by_mode():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scalar_oracle
 
-from framelab import frames, verify
+from framelab import frames, residues, verify
 from framelab.errors import DomainError
 from framelab.frames import FrameSpec
 from framelab.search import abelian_groups_of_order
@@ -24,6 +24,59 @@ def test_translation_invariance_fails_under_a_broken_translate(monkeypatch):
     got = _verdicts(verify.suite_properties())
     assert not got["properties/translation-invariance"]
     assert got["properties/pds-reversibility"]
+
+
+def test_translation_invariance_fails_under_a_non_affine_permutation(monkeypatch):
+    # a translation followed by swapping two elements is a bijection of the
+    # group, so every moved row is a subset, but classes are not preserved
+    def swapped(g, S, c):
+        els = g.elements()
+        swap = {els[1]: els[2], els[2]: els[1]}
+        return tuple(swap.get(y, y) for y in (g.add(x, c) for x in S))
+
+    monkeypatch.setattr(verify, "translate", swapped)
+    assert not _verdicts(verify.suite_properties())["properties/translation-invariance"]
+
+
+def test_translation_sweep_calls_translate_once_per_group_and_shift(monkeypatch):
+    calls = []
+    translate = verify.translate
+
+    def counted(g, S, c):
+        calls.append((g, c))
+        return translate(g, S, c)
+
+    monkeypatch.setattr(verify, "translate", counted)
+    checks = {r.name: r for r in verify.suite_properties()}
+    invariance = checks["properties/translation-invariance"]
+    assert invariance.passed
+    assert invariance.detail == "2620 translated classifications compared"
+    # Z6; Z2xZ2xZ2, Z2xZ4, Z8; Z3xZ3, Z9: 5 + 3 * 7 + 2 * 8 shifts
+    assert len(calls) == len(set(calls)) == 42
+
+
+def test_gauss_sums_fail_under_a_conjugated_root_table(monkeypatch):
+    # conj flips the sign of i sqrt(p) for p = 3 mod 4, full and half sums
+    checks = _verdicts(verify.suite_gauss_sums())
+    assert checks["gauss-sums/full"] and checks["gauss-sums/half"]
+    roots = residues._roots_of_unity
+    monkeypatch.setattr(residues, "_roots_of_unity", lambda N: roots(N).conj())
+    checks = _verdicts(verify.suite_gauss_sums())
+    assert not checks["gauss-sums/full"]
+    assert not checks["gauss-sums/half"]
+
+
+@pytest.mark.parametrize(
+    "suite, kwargs",
+    [
+        (verify.suite_gauss_sums, {"max_p": 2}),  # no odd prime to sum over
+        (verify.suite_modulation, {"trials": 0}),  # no frame to check
+        (verify.suite_modulation, {"max_order": 1}),  # no group to draw from
+    ],
+)
+def test_sweeps_over_nothing_are_domain_errors(suite, kwargs):
+    with pytest.raises(DomainError):
+        suite(**kwargs)
 
 
 def test_pds_reversibility_fails_under_a_broken_reversal(monkeypatch):
