@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 
 def is_prime(n: int) -> bool:
@@ -40,9 +39,8 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
 def residues(p: int, s: int) -> tuple[int, ...]:
-    """The s-th power residues in the multiplicative group mod p, sorted."""
+    """The s-th power residues in the multiplicative group mod p, sorted; not cached."""
     return tuple(sorted({pow(z, s, p) for z in range(1, p)}))
 
 

@@ -17,13 +17,16 @@ Constant counts make a difference set a degenerate member of the two-level
 classes wherever a witness exists; witnesses {0} and the whole group are
 excluded as uninformative.
 
-The row kernel, classify_rows, decides every class for a whole block of
-subsets from one bincount count matrix; search calls it on blocks.  classify
-is the single-subset view of the same kernel (the CLI, frame reports,
-verify): it calls classify_rows on one row and only builds the records
-around its flags.  Minimal chains come from one breadth-first pass over the
-subgroup inclusion DAG, _chain_levels: search reads the chain length from
-it, and the scalar chain walks its levels.
+Counts come from one count step, _count_rows (validation, one gather from
+the difference index table, one bincount), for one subset or a block.  The
+row kernel, classify_rows, decides every class for a whole block from its
+count matrix; search calls it on blocks.  classify is the single-subset view
+of the same kernel (the CLI, frame reports, verify): it runs it on one row,
+takes its DiffCounts from the kernel's count row, and only builds the
+records around the flags.  Subgroups are read from the group's one
+membership matrix, groups._subgroup_lattice.  Minimal chains come from one
+breadth-first pass over the subgroup inclusion DAG, _chain_levels: search
+reads the chain length from it, and the scalar chain walks its levels.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from .arith import is_prime, residues
 from .errors import InvalidElementError, InvalidOperationError, InvalidSubsetError, InvariantError
-from .groups import Element, GroupSpec, _difference_index_table, all_subgroups
+from .groups import Element, GroupSpec, _difference_index_table, _subgroup_lattice, all_subgroups
 
 
 @dataclass(frozen=True)
@@ -63,27 +66,48 @@ class DiffCounts:
 def difference_counts(g: GroupSpec, S: Sequence[Element]) -> DiffCounts:
     """Count the ordered difference pairs of S over every nonzero element.
 
-    One bincount over the rows and columns of S in the group's difference
-    index table; the diagonal lands on the identity (index 0), which is
-    dropped.  counts and levels follow element order, so level tuples come
-    out sorted.
+    The count step on one row; counts and levels follow element order, so
+    level tuples come out sorted.
     """
     subset = tuple(S)
-    idx = np.array([g.index(x) for x in subset])  # validates every element
-    if len(set(subset)) != len(subset):
-        raise InvalidSubsetError("subset has duplicate elements")
-    if len(subset) < 2:
-        raise InvalidSubsetError("difference structure needs at least 2 elements")
-    diffs = _difference_index_table(g)[idx[:, None], idx]
-    raw = np.bincount(diffs.ravel(), minlength=g.order)[1:].tolist()
-    counts = dict(zip(g.elements()[1:], raw))
+    _, counts = _count_rows(g, np.array([[g.index(x) for x in subset]]))  # index validates
+    return _diff_counts(g, subset, counts[0])
+
+
+def _diff_counts(g: GroupSpec, subset: tuple[Element, ...], row: np.ndarray) -> DiffCounts:
+    """The DiffCounts record of one count row of _count_rows."""
+    counts = dict(zip(g.elements()[1:], row.tolist()))
     levels: dict[int, list[Element]] = {}
     for x, c in counts.items():
         levels.setdefault(c, []).append(x)
-    m = len(subset)
-    if sum(raw) != m * (m - 1):
-        raise InvariantError(f"difference counts add up to {sum(raw)}, not {m * (m - 1)}")
     return DiffCounts(g, subset, counts, {c: tuple(v) for c, v in levels.items()})
+
+
+def _count_rows(g: GroupSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one count step: validate a (B, m) block of element indices and count it.
+
+    Returns (member, counts): member[b] marks row b's elements, counts[b]
+    its ordered pairs differing by each nonzero element, in element order.
+    One gather from the difference index table and one bincount (row b
+    offset by b * n); the diagonal lands on the identity, which is dropped.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    B, m = rows.shape
+    n = g.order
+    if m < 2:
+        raise InvalidSubsetError("difference structure needs at least 2 elements")
+    if rows.size and not 0 <= rows.min() <= rows.max() < n:
+        raise InvalidElementError(f"element indices must lie in [0, {n})")
+    member = np.zeros((B, n), dtype=bool)
+    member[np.arange(B)[:, None], rows] = True
+    if (member.sum(axis=1) != m).any():
+        raise InvalidSubsetError("subset has duplicate elements")
+    diffs = _difference_index_table(g)[rows[:, :, None], rows[:, None, :]]
+    diffs += n * np.arange(B)[:, None, None]
+    counts = np.bincount(diffs.ravel(), minlength=B * n).reshape(B, n)[:, 1:]
+    if (counts.sum(axis=1) != m * (m - 1)).any():
+        raise InvariantError(f"difference counts of a subset do not add up to {m * (m - 1)}")
+    return member, counts
 
 
 def reversal(g: GroupSpec, S: Iterable[Element]) -> tuple[Element, ...]:
@@ -249,11 +273,10 @@ def classify(g: GroupSpec, S: Sequence[Element]) -> Classification:
     bidifference witness sets, the divisible H, the partial and Gaussian
     (lam, mu) read from the count row, the almost t, and the chain subgroups.
     """
-    dc = difference_counts(g, S)
-    subset = dc.subset
+    subset = tuple(S)
+    cols, level, counts = _row_kernel(g, np.array([[g.index(x) for x in subset]]))  # validates
+    dc = _diff_counts(g, subset, counts[0])
     zero = g.zero
-    idx = np.array([[g.index(x) for x in subset]])
-    cols, level = _row_kernel(g, idx)
     k = {name: col[0].item() for name, col in cols.items()}
     values = dc.values()
     lam, mu = k["lam"], k["mu"]
@@ -313,12 +336,7 @@ def _split(dc: DiffCounts, inside: frozenset[Element]) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def _subgroup_keys(g: GroupSpec) -> frozenset[bytes]:
     """Each subgroup's membership over the nonzero elements, as packed bits."""
-    keys = set()
-    for h in all_subgroups(g):
-        mask = np.zeros(g.order, dtype=bool)
-        mask[[g.index(x) for x in h.elements]] = True
-        keys.add(np.packbits(mask[1:]).tobytes())
-    return frozenset(keys)
+    return frozenset(row.tobytes() for row in np.packbits(_subgroup_lattice(g)[:, 1:], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +414,8 @@ _DAG_CHUNK = 1 << 20  # bound on the entries of each matrix built at once
 
 @lru_cache(maxsize=None)
 def _chain_dag(g: GroupSpec) -> _ChainDag:
-    subs = all_subgroups(g)
-    count, n = len(subs), g.order
-    pos = {x: i for i, x in enumerate(g.elements())}
-    member = np.zeros((count, n), dtype=bool)
-    member[
-        np.repeat(np.arange(count), [h.order for h in subs]),
-        [pos[x] for h in subs for x in h.elements],
-    ] = True
+    subs, member = all_subgroups(g), _subgroup_lattice(g)
+    count = len(member)
     sizes = member.sum(axis=1)
 
     # H_i < H_j iff |H_i & H_j| = |H_i| < |H_j|; intersections by blocks of rows
@@ -478,28 +490,16 @@ def classify_rows(g: GroupSpec, rows: np.ndarray) -> dict[str, np.ndarray]:
 
 def _row_kernel(
     g: GroupSpec, rows: np.ndarray
-) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
-    """The columns of classify_rows, and the _chain_levels output behind t.
+) -> tuple[dict[str, np.ndarray], np.ndarray | None, np.ndarray]:
+    """The columns of classify_rows, the _chain_levels output behind t, and the counts.
 
     The levels have one row per row that missed both fast paths (t not 1
     or 2), in row order; None when every row took a fast path.  classify
-    walks its deep chain on them, so the level pass runs once.
+    walks its deep chain on them and reads its DiffCounts from the (B, n-1)
+    counts, so the level pass and the count step run once.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    B, m = rows.shape
-    n = g.order
-    if m < 2:
-        raise InvalidSubsetError("difference structure needs at least 2 elements")
-    if rows.size and not 0 <= rows.min() <= rows.max() < n:
-        raise InvalidElementError(f"element indices must lie in [0, {n})")
-    member = np.zeros((B, n), dtype=bool)
-    member[np.arange(B)[:, None], rows] = True
-    if (member.sum(axis=1) != m).any():
-        raise InvalidSubsetError("subset has duplicate elements")
-
-    table = _difference_index_table(g)
-    diffs = table[rows[:, :, None], rows[:, None, :]] + n * np.arange(B)[:, None, None]
-    counts = np.bincount(diffs.ravel(), minlength=B * n).reshape(B, n)[:, 1:]
+    member, counts = _count_rows(g, rows)
+    B = len(counts)
 
     ordered = np.sort(counts, axis=1)
     lo, hi = ordered[:, 0], ordered[:, -1]
@@ -527,7 +527,7 @@ def _row_kernel(
     q = _residue_mask(g)
     gaussian = np.zeros(B, dtype=bool) if q is None else _constant_split_rows(counts, q)
 
-    reversible = (member[:, table[:, 0]] == member).all(axis=1)  # table[:, 0] negates
+    reversible = (member[:, _difference_index_table(g)[:, 0]] == member).all(axis=1)  # -x_i
 
     t = np.where(one, 1, np.where(two & witness, 2, -1))
     deep = np.flatnonzero(t < 0)
@@ -553,7 +553,7 @@ def _row_kernel(
         "l": np.where(two, size, -1),
         "t": t,
         "proper_chain": nested,
-    }, level
+    }, level, counts
 
 
 def _constant_split_rows(counts: np.ndarray, inside: np.ndarray) -> np.ndarray:

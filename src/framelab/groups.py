@@ -8,7 +8,9 @@ elements under the fixed labeling
 
 which makes the index map a group isomorphism with chi_x(y) = chi_y(x) and
 conj(chi_x(y)) = chi_{-x}(y).  Phases are kept exact as fractions of the
-group exponent; complex values are derived from them.
+group exponent; complex values are derived from them.  Subgroups are one
+cached membership matrix per group, found by a walk on coordinates with no
+add table; the one (n, n) table is the difference index table.
 """
 
 from __future__ import annotations
@@ -344,74 +346,79 @@ def subgroup_generated(g: GroupSpec, gens: Iterable[Element]) -> Subgroup:
     return Subgroup(g, tuple(sorted(closure)))
 
 
-def _index_table(g: GroupSpec, sign: int) -> np.ndarray:
-    """(n, n) table with entry [i, j] = index of x_j + sign * x_i."""
-    E = _coord_matrix(g)
-    n, k = E.shape
-    radix = np.ones(k, dtype=np.int64)
-    for j in range(k - 2, -1, -1):
-        radix[j] = radix[j + 1] * g.factors[j + 1]
-    table = np.zeros((n, n), dtype=np.int64)
-    for j, f in enumerate(g.factors):
-        table += ((E[None, :, j] + sign * E[:, None, j]) % f) * radix[j]
-    return table
+def _radix(g: GroupSpec) -> np.ndarray:
+    """Mixed-radix place values: an element's index is its coordinates @ radix."""
+    return np.array([prod(g.factors[j + 1 :]) for j in range(g.rank)], dtype=np.int64)
 
 
-@lru_cache(maxsize=8)
-def _index_add_table(g: GroupSpec) -> np.ndarray:
-    """(n, n) table of element-index sums for the lattice walk."""
-    return _index_table(g, 1)
+def _check_order(g: GroupSpec, what: str) -> None:
+    """CapacityError for an order above SUBGROUP_ORDER_BOUND, before anything is built."""
+    if g.order > SUBGROUP_ORDER_BOUND:
+        raise CapacityError(f"{what} capped at order {SUBGROUP_ORDER_BOUND}, got {g.order}")
 
 
 @lru_cache(maxsize=8)
 def _difference_index_table(g: GroupSpec) -> np.ndarray:
-    """idx[i, j] = element index of x_j - x_i, for difference counts and modulation."""
-    return _index_table(g, -1)
+    """idx[i, j] = element index of x_j - x_i: the one (n, n) table, bounded before it is built."""
+    _check_order(g, "difference index table")
+    E = _coord_matrix(g)
+    table = np.zeros((g.order, g.order), dtype=np.int64)
+    for j, (f, r) in enumerate(zip(g.factors, _radix(g))):
+        table += ((E[None, :, j] - E[:, None, j]) % f) * r
+    return table
 
 
 @lru_cache(maxsize=None)
-def all_subgroups(g: GroupSpec, bound: int = SUBGROUP_ORDER_BOUND) -> tuple[Subgroup, ...]:
+def _subgroup_lattice(g: GroupSpec) -> np.ndarray:
+    """(subgroups, n) bool membership, one row per subgroup, sorted by (order, element list).
+
+    A walk from {0} on coordinates, with no add table.  Row c
+    of multiples holds the indices of k x_c, k = 0..N (N the exponent),
+    for one generator x_c of each nontrivial cyclic subgroup.  H grows to
+    H + <x_c> for every x_c outside it: with k the first multiple back in
+    H, that is the |H| * k coordinate sums of H and 0, x_c, .., (k-1) x_c,
+    mapped to indices by the mixed radix, for all c in one array step.
+    """
+    _check_order(g, "subgroup enumeration")
+    n, E, radix = g.order, _coord_matrix(g), _radix(g)
+    k = np.arange(g.exponent + 1)
+    covered = np.zeros(n, dtype=bool)  # generators of a cyclic subgroup already listed
+    multiples = []
+    for x in range(1, n):
+        if not covered[x]:
+            row = ((k[:, None] * E[x]) % g.factors) @ radix
+            order = 1 + int(np.argmax(row[1:] == 0))
+            covered[row[:order][np.gcd(k[:order], order) == 1]] = True
+            multiples.append(row)
+    multiples = np.array(multiples)
+    trivial = np.arange(n) == 0
+    seen = {trivial.tobytes()}  # rows as bytes: a row view would keep its whole block alive
+    found = [trivial]
+    for h in found:  # rows found on the way join the walk; the order is sorted away below
+        steps = 1 + np.argmax(h[multiples[:, 1:]], axis=1)
+        grow = np.flatnonzero(steps > 1)
+        take = k < steps[grow, None]  # coset representatives 0, x_c, .., (steps - 1) x_c
+        owner, reps = np.nonzero(take)[0], multiples[grow][take]
+        sums = ((E[h][:, None] + E[reps]) % g.factors) @ radix
+        grown = np.zeros((grow.size, n), dtype=bool)
+        grown[np.broadcast_to(owner, sums.shape), sums] = True
+        for key in map(np.ndarray.tobytes, grown):
+            if key not in seen:
+                seen.add(key)
+                found.append(np.frombuffer(key, dtype=bool))
+    return np.array(sorted(found, key=lambda r: (r.sum(), np.flatnonzero(r).tolist())))
+
+
+@lru_cache(maxsize=None)
+def all_subgroups(g: GroupSpec) -> tuple[Subgroup, ...]:
     """Every subgroup exactly once, sorted by (order, element list).
 
-    Breadth-first walk of the generated lattice.  Growing a subgroup H by
-    one generator x only needs the coset multiples H + k*x, so each step is
-    |H| * ord(x) index-table lookups rather than a closure from scratch.
+    The rows of _subgroup_lattice, a walk on coordinates with no add table;
+    orders above SUBGROUP_ORDER_BOUND are a CapacityError.
     """
-    if g.order > bound:
-        raise CapacityError(f"subgroup enumeration capped at order {bound}")
-    table = _index_add_table(g)
-    n = g.order
-    zero_idx = g.index(g.zero)
-    # multiples[x] = indices of 0, x, 2x, ... up to the order of x
-    multiples: list[np.ndarray] = []
-    for x in range(n):
-        ms = [zero_idx]
-        cur = x
-        while cur != zero_idx:
-            ms.append(cur)
-            cur = int(table[cur, x])
-        multiples.append(np.array(ms, dtype=np.int64))
-
-    trivial = np.array([zero_idx], dtype=np.int64)
-    seen: dict[bytes, np.ndarray] = {trivial.tobytes(): trivial}
-    queue = [trivial]
-    while queue:
-        base = queue.pop()
-        members = set(base.tolist())
-        for x in range(n):
-            if x in members:
-                continue
-            grown = np.unique(table[np.ix_(base, multiples[x])])
-            key = grown.tobytes()
-            if key not in seen:
-                seen[key] = grown
-                queue.append(grown)
     els = g.elements()
-    subs = [
-        Subgroup(g, tuple(els[i] for i in idx)) for idx in seen.values()
-    ]
-    subs.sort(key=lambda h: (h.order, h.elements))
-    return tuple(subs)
+    rows = (np.flatnonzero(h).tolist() for h in _subgroup_lattice(g))
+    return tuple(Subgroup(g, tuple(els[i] for i in row)) for row in rows)
 
 
 def annihilator(g: GroupSpec, H: Subgroup) -> Subgroup:

@@ -16,10 +16,11 @@ from fractions import Fraction
 from typing import Callable
 
 from . import surd
-from .arith import four_square_plus, is_prime, is_prime_power
+from .arith import is_prime, is_prime_power
 from .diffsets import NestedChain
 from .errors import InvalidParametersError
 from .frames import btf_multiplicities_from_angles, welch_bound
+from .residues import quartic_conditions
 
 
 @dataclass(frozen=True)
@@ -276,30 +277,22 @@ def quartic_family_angles(p: int, with_zero: bool) -> AnglePrediction | None:
     """Closed forms for fourth-power subsets of Z_p, p = 8q+5; None if inapplicable."""
     if not is_prime(p) or p % 8 != 5 or p <= 5:
         return None
-    m = (p + 3) // 4 if with_zero else (p - 1) // 4
-    root = {c: four_square_plus(p, c) for c in (1, 9, 25, 49)}  # p = 4 root^2 + c
+    m, etf, surd_pair, c = (
+        ((p + 3) // 4, "p=4a^2+9, a odd", "p=1+4a^2 or p=49+4a^2", 9) if with_zero
+        else ((p - 1) // 4, "p=4a^2+1, a odd", "p=9+4a^2 or p=25+4a^2", 1)
+    )
+    holds = quartic_conditions(p)
     params = {"p": p, "m": m, "with_zero": with_zero}
-    if not with_zero:
-        if root[1] is not None and root[1] % 2 == 1:
-            return _etf_prediction("quartic-residue", "quartic-family-rule", params, p, m)
-        if root[9] is not None or root[25] is not None:
-            den = Fraction(1, (p - 1) ** 2)
-            pairs = []
-            for sign in (+1, -1):
-                a = _surd_angle((3 * p + 1) * den, sign * 8 * den, p)
-                pairs.append((a[0], a[1], (p - 1) // 2))
-            return _assemble("quartic-residue", "quartic-family-rule", params, p, m, pairs)
-        return None
-    if root[9] is not None and root[9] % 2 == 1:
+    if holds[etf]:
         return _etf_prediction("quartic-residue", "quartic-family-rule", params, p, m)
-    if root[1] is not None or root[49] is not None:
-        den = Fraction(1, (p + 3) ** 2)
-        pairs = []
-        for sign in (+1, -1):
-            a = _surd_angle((3 * p + 9) * den, sign * 8 * den, p)
-            pairs.append((a[0], a[1], (p - 1) // 2))
-        return _assemble("quartic-residue", "quartic-family-rule", params, p, m, pairs)
-    return None
+    if not holds[surd_pair]:
+        return None
+    den = Fraction(1, (4 * m) ** 2)
+    pairs = []
+    for sign in (+1, -1):
+        a = _surd_angle((3 * p + c) * den, sign * 8 * den, p)
+        pairs.append((a[0], a[1], (p - 1) // 2))
+    return _assemble("quartic-residue", "quartic-family-rule", params, p, m, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,17 @@ class QuarticCaseReport:
     verified: bool
 
 
+def quartic_conditions(p: int) -> dict[str, bool]:
+    """The four conditions p = 4a^2 + c (c = 1, 9, 25, 49) of both quartic families, by name."""
+    root = {c: four_square_plus(p, c) for c in (1, 9, 25, 49)}  # p = 4 root^2 + c
+    return {
+        "p=4a^2+1, a odd": root[1] is not None and root[1] % 2 == 1,
+        "p=4a^2+9, a odd": root[9] is not None and root[9] % 2 == 1,
+        "p=9+4a^2 or p=25+4a^2": root[9] is not None or root[25] is not None,
+        "p=1+4a^2 or p=49+4a^2": root[1] is not None or root[49] is not None,
+    }
+
+
 def quartic_special_cases(p: int) -> QuarticCaseReport:
     """Check the four quadratic representability conditions for p = 1 mod 4.
 
@@ -264,49 +275,31 @@ def quartic_special_cases(p: int) -> QuarticCaseReport:
         raise DomainError(f"quartic special cases need p = 1 mod 4, got {p}")
     g = GroupSpec((p,))
     m4 = (p - 1) // 4
-
-    root = {c: four_square_plus(p, c) for c in (1, 9, 25, 49)}  # p = 4 root^2 + c
-    conditions = {
-        "p=4a^2+1, a odd": root[1] is not None and root[1] % 2 == 1,
-        "p=4a^2+9, a odd": root[9] is not None and root[9] % 2 == 1,
-        "p=9+4a^2 or p=25+4a^2": root[9] is not None or root[25] is not None,
-        "p=1+4a^2 or p=49+4a^2": root[1] is not None or root[49] is not None,
-    }
+    conditions = quartic_conditions(p)
 
     implications: list[dict] = []
     verified = True
 
-    def check_difference_set(with_zero: bool, lam: int) -> bool:
+    def classified(with_zero: bool) -> Classification:  # R4, or R4 + {0}
         S = tuple((z,) for z in residues(p, 4))
-        if with_zero:
-            S = ((0,),) + S
-        cls = classify(g, S)
-        return cls.difference_set_lambda == lam
+        return classify(g, ((0,),) + S if with_zero else S)
 
     def check_almost(with_zero: bool, lam: int, t: int) -> bool:
-        S = tuple((z,) for z in residues(p, 4))
-        if with_zero:
-            S = ((0,),) + S
-        cls = classify(g, S)
-        return cls.almost is not None and (cls.almost.lam, cls.almost.t) == (lam, t)
+        almost = classified(with_zero).almost
+        return almost is not None and (almost.lam, almost.t) == (lam, t)
 
     if conditions["p=4a^2+1, a odd"]:
         lam = (p - 5) // 16
-        ok = (p - 5) % 16 == 0 and check_difference_set(False, lam)
+        ok = (p - 5) % 16 == 0 and classified(False).difference_set_lambda == lam
         implications.append(
             {"set": "R4", "class": "difference_set", "params": [p, m4, lam], "holds": ok}
         )
         verified &= ok
     if conditions["p=4a^2+9, a odd"]:
         lam = (p + 3) // 16
-        ok = (p + 3) % 16 == 0 and check_difference_set(True, lam)
+        ok = (p + 3) % 16 == 0 and classified(True).difference_set_lambda == lam
         implications.append(
-            {
-                "set": "R4+{0}",
-                "class": "difference_set",
-                "params": [p, m4 + 1, lam],
-                "holds": ok,
-            }
+            {"set": "R4+{0}", "class": "difference_set", "params": [p, m4 + 1, lam], "holds": ok}
         )
         verified &= ok
     if conditions["p=9+4a^2 or p=25+4a^2"]:

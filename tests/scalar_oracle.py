@@ -23,6 +23,13 @@ oracle_full_character_table is the character table before it became one
 phase product: one phase column per element, stacked.  The oracle_*gauss*
 functions are the quadratic sums before the gather kernel, one exp array
 per (a, p), and their closed forms with the sign from Python's pow.
+
+oracle_all_subgroups is the subgroup lattice walk before it went on
+coordinates: an (n, n) add table, the multiples of every element read from
+it, and one np.unique per (subgroup, element).  oracle_quartic_family_angles
+and oracle_quartic_special_cases are the two quartic functions from before
+they shared residues.quartic_conditions, each with its own copy of the four
+p = 4a^2 + c conditions.
 """
 
 import itertools
@@ -31,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from framelab.arith import is_prime, residues
+from framelab.arith import four_square_plus, is_prime, residues
 from framelab.diffsets import (
     AlmostRecord,
     BidifferenceWitness,
@@ -44,8 +51,12 @@ from framelab.diffsets import (
     RelativeRecord,
     reversal,
 )
+from framelab.diffsets import classify as library_classify
+from framelab.errors import DomainError
 from framelab.frames import FrameSpec, ModulationReport, _closed_operators, angle_profile
 from framelab.groups import (
+    GroupSpec,
+    Subgroup,
     _difference_index_table,
     _root_table,
     all_subgroups,
@@ -53,6 +64,8 @@ from framelab.groups import (
     full_character_table,
     phase_column,
 )
+from framelab.predictions import _assemble, _etf_prediction, _surd_angle
+from framelab.residues import QuarticCaseReport, _require_odd_prime, quartic_gaussian_ds
 
 
 def oracle_difference_counts(g, S):
@@ -311,3 +324,152 @@ def oracle_half_gauss_sum_closed_form(a, p):
     if p % 4 == 1:
         return complex((1 + sign * root) / 2)
     return complex(0.5, sign * root / 2)
+
+
+def _oracle_add_table(g):
+    """(n, n) table with entry [i, j] = index of x_j + x_i."""
+    E = np.array(g.elements(), dtype=np.int64)
+    n, k = E.shape
+    radix = np.ones(k, dtype=np.int64)
+    for j in range(k - 2, -1, -1):
+        radix[j] = radix[j + 1] * g.factors[j + 1]
+    table = np.zeros((n, n), dtype=np.int64)
+    for j, f in enumerate(g.factors):
+        table += ((E[None, :, j] + E[:, None, j]) % f) * radix[j]
+    return table
+
+
+def oracle_all_subgroups(g):
+    """Every subgroup once, sorted by (order, element list): the add-table walk."""
+    table = _oracle_add_table(g)
+    n = g.order
+    multiples = []
+    for x in range(n):
+        ms = [0]
+        cur = x
+        while cur != 0:
+            ms.append(cur)
+            cur = int(table[cur, x])
+        multiples.append(np.array(ms, dtype=np.int64))
+    trivial = np.array([0], dtype=np.int64)
+    seen = {trivial.tobytes(): trivial}
+    queue = [trivial]
+    while queue:
+        base = queue.pop()
+        members = set(base.tolist())
+        for x in range(n):
+            if x in members:
+                continue
+            grown = np.unique(table[np.ix_(base, multiples[x])])
+            key = grown.tobytes()
+            if key not in seen:
+                seen[key] = grown
+                queue.append(grown)
+    els = g.elements()
+    subs = [Subgroup(g, tuple(els[i] for i in idx)) for idx in seen.values()]
+    subs.sort(key=lambda h: (h.order, h.elements))
+    return tuple(subs)
+
+
+def oracle_quartic_family_angles(p, with_zero):
+    if not is_prime(p) or p % 8 != 5 or p <= 5:
+        return None
+    m = (p + 3) // 4 if with_zero else (p - 1) // 4
+    root = {c: four_square_plus(p, c) for c in (1, 9, 25, 49)}  # p = 4 root^2 + c
+    params = {"p": p, "m": m, "with_zero": with_zero}
+    if not with_zero:
+        if root[1] is not None and root[1] % 2 == 1:
+            return _etf_prediction("quartic-residue", "quartic-family-rule", params, p, m)
+        if root[9] is not None or root[25] is not None:
+            den = Fraction(1, (p - 1) ** 2)
+            pairs = []
+            for sign in (+1, -1):
+                a = _surd_angle((3 * p + 1) * den, sign * 8 * den, p)
+                pairs.append((a[0], a[1], (p - 1) // 2))
+            return _assemble("quartic-residue", "quartic-family-rule", params, p, m, pairs)
+        return None
+    if root[9] is not None and root[9] % 2 == 1:
+        return _etf_prediction("quartic-residue", "quartic-family-rule", params, p, m)
+    if root[1] is not None or root[49] is not None:
+        den = Fraction(1, (p + 3) ** 2)
+        pairs = []
+        for sign in (+1, -1):
+            a = _surd_angle((3 * p + 9) * den, sign * 8 * den, p)
+            pairs.append((a[0], a[1], (p - 1) // 2))
+        return _assemble("quartic-residue", "quartic-family-rule", params, p, m, pairs)
+    return None
+
+
+def oracle_quartic_special_cases(p):
+    _require_odd_prime(p)
+    if p % 4 != 1:
+        raise DomainError(f"quartic special cases need p = 1 mod 4, got {p}")
+    g = GroupSpec((p,))
+    m4 = (p - 1) // 4
+
+    root = {c: four_square_plus(p, c) for c in (1, 9, 25, 49)}  # p = 4 root^2 + c
+    conditions = {
+        "p=4a^2+1, a odd": root[1] is not None and root[1] % 2 == 1,
+        "p=4a^2+9, a odd": root[9] is not None and root[9] % 2 == 1,
+        "p=9+4a^2 or p=25+4a^2": root[9] is not None or root[25] is not None,
+        "p=1+4a^2 or p=49+4a^2": root[1] is not None or root[49] is not None,
+    }
+
+    implications = []
+    verified = True
+
+    def quartic_set(with_zero):
+        S = tuple((z,) for z in residues(p, 4))
+        return ((0,),) + S if with_zero else S
+
+    def check_difference_set(with_zero, lam):
+        return library_classify(g, quartic_set(with_zero)).difference_set_lambda == lam
+
+    def check_almost(with_zero, lam, t):
+        cls = library_classify(g, quartic_set(with_zero))
+        return cls.almost is not None and (cls.almost.lam, cls.almost.t) == (lam, t)
+
+    if conditions["p=4a^2+1, a odd"]:
+        lam = (p - 5) // 16
+        ok = (p - 5) % 16 == 0 and check_difference_set(False, lam)
+        implications.append(
+            {"set": "R4", "class": "difference_set", "params": [p, m4, lam], "holds": ok}
+        )
+        verified &= ok
+    if conditions["p=4a^2+9, a odd"]:
+        lam = (p + 3) // 16
+        ok = (p + 3) % 16 == 0 and check_difference_set(True, lam)
+        implications.append(
+            {"set": "R4+{0}", "class": "difference_set", "params": [p, m4 + 1, lam], "holds": ok}
+        )
+        verified &= ok
+    if conditions["p=9+4a^2 or p=25+4a^2"]:
+        if (p - 13) % 16 == 0:
+            lam, t = (p - 13) // 16, (p - 1) // 2
+            ok = check_almost(False, lam, t)
+            implications.append(
+                {"set": "R4", "class": "almost", "params": [p, m4, lam, t], "holds": ok}
+            )
+            verified &= ok
+        else:
+            implications.append(
+                {"set": "R4", "class": "almost", "params": None, "holds": False,
+                 "reason": "implied lambda not integral"}
+            )
+    if conditions["p=1+4a^2 or p=49+4a^2"]:
+        if (p - 5) % 16 == 0:
+            lam, t = (p - 5) // 16, (p - 1) // 2
+            ok = check_almost(True, lam, t)
+            implications.append(
+                {"set": "R4+{0}", "class": "almost", "params": [p, m4 + 1, lam, t], "holds": ok}
+            )
+            verified &= ok
+        else:
+            implications.append(
+                {"set": "R4+{0}", "class": "almost", "params": None, "holds": False,
+                 "reason": "implied lambda not integral"}
+            )
+
+    if p % 8 == 5:
+        quartic_gaussian_ds(p)
+    return QuarticCaseReport(p, conditions, tuple(implications), verified)

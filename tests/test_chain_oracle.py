@@ -7,13 +7,16 @@ shortest path recomputed with Python set operations for every subset.
 """
 
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import scalar_oracle
 from framelab import diffsets
 from framelab.diffsets import classify
-from framelab.groups import GroupSpec
+from framelab.errors import CapacityError
+from framelab.groups import GroupSpec, all_subgroups
 from framelab.search import abelian_groups_of_order
 
 
@@ -75,3 +78,50 @@ def test_deep_classify_runs_one_level_pass(monkeypatch):
     assert chain.t == 3
     assert chain == scalar_oracle.oracle_nested_divisible_chain(g, ((0, 0), (1, 0), (0, 1)))
     assert calls == [1]
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 2, 2), (4, 4), (2, 8), (12,), (2, 2, 6), (3, 9)])
+def test_lattice_views_match_element_tuples(factors):
+    # the subgroup keys and the DAG's member and rank rows, derived again
+    # from the Subgroup element tuples with GroupSpec.index
+    g = GroupSpec(factors)
+    subs = all_subgroups(g)
+    masks = []
+    for h in subs:
+        mask = np.zeros(g.order, dtype=bool)
+        mask[[g.index(x) for x in h.elements]] = True
+        masks.append(mask)
+    assert diffsets._subgroup_keys(g) == {np.packbits(m[1:]).tobytes() for m in masks}
+    dag = diffsets._chain_dag(g)
+    assert dag.subgroups == tuple(h.elements for h in subs)
+    assert np.array_equal(dag.member, np.array([m[1:] for m in masks], dtype=np.float64))
+    by_elements = sorted(range(len(subs)), key=lambda i: subs[i].elements)
+    assert [by_elements.index(i) for i in range(len(subs))] == dag.rank.tolist()
+
+
+def test_classify_counts_once(monkeypatch):
+    count_rows = diffsets._count_rows
+    calls = []
+
+    def counted(g, rows):
+        calls.append(len(rows))
+        return count_rows(g, rows)
+
+    monkeypatch.setattr(diffsets, "_count_rows", counted)
+    for g, S in [(GroupSpec((6,)), ((0,), (1,), (3,))), (GroupSpec((2, 4)), ((0, 0), (1, 0), (0, 1)))]:
+        calls.clear()
+        got = classify(g, S)
+        assert calls == [1]
+        assert got.counts == scalar_oracle.oracle_difference_counts(g, S)
+
+
+def test_classify_capped_before_any_table():
+    g = GroupSpec((5003,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            classify(g, ((0,), (1,), (3,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 1024 * 1024

@@ -175,6 +175,13 @@ def test_gauss_prime_above_the_bound_exit_1(capsys, argv):
     assert err.startswith("error: residue tables capped at p <= 65536")
 
 
+def test_gauss_paley_above_the_order_bound_exit_1(capsys):
+    # 4099 is a prime above groups.SUBGROUP_ORDER_BOUND = 4096
+    code, out, err = run(capsys, "gauss", "paley", "4099")
+    assert code == 1 and out == ""
+    assert err.startswith("error: difference index table capped at order 4096")
+
+
 @pytest.mark.parametrize("action", ["sum", "half-sum"])
 def test_gauss_sum_mod_zero_exit_1(capsys, action):
     code, out, err = run(capsys, "gauss", action, "1", "0")

@@ -1,6 +1,7 @@
 """Group arithmetic, characters, subgroups, annihilators."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from framelab.errors import CapacityError, DomainError, InvalidElementError, Inv
 from framelab.groups import (
     GroupSpec,
     Subgroup,
+    _difference_index_table,
     all_subgroups,
     annihilator,
     character_eval,
@@ -162,6 +164,37 @@ def test_all_subgroups_against_oracle(g, count):
 def test_all_subgroups_capacity():
     with pytest.raises(CapacityError):
         all_subgroups(GroupSpec((5000,)))
+
+
+def test_all_subgroups_match_add_table_walk():
+    # the coordinate walk against the (n, n) add-table walk it replaced, on
+    # every group of order 2..64 (Z2^6 among them) and on Z360
+    groups = [g for n in range(2, 65) for g in abelian_groups_of_order(n)]
+    assert len(groups) == 116 and GroupSpec((2,) * 6) in groups
+    for g in groups + [GroupSpec((360,))]:
+        assert all_subgroups(g) == scalar_oracle.oracle_all_subgroups(g), g
+
+
+def test_cyclic_group_has_one_subgroup_per_divisor():
+    g = GroupSpec((1500,))
+    divisors = [d for d in range(1, 1501) if 1500 % d == 0]
+    subs = all_subgroups(g)
+    assert len(divisors) == len(subs) == 24
+    assert [h.order for h in subs] == divisors
+    for h, d in zip(subs, divisors):
+        assert h.elements == tuple((k,) for k in range(0, 1500, 1500 // d))
+
+
+def test_difference_table_capped_before_allocation():
+    g = GroupSpec((5003,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            _difference_index_table(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_annihilator_examples():

@@ -11,7 +11,7 @@ import scalar_oracle
 from framelab import residues as residues_module
 from framelab.arith import four_square_plus, is_prime, residues
 from framelab.errors import CapacityError, DomainError
-from framelab.groups import _root_table
+from framelab.groups import _difference_index_table, _root_table
 from framelab.residues import (
     PRIME_BOUND,
     _quadratic_sums,
@@ -299,3 +299,57 @@ def test_quadratic_sums_need_an_odd_prime(p):
             call(1, p)
     with pytest.raises(DomainError, match="not an odd prime"):
         gauss_sum_table(p)
+
+
+def test_paley_capped_before_any_table():
+    # 4099 is a prime above groups.SUBGROUP_ORDER_BOUND = 4096: the difference
+    # table check refuses it before an (n, n) table is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            paley_pds(4099)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 1024 * 1024
+
+
+def test_residue_sets_are_not_kept():
+    primes = [p for p in range(65_000, 65_536) if is_prime(p)][:4]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sizes = [residue_class(p, 2).size for p in primes]
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sizes == [(p - 1) // 2 for p in primes]
+    assert kept < 1024 * 1024
+
+
+def test_quartic_conditions_match_the_two_old_copies(capsys, monkeypatch):
+    # predict quartic (with and without zero) and gauss special print the same
+    # JSON as the two functions that each computed the conditions themselves
+    from framelab import cli
+
+    def outputs():
+        got = []
+        for p in primes:
+            for argv in (["predict", "quartic", "-p", str(p)],
+                         ["predict", "quartic", "-p", str(p), "--zero-in-s"],
+                         ["gauss", "special", str(p)]):
+                code = cli.main(argv)
+                out = capsys.readouterr()
+                got.append((code, out.out, out.err))
+        return got
+
+    primes = [p for p in range(5, 2000) if p % 4 == 1 and is_prime(p)]
+    try:
+        new = outputs()
+        monkeypatch.setattr(cli, "quartic_family_angles", scalar_oracle.oracle_quartic_family_angles)
+        monkeypatch.setattr(cli, "quartic_special_cases", scalar_oracle.oracle_quartic_special_cases)
+        assert outputs() == new
+    finally:
+        _difference_index_table.cache_clear()  # up to 8 tables of 32 MB at p near 2000
+    assert sum('"applicable": false' not in out for _, out, _ in new[::3]) > 0
+    assert sum(code == 0 for code, _, _ in new) == len(new) - 1  # gauss special 5: m = 1
