@@ -85,15 +85,23 @@ def _assemble(
     n: int,
     m: int,
     pairs: list[tuple[float, str, int | None]],
+    biangular: bool = True,
 ) -> AnglePrediction:
-    """Sort (angle, symbolic, stated multiplicity) triples and derive multiplicities."""
+    """Sort (angle, symbolic, stated multiplicity) triples and derive multiplicities.
+
+    The two-angle derivation assumes the frame has exactly these two angles;
+    for a pair taken from a frame with more (biangular False) the stated
+    counts are the multiplicities, and nothing is derived from the pair.
+    """
     pairs = sorted(pairs, key=lambda t: t[0])
     angles = tuple(a for a, _, _ in pairs)
     symbolic = tuple(s for _, s, _ in pairs)
     stated = tuple(t for _, _, t in pairs) if all(t is not None for _, _, t in pairs) else None
     derived = None
     conflict = False
-    if len(angles) == 2 and abs(angles[0] - angles[1]) > 1e-12:
+    if not biangular:
+        derived = stated
+    elif len(angles) == 2 and abs(angles[0] - angles[1]) > 1e-12:
         derived = btf_multiplicities_from_angles(n, m, angles[0], angles[1])
         if stated is not None:
             conflict = tuple(stated) != tuple(derived)
@@ -267,7 +275,7 @@ def ndds_angles(chain: NestedChain, m: int | None = None) -> NddsPrediction:
         a, sym = _surd_angle(sq, Fraction(0), 1)
         pairs.append((a, sym, agg.get(sq, 0)))
     pred = _assemble(
-        "nested-divisible", "nested-chain-angle-rule", params, n, m, pairs
+        "nested-divisible", "nested-chain-angle-rule", params, n, m, pairs, biangular
     )
     shells = tuple(sorted((float(v), c) for v, c in agg.items()))
     return NddsPrediction(pred, biangular, shells)

@@ -4,16 +4,19 @@ Subsets stream in lexicographic order as (B, m) blocks of element indices,
 B <= BLOCK_SIZE, and each block is classified with array operations: the
 angle magnitudes of all its rows come from one gather-sum over the character
 table, clusters and the ETF/BTF decision from frames, and the set classes
-from the diffsets row kernel.  Per-row temporaries are built ROW_CHUNK rows
-at a time, so their size is bounded by rows, not by the job; a record is
-built only for a subset that passes the filter.  The serial path classifies
-each block as it is cut; with jobs > 1 and more than one block a process
-pool maps the blocks.  Aggregation merges blocks in index order, so reports
-are identical for any worker count.  Full mode walks all C(n, m) subsets;
-reduced mode walks the C(n-1, m-1) subsets containing the identity.  That is
-not one representative per translation class: a class of m-subsets with
-trivial stabilizer has m members containing the identity, and all of them
-are kept and counted.
+from the diffsets row kernel.  Per-row temporaries are built in chunks of
+min(BLOCK_SIZE, max(ROW_CHUNK, CHUNK_ENTRIES // (n m))) rows, so the chunk's
+(n, rows, m) complex character gather stays within CHUNK_ENTRIES entries
+(512 KB) whenever ROW_CHUNK rows fit in it, and memory is bounded by the
+group, not by the job; a record is built only for a subset that passes the
+filter.  The serial path classifies each block as it is cut; with jobs > 1
+and more than one block a process pool classifies them, with at most
+2 * jobs blocks in flight.  Aggregation merges blocks in index order, so
+reports are identical for any worker count.  Full mode walks all C(n, m)
+subsets; reduced mode walks the C(n-1, m-1) subsets containing the
+identity.  That is not one representative per translation class: a class of
+m-subsets with trivial stabilizer has m members containing the identity,
+and all of them are kept and counted.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import itertools
 import math
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -187,7 +191,8 @@ COUNTED = (
     "difference_set", "bidifference", "divisible", "relative",
     "partial", "gaussian", "almost", "nested_divisible", "etf", "btf",
 )
-ROW_CHUNK = 128  # rows per batch of per-row temporaries
+ROW_CHUNK = 128  # least rows per chunk of per-row temporaries
+CHUNK_ENTRIES = 2**15  # entries of a chunk's (n, rows, m) complex gather: 512 KB
 
 
 def _filter_column(job: SearchJob) -> str | None:
@@ -203,14 +208,46 @@ def _filter_column(job: SearchJob) -> str | None:
     return name
 
 
+def _chunk_rows(n: int, m: int) -> int:
+    """Rows per chunk of a block: as many as keep the (n, rows, m) character
+    gather within CHUNK_ENTRIES entries, but at least ROW_CHUNK and at most
+    BLOCK_SIZE."""
+    return min(BLOCK_SIZE, max(ROW_CHUNK, CHUNK_ENTRIES // (n * m)))
+
+
+def _flag_dicts(flags: dict[str, np.ndarray], pick: np.ndarray) -> list[dict]:
+    """The record flag dicts of the picked rows, in pick order.
+
+    A dict is built once per distinct row of the flag columns, found by a
+    packed integer key (a mixed radix over the columns' value spans, far
+    inside int64 since n <= SUBGROUP_ORDER_BOUND), and each record gets its
+    own copy, because find_btfs adds a key per record.  Values keep their
+    types: bool for ROW_FLAGS, int or None (for -1) for lam, mu, l and t.
+    """
+    if not flags:
+        return [{} for _ in pick]
+    cols = np.stack([v[pick] for v in flags.values()], axis=1).astype(np.int64)
+    lo = cols.min(axis=0)
+    span = cols.max(axis=0) - lo + 1
+    key = (cols - lo) @ np.cumprod(np.concatenate(([1], span[:-1])))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    values = {k: v[pick[first]].tolist() for k, v in flags.items()}
+    for k in values.keys() - ROW_FLAGS:
+        values[k] = [None if v < 0 else v for v in values[k]]
+    distinct = [dict(zip(values, vs)) for vs in zip(*values.values())]
+    return [distinct[j].copy() for j in inverse.tolist()]
+
+
 def _classify_block(job: SearchJob, block: np.ndarray) -> tuple[list[SubsetRecord], np.ndarray]:
     """Records of the rows of a (B, m) index block that pass the job's filter,
     and the block's class counts in COUNTED order.
 
-    Rows go ROW_CHUNK at a time: magnitudes |sum_j chi_{g_j}(x)| / m as one
-    gather-sum over the character table (the same sums, bit for bit, as one
-    subset at a time), clusters and ETF/BTF from frames, set classes from
-    diffsets.classify_rows.  A record is built only for a row that is kept.
+    Rows go _chunk_rows(n, m) at a time, so a chunk's complex gather holds
+    at most CHUNK_ENTRIES entries (512 KB), or ROW_CHUNK * n * m where that
+    is more: magnitudes |sum_j chi_{g_j}(x)| / m as one gather-sum over the
+    character table (the same sums, bit for bit, as one subset at a time),
+    clusters and ETF/BTF from frames, set classes from diffsets.classify_rows.
+    A record is built only for a row that is kept.
     """
     g, m, tol = job.group, job.m, job.angle_tol
     T = full_character_table(g)
@@ -219,8 +256,9 @@ def _classify_block(job: SearchJob, block: np.ndarray) -> tuple[list[SubsetRecor
     target = None if job.target_angles is None else np.sort(job.target_angles)
     kept: list[SubsetRecord] = []
     totals = np.zeros(len(COUNTED), dtype=np.int64)
-    for a in range(0, len(block), ROW_CHUNK):
-        rows = block[a : a + ROW_CHUNK]
+    step = _chunk_rows(g.order, m)
+    for a in range(0, len(block), step):
+        rows = block[a : a + step]
         mags = (np.abs(T[:, rows].sum(axis=-1)) / m)[1:].T  # x = 0 is index 0
         c = cluster_rows(mags, tol)
         is_etf, is_btf = etf_btf(g.order, m, c)
@@ -238,17 +276,10 @@ def _classify_block(job: SearchJob, block: np.ndarray) -> tuple[list[SubsetRecor
         pick = np.flatnonzero(keep)
         if not pick.size:
             continue
-        values = {k: v[pick].tolist() for k, v in flags.items()}
-        for k in values.keys() - ROW_FLAGS:
-            values[k] = [None if v < 0 else v for v in values[k]]
-        row_flags = (
-            [dict(zip(values, vs)) for vs in zip(*values.values())]
-            if values else [{} for _ in pick]
-        )
         starts, reps, sizes = c.starts.tolist(), c.reps.tolist(), c.sizes.tolist()
         for i, row, etf, btf, fl in zip(
             pick.tolist(), rows[pick].tolist(), is_etf[pick].tolist(), is_btf[pick].tolist(),
-            row_flags,
+            _flag_dicts(flags, pick),
         ):
             lo, hi = starts[i], starts[i + 1]
             subset = tuple(map(els.__getitem__, row))
@@ -267,12 +298,36 @@ def _index_blocks(job: SearchJob) -> Iterator[np.ndarray]:
         yield np.array(block, dtype=np.intp)
 
 
+def _map_blocks(
+    job: SearchJob, blocks: Iterator[np.ndarray], jobs: int
+) -> Iterator[tuple[list[SubsetRecord], np.ndarray]]:
+    """_classify_block over the blocks, results in block order.
+
+    With jobs == 1 each block is classified as it is cut.  Otherwise a
+    process pool of that many workers holds at most 2 * jobs blocks in
+    flight: the next block is cut only when the oldest result is taken, so
+    blocks cut ahead of the merge stay bounded, not the whole job.
+    """
+    if jobs == 1:
+        yield from (_classify_block(job, b) for b in blocks)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        pending: deque = deque()
+        for b in blocks:
+            if len(pending) == 2 * jobs:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_classify_block, job, b))
+        while pending:
+            yield pending.popleft().result()
+
+
 def enumerate_and_classify(job: SearchJob) -> SearchReport:
     """Classify every subset of the job, filter, aggregate deterministically.
 
     Blocks are classified as they are cut on the serial path; with jobs > 1
-    and more than one block, a process pool maps them.  Results merge in
-    block order, so the report is the same for any worker count.
+    and more than one block, a process pool classifies them, at most
+    2 * jobs in flight.  Results merge in block order, so the report is the
+    same for any worker count.
     """
     g = job.group
     n = g.order
@@ -286,17 +341,10 @@ def enumerate_and_classify(job: SearchJob) -> SearchReport:
         raise CapacityError(f"{total} subsets exceed cap {job.cap}")
 
     t0 = time.perf_counter()
-    blocks = _index_blocks(job)
-    jobs = max(1, job.jobs)
-    if jobs == 1 or total <= BLOCK_SIZE:
-        results = (_classify_block(job, b) for b in blocks)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_classify_block, itertools.repeat(job), blocks))
-
+    jobs = 1 if total <= BLOCK_SIZE else max(1, job.jobs)
     kept: list[SubsetRecord] = []
     totals = np.zeros(len(COUNTED), dtype=np.int64)
-    for records, counts in results:
+    for records, counts in _map_blocks(job, _index_blocks(job), jobs):
         kept.extend(records)
         totals += counts
     class_counts = {k: v for k, v in zip(COUNTED, totals.tolist()) if v}

@@ -57,6 +57,16 @@ def test_predict_ndds(capsys):
     assert [round(a["value"], 6) for a in d["angles"]] == [0.333333, 0.745356]
 
 
+def test_predict_ndds_three_angle_chain(capsys):
+    code, out, _ = run(
+        capsys, "predict", "ndds", "--group", "Z3xZ4", "--set", "(0,0),(0,1),(1,0),(2,0)"
+    )
+    assert code == 0
+    d = json.loads(out)
+    assert d["biangular"] is False
+    assert d["shell_values"] == [[0.0625, 8], [0.25, 1], [0.625, 2]]
+
+
 def test_predict_quartic_not_applicable(capsys):
     code, out, _ = run(capsys, "predict", "quartic", "-p", "17")
     assert code == 0

@@ -233,3 +233,23 @@ def test_ndds_non_biangular_shells_match_brute_force():
     # the guaranteed angle pair occurs among the frame angles
     for a in res.prediction.angles:
         assert any(abs(a - b) < 1e-9 for b in prof.angles)
+
+
+def test_ndds_three_angle_chain_takes_shell_multiplicities():
+    # lambdas (3, 0, 1), sizes (3, 6, 12): the pair's two-angle derivation
+    # gives 8.67 and 2.33, which once made predict ndds exit 1
+    g = parse_group("Z3xZ4")
+    S = parse_subset(g, "(0,0),(0,1),(1,0),(2,0)")
+    res = ndds_angles(nested_divisible_chain(g, S))
+    assert not res.biangular
+    prof = angle_profile(FrameSpec(g, S))
+    assert prof.angles == pytest.approx((0.25, 0.5, math.sqrt(10) / 4), abs=1e-12)
+    assert prof.multiplicities == (8, 1, 2)
+    assert len(res.shell_values) == prof.d
+    for (sq, cnt), a, t in zip(res.shell_values, prof.angles, prof.multiplicities):
+        assert math.sqrt(sq) == pytest.approx(a, abs=1e-9)
+        assert cnt == t
+    pred = res.prediction
+    assert pred.angles == pytest.approx((0.25, math.sqrt(10) / 4))
+    assert pred.stated_multiplicities == pred.derived_multiplicities == (8, 2)
+    assert not pred.multiplicity_conflict

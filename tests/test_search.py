@@ -1,11 +1,15 @@
 """Enumeration, filtering, determinism, cross-group matching."""
 
+import itertools
+import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from framelab.diffsets import translate
+from framelab import search
+from framelab.diffsets import ROW_FLAGS, translate
 from framelab.errors import CapacityError, DomainError
 from framelab.groups import GroupSpec, parse_group
 from framelab.search import (
@@ -87,6 +91,90 @@ def test_process_pool_matches_serial():
     assert serial["total_enumerated"] == 4368
 
 
+def _report_text(rep) -> tuple[str, str]:
+    d = rep.to_dict()
+    del d["runtime_seconds"]
+    return json.dumps(d, indent=1), "\n".join(map(repr, rep.to_csv_rows()))
+
+
+def test_chunk_bound_does_not_change_reports(monkeypatch):
+    # one row per chunk against the whole block in one chunk, byte for byte
+    def texts(job):
+        monkeypatch.setattr(search, "ROW_CHUNK", 1)
+        monkeypatch.setattr(search, "CHUNK_ENTRIES", 1)
+        assert search._chunk_rows(job.group.order, job.m) == 1
+        single = _report_text(enumerate_and_classify(job))
+        monkeypatch.setattr(search, "ROW_CHUNK", BLOCK_SIZE)
+        assert search._chunk_rows(job.group.order, job.m) == BLOCK_SIZE
+        whole = _report_text(enumerate_and_classify(job))
+        return single, whole
+
+    jobs = 0
+    for n in range(2, 11):
+        for g in abelian_groups_of_order(n):
+            for m in range(1, n + 1):
+                for mode in ("full", "reduced"):
+                    single, whole = texts(SearchJob(g, m, mode=mode))
+                    assert single == whole, (g.name, m, mode)
+                    jobs += 1
+            m = min(3, n)
+            for f in ("btf", "nested-divisible"):
+                single, whole = texts(SearchJob(g, m, filter_name=f))
+                assert single == whole, (g.name, m, f)
+            angles = enumerate_and_classify(SearchJob(g, m)).records[-1].angles
+            single, whole = texts(SearchJob(g, m, mode="reduced", target_angles=angles))
+            assert single == whole, (g.name, m, angles)
+            assert json.loads(single[0])["match_count"] > 0
+    assert jobs > 100
+
+
+def test_records_own_their_flag_dicts():
+    rep = enumerate_and_classify(SearchJob(parse_group("Z12"), 4))
+    assert len({r.flags["lam"] for r in rep.records}) > 1
+    assert len({id(r.flags) for r in rep.records}) == len(rep.records) == 495
+    rep = find_btfs(parse_group("Z2xZ4"), 3)
+    assert len({id(r.flags) for r in rep.records}) == len(rep.records) > 1
+    # value types of a schema-1 record: bool class flags, int or None parameters
+    for r in rep.records:
+        for k in ROW_FLAGS + ("btf_without_bidifference",):
+            assert type(r.flags[k]) is bool, k
+        for k in ("lam", "mu", "l", "t"):
+            assert r.flags[k] is None or type(r.flags[k]) is int, k
+
+
+def test_pool_bounds_blocks_in_flight():
+    # 12 blocks of 10 rows through 2 workers: at most 2 * jobs blocks are
+    # cut ahead of the merge, and results come back in block order
+    job = SearchJob(parse_group("Z10"), 3)
+    blocks = np.array_split(np.array(list(itertools.combinations(range(10), 3))), 12)
+    cut = 0
+
+    def counted():
+        nonlocal cut
+        for b in blocks:
+            cut += 1
+            yield b
+
+    ahead = []
+    pooled = []
+    for result in search._map_blocks(job, counted(), 2):
+        pooled.append(result)
+        ahead.append(cut - len(pooled))
+    assert cut == len(pooled) == 12
+    assert max(ahead) == 4
+    serial = list(search._map_blocks(job, iter(blocks), 1))
+    assert [r for r, _ in pooled] == [r for r, _ in serial]
+    assert all((a == b).all() for (_, a), (_, b) in zip(pooled, serial))
+
+
+def test_pool_with_more_blocks_than_in_flight_matches_serial(monkeypatch):
+    monkeypatch.setattr(search, "BLOCK_SIZE", 16)  # C(10, 3) = 120: 8 blocks
+    job = SearchJob(parse_group("Z10"), 3)
+    assert len(list(search._index_blocks(job))) == 8
+    serial = _report_text(enumerate_and_classify(job))
+    assert _report_text(enumerate_and_classify(replace(job, jobs=2))) == serial
+
+
 @pytest.mark.parametrize("name", ["differnce-set", "lam", "t", "btf_without_bidifference", ""])
 def test_unknown_filter_is_rejected(name):
     with pytest.raises(DomainError, match="unknown filter"):
@@ -140,8 +228,6 @@ def test_cross_group_golden_counts():
 
 
 def test_report_roundtrip_and_csv():
-    import json
-
     g = parse_group("Z6")
     rep = enumerate_and_classify(SearchJob(g, 3, filter_name="btf"))
     d = rep.to_dict()

@@ -9,6 +9,7 @@ then the old filter and class counting.  Reports must agree field for field
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -131,6 +132,12 @@ def assert_same_report(job, records):
     del a["runtime_seconds"], b["runtime_seconds"]
     assert a == b, job
     assert got.to_csv_rows() == want.to_csv_rows(), job
+    # == takes True for 1, the text does not; compared as one bool, so that a
+    # failure does not make pytest diff megabytes of text
+    same_text = json.dumps(a) == json.dumps(b) and repr(got.to_csv_rows()) == repr(
+        want.to_csv_rows()
+    )
+    assert same_text, job
     return got
 
 
