@@ -88,8 +88,28 @@ def cmd_angles(args) -> int:
     return 0
 
 
+# option destinations and the flags that set them, for predict and verify
+_FLAGS = {
+    "group": "--group", "subset": "--set", "max_order": "--max-order",
+    "n": "-n", "m": "-m", "l": "-l", "lam": "--lam", "mu": "--mu", "p": "-p",
+}
+
+# the options each predict family needs; a missing one is a usage error
+_PREDICT_OPTIONS = {
+    "dds": ("n", "m", "l", "lam", "mu"),
+    "rds": ("n", "m", "l", "mu"),
+    "pds": ("n", "m", "lam", "mu"),
+    "gaussian": ("p", "m", "lam", "mu"),
+    "quartic": ("p",),
+    "ndds": ("group", "subset"),
+}
+
+
 def cmd_predict(args) -> int:
     fam = args.family
+    missing = [_FLAGS[k] for k in _PREDICT_OPTIONS[fam] if getattr(args, k) is None]
+    if missing:
+        args.usage_error(f"predict {fam} needs {', '.join(missing)}")
     if fam == "dds":
         pred = dds_angles(args.n, args.m, args.l, args.lam, args.mu)
     elif fam == "rds":
@@ -188,18 +208,9 @@ def cmd_tables(args) -> int:
         "alpha1", "alpha2", "deviation", "passed",
     ]]
     for r in reports:
-        params = list(r.params) if r.params else []
-        n = params[0] if params else ""
-        m = params[1] if len(params) > 1 else ""
-        if r.table == "dds":
-            l, lam, mu = params[2], params[3], params[4]
-        elif r.table == "rds":
-            l, lam, mu = params[2], 0, params[3]
-        else:
-            l, lam, mu = "", params[2], params[3]
         alphas = list(r.table_alphas) if r.table_alphas else ["", ""]
         rows.append([
-            r.table, r.row, json.dumps(r.sample), n, m, l, lam, mu,
+            r.table, r.row, json.dumps(r.sample), *r.columns(),
             alphas[0], alphas[1],
             "" if r.deviation is None else f"{r.deviation:.3e}", r.passed,
         ])
@@ -210,11 +221,10 @@ def cmd_tables(args) -> int:
 
 # the options each verify suite reads; giving one it does not read is an error
 _VERIFY_OPTIONS = {"modulation": ("group", "subset"), "etf-difference": ("max_order",)}
-_FLAGS = {"group": "--group", "subset": "--set", "max_order": "--max-order"}
 
 
 def cmd_verify(args) -> int:
-    given = {k: getattr(args, k) for k in _FLAGS if getattr(args, k) is not None}
+    given = {k: v for k in _FLAGS if (v := getattr(args, k, None)) is not None}
     unread = [_FLAGS[k] for k in given if k not in _VERIFY_OPTIONS.get(args.suite, ())]
     if unread:
         raise FramelabError(f"verify {args.suite} does not take {', '.join(unread)}")
@@ -261,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group")
     p.add_argument("--set", dest="subset")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func=cmd_predict, usage_error=p.error)
 
     p = sub.add_parser("search", help="enumerate and classify m-subsets")
     p.add_argument("--group", help="single group, e.g. Z2xZ4")

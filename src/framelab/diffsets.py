@@ -103,7 +103,7 @@ def _count_rows(g: GroupSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if (member.sum(axis=1) != m).any():
         raise InvalidSubsetError("subset has duplicate elements")
     diffs = _difference_index_table(g)[rows[:, :, None], rows[:, None, :]]
-    diffs += n * np.arange(B)[:, None, None]
+    diffs = diffs + n * np.arange(B)[:, None, None]  # promotes: b * n overflows int16
     counts = np.bincount(diffs.ravel(), minlength=B * n).reshape(B, n)[:, 1:]
     if (counts.sum(axis=1) != m * (m - 1)).any():
         raise InvariantError(f"difference counts of a subset do not add up to {m * (m - 1)}")

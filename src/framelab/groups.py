@@ -359,12 +359,24 @@ def _check_order(g: GroupSpec, what: str) -> None:
 
 @lru_cache(maxsize=8)
 def _difference_index_table(g: GroupSpec) -> np.ndarray:
-    """idx[i, j] = element index of x_j - x_i: the one (n, n) table, bounded before it is built."""
+    """idx[i, j] = element index of x_j - x_i: the one (n, n) table, bounded before it is built.
+
+    int16, since every index is below SUBGROUP_ORDER_BOUND = 4096, and built
+    in place: the first coordinate's term is written into the table and each
+    further one into a single (n, n) int16 temporary, so a cyclic group
+    needs no temporary at all.  Sums over the table must promote first.
+    """
     _check_order(g, "difference index table")
-    E = _coord_matrix(g)
-    table = np.zeros((g.order, g.order), dtype=np.int64)
-    for j, (f, r) in enumerate(zip(g.factors, _radix(g))):
-        table += ((E[None, :, j] - E[:, None, j]) % f) * r
+    E = _coord_matrix(g).astype(np.int16)
+    table = np.zeros((g.order, g.order), dtype=np.int16)
+    term = np.empty_like(table) if g.rank > 1 else None
+    for j, (f, r) in enumerate(zip(g.factors, _radix(g).tolist())):
+        out = table if j == 0 else term
+        np.subtract(E[None, :, j], E[:, None, j], out=out)
+        out %= f
+        out *= r
+        if j:
+            table += term
     return table
 
 

@@ -1,18 +1,26 @@
 """Closed-form frame-angle predictors and the tabulated parameter families.
 
 Each set class carries a rule mapping its parameters to the frame angles of
-the generated harmonic frame.  Angle values are trusted as stated by the
-rules; multiplicities are additionally recomputed from the two-angle
-tight-sum identity, because the stated n/l count includes the identity
-character index while the off-diagonal count excludes it.  Disagreements are
-flagged, never silently corrected.
+the generated harmonic frame.  The subgroup classes share one shell rule
+(_chain_shells): counts constant on the annuli of a chain {0} = A_0 < ... <
+A_t = G grade the nontrivial characters into shells, shell r those trivial
+on A_r but not on A_{r+1}, each with one squared angle, a running sum over
+the chain.  A set divisible relative to H is the chain {0} < H < G and a
+relative set the case lam = 0.  One shell value is an ETF, two a BTF.  The
+partial, Gaussian and quartic rules give a conjugate pair rat +- coef sqrt(s).
+
+Two-angle predictions carry stated multiplicities and those derived from
+the tight-sum identity.  The divisible and relative rules state the paper's
+n/l, which counts the identity character index, where the shell holds
+n/l - 1: the disagreement is flagged, never silently corrected.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from . import surd
@@ -44,22 +52,16 @@ class AnglePrediction:
             "rule": self.rule,
             "params": self.params,
             "is_etf": self.is_etf,
-            "angles": [
-                {"value": a, "symbolic": s}
-                for a, s in zip(self.angles, self.symbolic)
-            ],
-            "stated_multiplicities": (
-                None
-                if self.stated_multiplicities is None
-                else list(self.stated_multiplicities)
-            ),
-            "derived_multiplicities": (
-                None
-                if self.derived_multiplicities is None
-                else list(self.derived_multiplicities)
-            ),
+            "angles": [{"value": a, "symbolic": s} for a, s in zip(self.angles, self.symbolic)],
+            "stated_multiplicities": _listed(self.stated_multiplicities),
+            "derived_multiplicities": _listed(self.derived_multiplicities),
             "multiplicity_conflict": self.multiplicity_conflict,
         }
+
+
+def _listed(v):
+    """A tuple as a JSON list; anything else as it is."""
+    return list(v) if isinstance(v, tuple) else v
 
 
 def _surd_angle(rat: Fraction, coef: Fraction, s: int) -> tuple[float, str]:
@@ -79,15 +81,10 @@ def _surd_angle(rat: Fraction, coef: Fraction, s: int) -> tuple[float, str]:
 
 
 def _assemble(
-    family: str,
-    rule: str,
-    params: dict,
-    n: int,
-    m: int,
-    pairs: list[tuple[float, str, int | None]],
-    biangular: bool = True,
+    family: str, rule: str, params: dict, n: int, m: int,
+    pairs: list[tuple[float, str, int | None]], biangular: bool = True,
 ) -> AnglePrediction:
-    """Sort (angle, symbolic, stated multiplicity) triples and derive multiplicities.
+    """Sort two (angle, symbolic, stated multiplicity) triples and derive multiplicities.
 
     The two-angle derivation assumes the frame has exactly these two angles;
     for a pair taken from a frame with more (biangular False) the stated
@@ -101,14 +98,12 @@ def _assemble(
     conflict = False
     if not biangular:
         derived = stated
-    elif len(angles) == 2 and abs(angles[0] - angles[1]) > 1e-12:
+    elif abs(angles[0] - angles[1]) > 1e-12:
         derived = btf_multiplicities_from_angles(n, m, angles[0], angles[1])
         if stated is not None:
             conflict = tuple(stated) != tuple(derived)
-    elif len(angles) == 1:
-        derived = (n - 1,)
     return AnglePrediction(
-        family, rule, params, len(angles) == 1, angles, symbolic, stated, derived, conflict
+        family, rule, params, False, angles, symbolic, stated, derived, conflict
     )
 
 
@@ -118,6 +113,55 @@ def _etf_prediction(family: str, rule: str, params: dict, n: int, m: int) -> Ang
     return AnglePrediction(
         family, rule, params, True, (w,), (sym,), (n - 1,), (n - 1,), False
     )
+
+
+def _chain_shells(
+    n: int, m: int, sizes: tuple[int, ...], lambdas: tuple[int, ...]
+) -> dict[Fraction, int]:
+    """{squared angle: count} of the chain {0} = A_0 < A_1 < ... < A_t = G.
+
+    sizes are |A_1|, ..., |A_t| and lambdas the count on each annulus
+    A_r minus A_{r-1}.  Shell r, r = 0..t-1, holds the n/|A_r| - n/|A_{r+1}|
+    character indices trivial on A_r but not on A_{r+1}, and on it
+    m^2 alpha^2 = m - lam_1 + sum_{j<=r} (lam_j - lam_{j+1}) |A_j|, one
+    running sum.  Empty shells are dropped and equal values merged, first
+    occurrence first.
+    """
+    shells: dict[Fraction, int] = {}
+    value, below = m - lambdas[0], 1
+    for r, size in enumerate(sizes):
+        if r:
+            value += (lambdas[r - 1] - lambdas[r]) * below
+        count = n // below - n // size
+        if count:
+            sq = Fraction(value, m * m)
+            shells[sq] = shells.get(sq, 0) + count
+        below = size
+    return shells
+
+
+def _subgroup_rule(
+    family: str, rule: str, params: dict, n: int, m: int, l: int, lam: int, mu: int
+) -> AnglePrediction:
+    """The chain {0} < H < G, |H| = l, with the paper's stated counts
+    n - n/l - 1 and n/l for its shells (which hold n - n/l and n/l - 1)."""
+    shells = _chain_shells(n, m, (l, n), (lam, mu))
+    if len(shells) == 1:
+        return _etf_prediction(family, rule, params, n, m)
+    if min(shells) < 0:
+        raise InvalidParametersError(f"negative radicand for {params}")
+    pairs = [
+        (*_surd_angle(sq, Fraction(0), 1), stated)
+        for sq, stated in zip(shells, (n - n // l - 1, n // l))
+    ]
+    return _assemble(family, rule, params, n, m, pairs)
+
+
+def _conjugate_pair(
+    rat: Fraction, coef: Fraction, s: int, stated: int | None
+) -> list[tuple[float, str, int | None]]:
+    """The two angles with alpha^2 = rat +- coef*sqrt(s), each with the stated count."""
+    return [(*_surd_angle(rat, sign * coef, s), stated) for sign in (+1, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -131,21 +175,11 @@ def dds_angles(n: int, m: int, l: int, lam: int, mu: int) -> AnglePrediction:
         raise InvalidParametersError(f"l={l} must divide n={n}")
     if m * (m - 1) != lam * (l - 1) + mu * (n - l):
         raise InvalidParametersError(f"counting identity fails for {params}")
-    if lam == mu:
-        return _etf_prediction("divisible", "divisible-angle-rule", params, n, m)
-    rad1 = m - lam + l * (lam - mu)
-    rad2 = m - lam
-    if rad1 < 0 or rad2 < 0:
-        raise InvalidParametersError(f"negative radicand for {params}")
-    m2 = Fraction(1, m * m)
-    a1 = _surd_angle(rad1 * m2, Fraction(0), 1)
-    a2 = _surd_angle(rad2 * m2, Fraction(0), 1)
-    pairs = [(a1[0], a1[1], n // l), (a2[0], a2[1], n - n // l - 1)]
-    return _assemble("divisible", "divisible-angle-rule", params, n, m, pairs)
+    return _subgroup_rule("divisible", "divisible-angle-rule", params, n, m, l, lam, mu)
 
 
 def rds_angles(n: int, m: int, l: int, mu: int) -> AnglePrediction:
-    """Divisible rule at lam = 0; l = 1 collapses to an equiangular frame."""
+    """The divisible rule at lam = 0."""
     params = {"n": n, "m": m, "l": l, "mu": mu}
     if l < 1 or n % l != 0:
         raise InvalidParametersError(f"l={l} must divide n={n}")
@@ -153,13 +187,7 @@ def rds_angles(n: int, m: int, l: int, mu: int) -> AnglePrediction:
         raise InvalidParametersError(f"counting identity fails for {params}")
     if l * mu > m:
         raise InvalidParametersError(f"l*mu = {l * mu} exceeds m = {m}")
-    if l == 1:
-        return _etf_prediction("relative", "relative-angle-rule", params, n, m)
-    m2 = Fraction(1, m * m)
-    a1 = _surd_angle((m - l * mu) * m2, Fraction(0), 1)
-    a2 = _surd_angle(m * m2, Fraction(0), 1)
-    pairs = [(a1[0], a1[1], n // l), (a2[0], a2[1], n - n // l - 1)]
-    return _assemble("relative", "relative-angle-rule", params, n, m, pairs)
+    return _subgroup_rule("relative", "relative-angle-rule", params, n, m, l, 0, mu)
 
 
 def pds_angles(n: int, m: int, lam: int, mu: int, zero_in_s: bool) -> AnglePrediction:
@@ -179,10 +207,7 @@ def pds_angles(n: int, m: int, lam: int, mu: int, zero_in_s: bool) -> AnglePredi
         raise InvalidParametersError(f"negative discriminant for {params}")
     # alpha^2 = (2*gamma + delta^2 +- delta*sqrt(disc)) / (2 m^2)
     den = Fraction(1, 2 * m * m)
-    pairs = []
-    for sign in (+1, -1):
-        a = _surd_angle((2 * gamma + delta * delta) * den, sign * delta * den, disc)
-        pairs.append((a[0], a[1], None))
+    pairs = _conjugate_pair((2 * gamma + delta * delta) * den, delta * den, disc, None)
     return _assemble("partial", "partial-angle-rule", params, n, m, pairs)
 
 
@@ -200,12 +225,7 @@ def gaussian_angles(p: int, m: int, lam: int, mu: int) -> AnglePrediction:
             f"p = 3 mod 4 forces lam = mu; got ({lam}, {mu}) at p={p}"
         )
     den = Fraction(1, 2 * m * m)
-    pairs = []
-    for sign in (+1, -1):
-        a = _surd_angle(
-            (2 * (m - lam) + (lam - mu)) * den, sign * (lam - mu) * den, p
-        )
-        pairs.append((a[0], a[1], (p - 1) // 2))
+    pairs = _conjugate_pair((2 * (m - lam) + (lam - mu)) * den, (lam - mu) * den, p, (p - 1) // 2)
     return _assemble("gaussian", "gaussian-angle-rule", params, p, m, pairs)
 
 
@@ -221,64 +241,27 @@ class NddsPrediction:
 def ndds_angles(chain: NestedChain, m: int | None = None) -> NddsPrediction:
     """Angles and biangularity verdict for a nested divisible chain.
 
-    The annihilators of the chain subgroups grade the character indices into
-    shells of known sizes, which yields exact multiplicities as well.
+    The chain's shells (_chain_shells) give every angle with its exact
+    multiplicity.  The frame is biangular when they take exactly two
+    values; the predicted pair is the first two distinct shell values, and
+    one value (constant counts) is a difference set, so an ETF.
     """
     if m is None:
         m = len(chain.subset)
     n = chain.group.order
-    lambdas = chain.lambdas
-    t = chain.t
-    sizes = (1,) + chain.sizes  # |A_0|, ..., |A_t|
-    m2 = Fraction(1, m * m)
-
-    s = next((j for j in range(1, t) if lambdas[j - 1] != lambdas[j]), None)
-    if s is None:
-        # constant counts: the chain describes a difference set
-        params = {"n": n, "m": m, "t": t, "lambdas": list(lambdas), "sizes": list(sizes[1:])}
+    params = {
+        "n": n, "m": m, "t": chain.t, "lambdas": list(chain.lambdas), "sizes": list(chain.sizes)
+    }
+    shells = _chain_shells(n, m, chain.sizes, chain.lambdas)
+    if len(shells) == 1:
         pred = _etf_prediction("nested-divisible", "nested-chain-angle-rule", params, n, m)
         return NddsPrediction(pred, False, ((float(pred.angles[0] ** 2), n - 1),))
-
-    a1_sq = Fraction(m - lambdas[0], 1) * m2
-    a2_sq = a1_sq + (lambdas[s - 1] - lambdas[s]) * sizes[s] * m2
-
-    # shell r holds n/|A_r| - n/|A_{r+1}| character indices (r = 0..t-1)
-    shell_sq: list[Fraction] = []
-    shell_count: list[int] = []
-    for r in range(t):
-        cnt = n // sizes[r] - n // sizes[r + 1]
-        if r < s:
-            val = a1_sq
-        elif r == s:
-            val = a2_sq
-        else:
-            val = a2_sq + sum(
-                (lambdas[j - 1] - lambdas[j]) * sizes[j] * m2 for j in range(s + 1, r + 1)
-            )
-        shell_sq.append(val)
-        shell_count.append(cnt)
-
-    biangular = True
-    for r in range(s + 1, t):
-        c1 = sum((lambdas[j - 1] - lambdas[j]) * sizes[j] for j in range(s, r + 1))
-        c2 = sum((lambdas[j - 1] - lambdas[j]) * sizes[j] for j in range(s + 1, r + 1))
-        if c1 != 0 and c2 != 0:
-            biangular = False
-
-    agg: dict[Fraction, int] = {}
-    for val, cnt in zip(shell_sq, shell_count):
-        agg[val] = agg.get(val, 0) + cnt
-
-    params = {"n": n, "m": m, "t": t, "lambdas": list(lambdas), "sizes": list(sizes[1:])}
-    pairs = []
-    for sq in (a1_sq, a2_sq):
-        a, sym = _surd_angle(sq, Fraction(0), 1)
-        pairs.append((a, sym, agg.get(sq, 0)))
+    biangular = len(shells) == 2
+    pairs = [(*_surd_angle(sq, Fraction(0), 1), shells[sq]) for sq in list(shells)[:2]]
     pred = _assemble(
         "nested-divisible", "nested-chain-angle-rule", params, n, m, pairs, biangular
     )
-    shells = tuple(sorted((float(v), c) for v, c in agg.items()))
-    return NddsPrediction(pred, biangular, shells)
+    return NddsPrediction(pred, biangular, tuple(sorted((float(v), c) for v, c in shells.items())))
 
 
 def quartic_family_angles(p: int, with_zero: bool) -> AnglePrediction | None:
@@ -296,10 +279,7 @@ def quartic_family_angles(p: int, with_zero: bool) -> AnglePrediction | None:
     if not holds[surd_pair]:
         return None
     den = Fraction(1, (4 * m) ** 2)
-    pairs = []
-    for sign in (+1, -1):
-        a = _surd_angle((3 * p + c) * den, sign * 8 * den, p)
-        pairs.append((a[0], a[1], (p - 1) // 2))
+    pairs = _conjugate_pair((3 * p + c) * den, 8 * den, p, (p - 1) // 2)
     return _assemble("quartic-residue", "quartic-family-rule", params, p, m, pairs)
 
 
@@ -312,7 +292,6 @@ class TableRow:
     table: str
     row: int
     condition: str
-    family: str  # dds | rds | pds
     params: Callable[[dict], tuple[Fraction, ...]]
     alphas: Callable[[dict], tuple[float, float]]
     check: Callable[[dict], str | None]
@@ -399,7 +378,7 @@ def _t4r8_alphas(v: dict) -> tuple[float, float]:
 
 TABLE_ROWS: tuple[TableRow, ...] = (
     TableRow(
-        "dds", 1, "p a Mersenne prime", "dds",
+        "dds", 1, "p a Mersenne prime",
         lambda v: _fr(v["p"] ** 2 * (v["p"] + 1), v["p"] * (v["p"] + 1), v["p"] ** 2,
                       v["p"], v["p"] + 1),
         lambda v: (0.0, 1 / (v["p"] + 1)),
@@ -407,7 +386,7 @@ TABLE_ROWS: tuple[TableRow, ...] = (
         ({"p": 3}, {"p": 7}),
     ),
     TableRow(
-        "dds", 2, "p a Mersenne prime", "dds",
+        "dds", 2, "p a Mersenne prime",
         lambda v: _fr(v["p"] ** 2 * (v["p"] + 1), v["p"] * (2 * v["p"] - 1), v["p"] ** 2,
                       v["p"] * (v["p"] - 1), 3 * (v["p"] - 1)),
         lambda v: ((v["p"] - 2) / (2 * v["p"] - 1), 1 / (2 * v["p"] - 1)),
@@ -415,21 +394,21 @@ TABLE_ROWS: tuple[TableRow, ...] = (
         ({"p": 3}, {"p": 7}),
     ),
     TableRow(
-        "dds", 3, "a odd, a > 1", "dds",
+        "dds", 3, "a odd, a > 1",
         lambda v: _fr(4 * v["a"], v["a"] + 2, v["a"], v["a"] - 2, 2),
         lambda v: ((v["a"] - 2) / (v["a"] + 2), 2 / (v["a"] + 2)),
         lambda v: None if v["a"] > 1 and v["a"] % 2 == 1 else f"a={v['a']} not odd > 1",
         ({"a": 3}, {"a": 5}, {"a": 7}),
     ),
     TableRow(
-        "dds", 4, "q a prime power, q = 1 mod 4", "dds",
+        "dds", 4, "q a prime power, q = 1 mod 4",
         lambda v: _fr(2 * v["q"], v["q"], 2, v["q"] - 1, Fraction(v["q"] - 1, 2)),
         lambda v: (1 / math.sqrt(v["q"]), 1 / v["q"]),
         _prime_power_1mod4,
         ({"q": 5}, {"q": 9}, {"q": 13}),
     ),
     TableRow(
-        "dds", 5, "a a positive integer", "dds",
+        "dds", 5, "a a positive integer",
         lambda v: _fr(4 * 3 ** (2 * v["a"]), 2 * (3 ** (2 * v["a"]) - 3 ** v["a"]),
                       3 ** (2 * v["a"]), 3 ** (2 * v["a"]) - 2 * 3 ** v["a"],
                       3 ** (2 * v["a"]) - 2 * 3 ** v["a"] + 1),
@@ -440,7 +419,6 @@ TABLE_ROWS: tuple[TableRow, ...] = (
     TableRow(
         "dds", 6,
         "a Hadamard-parameter difference set of order 4u^2 and a (w,v)-difference set exist (assumed given)",
-        "dds",
         _t2r6_params,
         _t2r6_alphas,
         lambda v: (
@@ -451,7 +429,7 @@ TABLE_ROWS: tuple[TableRow, ...] = (
         ({"u": 1, "v": 3, "w": 7}, {"u": 1, "v": 4, "w": 13}),
     ),
     TableRow(
-        "dds", 7, "q a prime power, a <= b, ambient subgroup assumed given", "dds",
+        "dds", 7, "q a prime power, a <= b, ambient subgroup assumed given",
         _t2r7_params,
         lambda v: (
             0.0,
@@ -465,7 +443,7 @@ TABLE_ROWS: tuple[TableRow, ...] = (
         ({"q": 2, "a": 1, "b": 2}, {"q": 3, "a": 2, "b": 2}),
     ),
     TableRow(
-        "rds", 1, "p prime, a <= b", "rds",
+        "rds", 1, "p prime, a <= b",
         lambda v: _fr(v["p"] ** (v["a"] + v["b"]), v["p"] ** v["b"], v["p"] ** v["a"],
                       v["p"] ** (v["b"] - v["a"])),
         lambda v: (0.0, v["p"] ** (-v["b"] / 2)),
@@ -475,21 +453,21 @@ TABLE_ROWS: tuple[TableRow, ...] = (
         ({"p": 2, "a": 1, "b": 1}, {"p": 3, "a": 1, "b": 2}, {"p": 2, "a": 2, "b": 2}),
     ),
     TableRow(
-        "rds", 2, "Hadamard-parameter difference set assumed given", "rds",
+        "rds", 2, "Hadamard-parameter difference set assumed given",
         lambda v: _fr(8 * v["u"] ** 2, 4 * v["u"] ** 2, 2, 2 * v["u"] ** 2),
         lambda v: (0.0, 1 / (2 * v["u"])),
         lambda v: None if v["u"] >= 1 else "u must be positive",
         ({"u": 1}, {"u": 2}),
     ),
     TableRow(
-        "rds", 3, "Hadamard-parameter difference set assumed given", "rds",
+        "rds", 3, "Hadamard-parameter difference set assumed given",
         lambda v: _fr(16 * v["u"] ** 2, 8 * v["u"] ** 2, 2, 4 * v["u"] ** 2),
         lambda v: (0.0, math.sqrt(2) / (4 * v["u"])),
         lambda v: None if v["u"] >= 1 else "u must be positive",
         ({"u": 1}, {"u": 2}),
     ),
     TableRow(
-        "rds", 4, "q a prime power, d | q-1", "rds",
+        "rds", 4, "q a prime power, d | q-1",
         lambda v: _fr(Fraction(v["q"] ** (v["a"] + 1) - 1, v["d"]), v["q"] ** v["a"],
                       Fraction(v["q"] - 1, v["d"]), v["d"] * v["q"] ** (v["a"] - 1)),
         lambda v: (v["q"] ** (-(v["a"] + 1) / 2), v["q"] ** (-v["a"] / 2)),
@@ -502,7 +480,7 @@ TABLE_ROWS: tuple[TableRow, ...] = (
         ({"q": 3, "a": 1, "d": 1}, {"q": 4, "a": 1, "d": 1}, {"q": 5, "a": 1, "d": 2}),
     ),
     TableRow(
-        "rds", 5, "q and a even, q a prime power", "rds",
+        "rds", 5, "q and a even, q a prime power",
         lambda v: _fr(
             Fraction(2 * (v["q"] ** (v["a"] + 1) - 1), v["q"] - 1),
             v["q"] ** v["a"],
@@ -518,7 +496,7 @@ TABLE_ROWS: tuple[TableRow, ...] = (
         ({"q": 2, "a": 2}, {"q": 4, "a": 2}),
     ),
     TableRow(
-        "pds", 1, "q a prime power, q = 1 mod 4", "pds",
+        "pds", 1, "q a prime power, q = 1 mod 4",
         lambda v: _fr(v["q"], Fraction(v["q"] - 1, 2), Fraction(v["q"] - 5, 4),
                       Fraction(v["q"] - 1, 4)),
         lambda v: (1 / (math.sqrt(v["q"]) + 1), 1 / (math.sqrt(v["q"]) - 1)),
@@ -526,21 +504,21 @@ TABLE_ROWS: tuple[TableRow, ...] = (
         ({"q": 13}, {"q": 17}, {"q": 9}),
     ),
     TableRow(
-        "pds", 2, "a > 1", "pds",
+        "pds", 2, "a > 1",
         lambda v: _fr(v["a"] ** 2, 2 * (v["a"] - 1), v["a"] - 2, 2),
         lambda v: ((v["a"] - 2) / (2 * (v["a"] - 1)), 1 / (v["a"] - 1)),
         lambda v: None if v["a"] > 1 else "a must exceed 1",
         ({"a": 3}, {"a": 5}),
     ),
     TableRow(
-        "pds", 3, "a > 1", "pds",
+        "pds", 3, "a > 1",
         lambda v: _fr(v["a"] ** 2, 3 * (v["a"] - 1), v["a"], 6),
         lambda v: ((v["a"] - 3) / (3 * (v["a"] - 1)), 1 / (v["a"] - 1)),
         lambda v: None if v["a"] > 1 else "a must exceed 1",
         ({"a": 4}, {"a": 5}),
     ),
     TableRow(
-        "pds", 4, "c a product of prime powers, b <= min prime power + 1 (construction assumed given)", "pds",
+        "pds", 4, "c a product of prime powers, b <= min prime power + 1 (construction assumed given)",
         lambda v: _fr(v["c"] ** 2, v["b"] * (v["c"] - 1),
                       v["c"] + v["b"] ** 2 - 3 * v["b"], v["b"] ** 2 - v["b"]),
         lambda v: (abs(v["c"] - v["b"]) / (v["b"] * (v["c"] - 1)), 1 / (v["c"] - 1)),
@@ -548,7 +526,7 @@ TABLE_ROWS: tuple[TableRow, ...] = (
         ({"c": 4, "b": 3}, {"c": 9, "b": 2}),
     ),
     TableRow(
-        "pds", 5, "p an odd prime", "pds",
+        "pds", 5, "p an odd prime",
         lambda v: _fr(9 * v["p"] ** (4 * v["a"]), Fraction(9 * v["p"] ** (4 * v["a"]) - 1, 2),
                       Fraction(9 * v["p"] ** (4 * v["a"]) - 5, 4),
                       Fraction(9 * v["p"] ** (4 * v["a"]) - 1, 4)),
@@ -562,7 +540,7 @@ TABLE_ROWS: tuple[TableRow, ...] = (
         ({"p": 3, "a": 1}, {"p": 5, "a": 1}),
     ),
     TableRow(
-        "pds", 6, "p an odd prime", "pds",
+        "pds", 6, "p an odd prime",
         _t4r6_params,
         _t4r6_alphas,
         lambda v: (
@@ -571,20 +549,29 @@ TABLE_ROWS: tuple[TableRow, ...] = (
         ({"p": 3, "a": 1}, {"p": 5, "a": 1}),
     ),
     TableRow(
-        "pds", 7, "a a positive integer", "pds",
+        "pds", 7, "a a positive integer",
         _t4r7_params,
         lambda v: (1 / (2 ** v["a"] - 1) ** 2, 1 / (2 ** v["a"] - 1)),
         lambda v: None if v["a"] >= 2 else "a must exceed 1",
         ({"a": 2}, {"a": 3}),
     ),
     TableRow(
-        "pds", 8, "a odd, a > 1", "pds",
+        "pds", 8, "a odd, a > 1",
         _t4r8_params,
         _t4r8_alphas,
         lambda v: None if v["a"] > 1 and v["a"] % 2 == 1 else f"a={v['a']} not odd > 1",
         ({"a": 3}, {"a": 5}),
     ),
 )
+
+
+# each table's params tuple: the predictor it feeds, and the tuple as the
+# (n, m, l, lam, mu) columns of framelab tables ("" where the table has none)
+_TABLE_LAYOUT: dict[str, tuple[Callable[..., AnglePrediction], Callable[..., tuple]]] = {
+    "dds": (dds_angles, lambda n, m, l, lam, mu: (n, m, l, lam, mu)),
+    "rds": (rds_angles, lambda n, m, l, mu: (n, m, l, 0, mu)),
+    "pds": (partial(pds_angles, zero_in_s=False), lambda n, m, lam, mu: (n, m, "", lam, mu)),
+}
 
 
 def get_row(table: str, row: int) -> TableRow:
@@ -607,19 +594,11 @@ class RowCheckReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "table": self.table,
-            "row": self.row,
-            "sample": self.sample,
-            "skipped": self.skipped,
-            "params": None if self.params is None else list(self.params),
-            "table_alphas": None if self.table_alphas is None else list(self.table_alphas),
-            "predictor_angles": (
-                None if self.predictor_angles is None else list(self.predictor_angles)
-            ),
-            "deviation": self.deviation,
-            "passed": self.passed,
-        }
+        return {f.name: _listed(getattr(self, f.name)) for f in fields(self)}
+
+    def columns(self) -> tuple:
+        """(n, m, l, lam, mu) of the instantiated parameters; all "" when skipped."""
+        return ("",) * 5 if self.params is None else _TABLE_LAYOUT[self.table][1](*self.params)
 
 
 def table_row_check(
@@ -637,12 +616,7 @@ def table_row_check(
             None, None, None, None, False,
         )
     params = tuple(int(x) for x in raw)
-    if r.family == "dds":
-        pred = dds_angles(*params)
-    elif r.family == "rds":
-        pred = rds_angles(*params)
-    else:
-        pred = pds_angles(*params, zero_in_s=False)
+    pred = _TABLE_LAYOUT[table][0](*params)
     stated = tuple(sorted(r.alphas(sample)))
     predicted = pred.angles if len(pred.angles) == 2 else (pred.angles[0], pred.angles[0])
     dev = max(abs(a - b) for a, b in zip(stated, predicted))

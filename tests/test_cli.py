@@ -212,6 +212,37 @@ def test_usage_error_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (("dds", "-n", "6", "-m", "3"), "-l, --lam, --mu"),
+        (("rds", "-n", "8", "-l", "2"), "-m, --mu"),
+        (("pds", "-n", "13", "-m", "6", "--mu", "3"), "--lam"),
+        (("gaussian", "-p", "13", "-m", "3"), "--lam, --mu"),
+        (("quartic", "--zero-in-s"), "-p"),
+        (("ndds", "--group", "Z2xZ4"), "--set"),
+    ],
+)
+def test_predict_missing_parameter_is_a_usage_error(capsys, argv, missing):
+    # once a TypeError (or, for ndds, an AttributeError) traceback with exit 1
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", *argv])
+    assert exc.value.code == 2
+    assert f"predict {argv[0]} needs {missing}\n" in capsys.readouterr().err
+
+
+def test_predict_dds_with_trivial_subgroup_is_an_etf(capsys):
+    # the Fano plane relative to H = {0}: a difference set, so one angle
+    code, out, _ = run(
+        capsys, "predict", "dds", "-n", "7", "-m", "3", "-l", "1", "--lam", "0", "--mu", "1"
+    )
+    assert code == 0
+    d = json.loads(out)
+    assert d["is_etf"] is True
+    assert [a["symbolic"] for a in d["angles"]] == ["sqrt(2)/3"]
+    assert d["stated_multiplicities"] == d["derived_multiplicities"] == [6]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("angles", "--group", "Z7", "--set", "0,1,3"),

@@ -1,7 +1,9 @@
 """Difference counts, taxonomy classification, chains, zero toggle."""
 
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -312,6 +314,18 @@ def test_is_proper_rejects_longer_valid_chain():
     assert found[padded_groups] == (0, 1, 1)
     padded = NestedChain(Z8, subset, padded_groups, (0, 1, 1))
     assert not is_proper(padded)
+
+
+def test_count_rows_offsets_promote_past_int16():
+    # 4096 rows of Z21 put row offsets b * n up to 85,995, past int16's 32,767
+    from framelab.diffsets import _count_rows
+
+    g = GroupSpec((21,))
+    rows = np.array(list(itertools.combinations(range(21), 4))[:4096])
+    _, counts = _count_rows(g, rows)
+    for i in (0, 1600, 4095):
+        diffs = Counter((b - a) % 21 for a in rows[i].tolist() for b in rows[i].tolist() if a != b)
+        assert counts[i].tolist() == [diffs[x] for x in range(1, 21)]
 
 
 def test_difference_counts_invariant_is_a_typed_error(monkeypatch):

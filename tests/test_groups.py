@@ -254,3 +254,28 @@ def test_full_character_table_matches_column_oracle():
     for g in groups:
         want = scalar_oracle.oracle_full_character_table(g)
         assert np.array_equal(full_character_table(g), want), g
+
+
+def test_difference_table_entries_match_element_arithmetic():
+    g = GroupSpec((2, 3, 4))
+    table = _difference_index_table(g)
+    els = g.elements()
+    for i, x in enumerate(els):
+        assert table[i].tolist() == [g.index(g.add(y, g.neg(x))) for y in els]
+
+
+@pytest.mark.parametrize("factors", [(2039,), (4, 512), (2,) * 11])
+def test_difference_table_is_int16_built_in_place(factors):
+    # every index is below SUBGROUP_ORDER_BOUND = 4096; one build holds the
+    # table and at most one (n, n) int16 temporary
+    g = GroupSpec(factors)
+    g.elements()  # the element list is cached apart from the table
+    tracemalloc.start()
+    try:
+        table = _difference_index_table.__wrapped__(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int16
+    assert peak <= 2.5 * table.nbytes
+    assert table[:, 0].tolist() == [g.index(g.neg(x)) for x in g.elements()]

@@ -50,6 +50,24 @@ def test_dds_etf_branch_and_validation():
         dds_angles(6, 3, 4, 2, 1)  # l does not divide n
 
 
+@pytest.mark.parametrize("l", [1, 7])
+def test_dds_with_h_trivial_or_whole_is_an_etf(l):
+    # the Fano plane (7, 3, 1) relative to H = {0} or H = G: one shell is
+    # empty, and the other holds all six nontrivial characters; the rule once
+    # gave two angles with stated multiplicities [7, -1] at l = 1
+    lam, mu = (0, 1) if l == 1 else (1, 0)
+    pred = dds_angles(7, 3, l, lam, mu)
+    assert pred.is_etf and pred.angles == (pytest.approx(math.sqrt(2) / 3),)
+    assert pred.stated_multiplicities == pred.derived_multiplicities == (6,)
+    assert brute_angles("Z7", "1,2,4") == pytest.approx(pred.angles, abs=1e-12)
+
+
+def test_rds_with_mu_zero_is_an_etf():
+    # mu = 0 forces m = 1: both shells share the value m, so one angle, 1
+    pred = rds_angles(4, 1, 2, 0)
+    assert pred.is_etf and pred.angles == (1.0,) and pred.derived_multiplicities == (3,)
+
+
 def test_rds_z8():
     pred = rds_angles(8, 3, 2, 1)
     assert pred.angles == (pytest.approx(1 / 3), pytest.approx(1 / math.sqrt(3)))

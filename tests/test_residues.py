@@ -350,6 +350,6 @@ def test_quartic_conditions_match_the_two_old_copies(capsys, monkeypatch):
         monkeypatch.setattr(cli, "quartic_special_cases", scalar_oracle.oracle_quartic_special_cases)
         assert outputs() == new
     finally:
-        _difference_index_table.cache_clear()  # up to 8 tables of 32 MB at p near 2000
+        _difference_index_table.cache_clear()  # up to 8 int16 tables of 8 MB at p near 2000
     assert sum('"applicable": false' not in out for _, out, _ in new[::3]) > 0
     assert sum(code == 0 for code, _, _ in new) == len(new) - 1  # gauss special 5: m = 1
