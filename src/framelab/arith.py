@@ -19,24 +19,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = smallest_prime_factor(n)
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    d = 3
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """((p, e), ...) with n = prod p^e, p ascending, for n >= 1; trial division."""
+    out = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            return d
-        d += 2
-    return n
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def is_prime_power(n: int) -> bool:
+    return n >= 2 and len(factorize(n)) == 1
 
 
 def residues(p: int, s: int) -> tuple[int, ...]:

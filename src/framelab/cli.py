@@ -1,22 +1,30 @@
 """Command-line entry point.
 
 Subcommands: classify, angles, predict, search, gauss, tables, verify.
-Exit codes: 0 success, 1 domain error, 2 usage error.  Reports are JSON
-(schema field = 1); search and tables also write CSV, chosen with
-`--format csv`.  `--out` writes to a file, with the format inferred from a
-.json/.csv suffix.
+Exit codes: 0 success, 1 domain error, 2 usage error.  The flag rules are
+argparse declarations: each predict family is a subcommand whose required
+flags are its predictor's parameters, by name; each verify suite is a
+subcommand, where modulation takes --group/--set, etf-difference takes
+--max-order and no other suite takes a flag; search takes exactly one of
+--group and --order, and --mode reduced only with --group.  A missing flag,
+a flag the command does not read, or two flags that exclude each other is
+a usage error.  --jobs (default 1) is the worker count of a search.
+Reports are JSON (schema field = 1); search and tables also write CSV,
+chosen with `--format csv`.  `--out` writes to a file, with the format
+inferred from a .json/.csv suffix.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
 
 from .diffsets import classify, nested_divisible_chain
-from .errors import FramelabError
+from .errors import DomainError, FramelabError
 from .frames import FrameSpec, frame_report
 from .groups import parse_group, parse_subset
 from .predictions import (
@@ -38,7 +46,7 @@ from .residues import (
     quartic_special_cases,
     residue_class,
 )
-from .search import SearchJob, cross_group_angle_match, default_jobs, enumerate_and_classify
+from .search import SearchJob, cross_group_angle_match, enumerate_and_classify
 from .verify import SUITES, run_suite
 
 
@@ -88,57 +96,28 @@ def cmd_angles(args) -> int:
     return 0
 
 
-# option destinations and the flags that set them, for predict and verify
-_FLAGS = {
-    "group": "--group", "subset": "--set", "max_order": "--max-order",
-    "n": "-n", "m": "-m", "l": "-l", "lam": "--lam", "mu": "--mu", "p": "-p",
-}
-
-# the options each predict family needs; a missing one is a usage error
-_PREDICT_OPTIONS = {
-    "dds": ("n", "m", "l", "lam", "mu"),
-    "rds": ("n", "m", "l", "mu"),
-    "pds": ("n", "m", "lam", "mu"),
-    "gaussian": ("p", "m", "lam", "mu"),
-    "quartic": ("p",),
-    "ndds": ("group", "subset"),
-}
-
-
 def cmd_predict(args) -> int:
-    fam = args.family
-    missing = [_FLAGS[k] for k in _PREDICT_OPTIONS[fam] if getattr(args, k) is None]
-    if missing:
-        args.usage_error(f"predict {fam} needs {', '.join(missing)}")
-    if fam == "dds":
-        pred = dds_angles(args.n, args.m, args.l, args.lam, args.mu)
-    elif fam == "rds":
-        pred = rds_angles(args.n, args.m, args.l, args.mu)
-    elif fam == "pds":
-        pred = pds_angles(args.n, args.m, args.lam, args.mu, args.zero_in_s)
-    elif fam == "gaussian":
-        pred = gaussian_angles(args.p, args.m, args.lam, args.mu)
-    elif fam == "quartic":
-        pred = quartic_family_angles(args.p, args.zero_in_s)
-        if pred is None:
-            _emit(args, {"schema": 1, "applicable": False, "p": args.p,
-                         "with_zero": args.zero_in_s})
-            return 0
-    elif fam == "ndds":
-        g = parse_group(args.group)
-        S = parse_subset(g, args.subset)
-        chain = nested_divisible_chain(g, S)
-        if chain is None:
-            raise FramelabError(f"{args.subset} has no subgroup chain in {args.group}")
-        res = ndds_angles(chain)
-        payload = res.prediction.as_dict()
-        payload["biangular"] = res.biangular
-        payload["shell_values"] = [list(t) for t in res.shell_values]
-        _emit(args, payload)
-        return 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise FramelabError(f"unknown family {fam}")
-    _emit(args, pred.as_dict())
+    # each family's flags are its predictor's parameters, by name
+    params = {k: getattr(args, k) for k in inspect.signature(args.predictor).parameters}
+    pred = args.predictor(**params)
+    if pred is None:  # quartic: p lies in neither family
+        _emit(args, {"schema": 1, "applicable": False, **params})
+    else:
+        _emit(args, pred.as_dict())
+    return 0
+
+
+def cmd_predict_ndds(args) -> int:
+    g = parse_group(args.group)
+    S = parse_subset(g, args.subset)
+    chain = nested_divisible_chain(g, S)
+    if chain is None:
+        raise FramelabError(f"{args.subset} has no subgroup chain in {args.group}")
+    res = ndds_angles(chain)
+    payload = res.prediction.as_dict()
+    payload["biangular"] = res.biangular
+    payload["shell_values"] = [list(t) for t in res.shell_values]
+    _emit(args, payload)
     return 0
 
 
@@ -146,21 +125,23 @@ def cmd_search(args) -> int:
     target = None
     filter_name = args.filter
     if filter_name and filter_name.startswith("angles="):
-        target = tuple(sorted(float(t) for t in filter_name[len("angles="):].split(",")))
+        values = filter_name[len("angles="):]
+        try:
+            target = tuple(sorted(float(t) for t in values.split(",")))
+        except ValueError:
+            msg = f"--filter angles= takes a comma list of numbers, got {values!r}"
+            raise DomainError(msg) from None
         filter_name = None
-    jobs = args.jobs if args.jobs else default_jobs()
     if args.order is not None:
-        if target is None and filter_name is None:
-            raise FramelabError("--order search needs --filter angles=...")
         if target is None:
-            raise FramelabError("cross-group search supports angle filters only")
-        payload = cross_group_angle_match(args.order, args.m, target, jobs=jobs)
+            raise FramelabError("--order search needs --filter angles=...")
+        payload = cross_group_angle_match(args.order, args.m, target, jobs=args.jobs)
         _emit(args, payload)
         return 0
     g = parse_group(args.group)
     job = SearchJob(
         g, args.m, mode=args.mode, filter_name=filter_name,
-        target_angles=target, jobs=jobs,
+        target_angles=target, jobs=args.jobs,
     )
     report = enumerate_and_classify(job)
     _emit(args, report.to_dict(), csv_rows=report.to_csv_rows())
@@ -188,8 +169,8 @@ def cmd_gauss(args) -> int:
         payload = {"schema": 1, "p": args.p, "subset": [x[0] for x in S],
                    "classification": cls.as_dict()}
     elif act == "quartic":
-        S, (lam, mu) = quartic_gaussian_ds(args.p, args.zero_in_s)
-        payload = {"schema": 1, "p": args.p, "with_zero": args.zero_in_s,
+        S, (lam, mu) = quartic_gaussian_ds(args.p, args.with_zero)
+        payload = {"schema": 1, "p": args.p, "with_zero": args.with_zero,
                    "subset": [x[0] for x in S], "lam": lam, "mu": mu}
     elif act == "special":
         rep = quartic_special_cases(args.p)
@@ -219,15 +200,9 @@ def cmd_tables(args) -> int:
     return 0
 
 
-# the options each verify suite reads; giving one it does not read is an error
-_VERIFY_OPTIONS = {"modulation": ("group", "subset"), "etf-difference": ("max_order",)}
-
-
 def cmd_verify(args) -> int:
-    given = {k: v for k in _FLAGS if (v := getattr(args, k, None)) is not None}
-    unread = [_FLAGS[k] for k in given if k not in _VERIFY_OPTIONS.get(args.suite, ())]
-    if unread:
-        raise FramelabError(f"verify {args.suite} does not take {', '.join(unread)}")
+    # suite flags default to SUPPRESS, so the namespace holds only the flags given
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "suite", "func")}
     results = run_suite(args.suite, **given)
     failed = 0
     for r in results:
@@ -238,6 +213,15 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _family(fams, out, name: str, predictor, *flags: str) -> argparse.ArgumentParser:
+    """A predict family whose integer flags are all required and name predictor's parameters."""
+    q = fams.add_parser(name, parents=[out])
+    for flag in flags:
+        q.add_argument(flag, type=int, required=True)
+    q.set_defaults(func=cmd_predict, predictor=predictor)
+    return q
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="framelab",
@@ -246,80 +230,72 @@ def build_parser() -> argparse.ArgumentParser:
         "predictors, exhaustive search.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)  # every command but verify writes a report
+    out.add_argument("--out", help="report path; a .json or .csv suffix sets the format")
 
-    p = sub.add_parser("classify", help="taxonomy + frame report for one subset")
+    p = sub.add_parser("classify", parents=[out], help="taxonomy + frame report for one subset")
     _frame_args(p)
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("angles", help="angle profile and tightness for one subset")
+    p = sub.add_parser("angles", parents=[out], help="angle profile and tightness for one subset")
     _frame_args(p)
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_angles)
 
     p = sub.add_parser("predict", help="closed-form angle prediction from parameters")
-    p.add_argument("family", choices=("dds", "rds", "pds", "gaussian", "quartic", "ndds"))
-    p.add_argument("-n", type=int)
-    p.add_argument("-m", type=int)
-    p.add_argument("-l", type=int)
-    p.add_argument("--lam", type=int)
-    p.add_argument("--mu", type=int)
-    p.add_argument("-p", type=int)
-    p.add_argument("--zero-in-s", action="store_true", dest="zero_in_s")
-    p.add_argument("--group")
-    p.add_argument("--set", dest="subset")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_predict, usage_error=p.error)
+    fams = p.add_subparsers(dest="family", required=True)
+    _family(fams, out, "dds", dds_angles, "-n", "-m", "-l", "--lam", "--mu")
+    _family(fams, out, "rds", rds_angles, "-n", "-m", "-l", "--mu")
+    q = _family(fams, out, "pds", pds_angles, "-n", "-m", "--lam", "--mu")
+    q.add_argument("--zero-in-s", action="store_true")
+    _family(fams, out, "gaussian", gaussian_angles, "-p", "-m", "--lam", "--mu")
+    q = _family(fams, out, "quartic", quartic_family_angles, "-p")
+    q.add_argument("--zero-in-s", action="store_true", dest="with_zero")
+    q = fams.add_parser("ndds", parents=[out])
+    _frame_args(q)
+    q.set_defaults(func=cmd_predict_ndds)
 
-    p = sub.add_parser("search", help="enumerate and classify m-subsets")
-    p.add_argument("--group", help="single group, e.g. Z2xZ4")
-    p.add_argument("--order", type=int, help="all abelian groups of this order")
+    p = sub.add_parser("search", parents=[out], help="enumerate and classify m-subsets")
+    where = p.add_mutually_exclusive_group(required=True)
+    where.add_argument("--group", help="single group, e.g. Z2xZ4")
+    where.add_argument("--order", type=int, help="all abelian groups of this order")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--filter", help="etf | btf | <class-name> | angles=a,b")
-    p.add_argument("--mode", choices=("full", "reduced"), default="full")
-    p.add_argument("--jobs", type=int, default=0, help="0 = FRAMELAB_JOBS or 1")
-    p.add_argument("--out", help="report path (.json or .csv)")
+    p.add_argument("--mode", choices=("full", "reduced"), default="full",
+                   help="reduced: subsets containing 0; --group only")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("gauss", help="residue classes and quadratic sums as JSON")
     gs = p.add_subparsers(dest="action", required=True)
     for name in ("legendre", "sum", "half-sum"):
-        q = gs.add_parser(name)
+        q = gs.add_parser(name, parents=[out])
         q.add_argument("a", type=int)
         q.add_argument("p", type=int)
-        q.add_argument("--out")
-    q = gs.add_parser("residues")
+    q = gs.add_parser("residues", parents=[out])
     q.add_argument("p", type=int)
     q.add_argument("--power", type=int, choices=(2, 4), default=2)
-    q.add_argument("--out")
-    q = gs.add_parser("cosets")
+    for name in ("cosets", "paley", "special"):
+        gs.add_parser(name, parents=[out]).add_argument("p", type=int)
+    q = gs.add_parser("quartic", parents=[out])
     q.add_argument("p", type=int)
-    q.add_argument("--out")
-    q = gs.add_parser("paley")
-    q.add_argument("p", type=int)
-    q.add_argument("--out")
-    q = gs.add_parser("quartic")
-    q.add_argument("p", type=int)
-    q.add_argument("--with-zero", action="store_true", dest="zero_in_s")
-    q.add_argument("--out")
-    q = gs.add_parser("special")
-    q.add_argument("p", type=int)
-    q.add_argument("--out")
+    q.add_argument("--with-zero", action="store_true")
     p.set_defaults(func=cmd_gauss)
 
-    p = sub.add_parser("tables", help="tabulated families with sample instantiations")
+    p = sub.add_parser("tables", parents=[out],
+                       help="tabulated families with sample instantiations")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", choices=tuple(sorted(SUITES)) + ("all",))
-    p.add_argument("--group", help="for: verify modulation --group Z6 --set 0,1,3")
-    p.add_argument("--set", dest="subset")
-    p.add_argument("--max-order", type=int, dest="max_order")
+    suites = p.add_subparsers(dest="suite", required=True)
+    suite = {name: suites.add_parser(name) for name in (*sorted(SUITES), "all")}
+    suite["modulation"].add_argument("--group", default=argparse.SUPPRESS,
+                                     help="with --set: check one named frame")
+    suite["modulation"].add_argument("--set", dest="subset", default=argparse.SUPPRESS)
+    suite["etf-difference"].add_argument("--max-order", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
     return ap
 
@@ -327,6 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if getattr(args, "order", None) is not None and args.mode == "reduced":
+        ap.error("search --order searches each group in full; --mode reduced takes --group")
     try:
         return args.func(args)
     except FramelabError as exc:

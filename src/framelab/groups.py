@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -133,9 +133,13 @@ def parse_element(g: GroupSpec, text: str) -> Element:
     s = text.strip()
     if s.startswith("(") and s.endswith(")"):
         parts = [p for p in s[1:-1].split(",") if p.strip() != ""]
-        coords = tuple(int(p) for p in parts)
     else:
-        coords = (int(s),)
+        parts = [s]
+    try:
+        coords = tuple(int(p) for p in parts)
+    except ValueError:
+        msg = f"cannot parse element {text!r} of {g.name}: coordinates are integers"
+        raise InvalidElementError(msg) from None
     if len(coords) != g.rank:
         raise InvalidElementError(f"{text!r} has wrong rank for {g.name}")
     x = g.reduce(coords)
@@ -313,10 +317,9 @@ class Subgroup:
 
 
 def is_subgroup_set(g: GroupSpec, elems: Iterable[Element]) -> bool:
+    """Whether elems is a subgroup: a set is one exactly when it is as large as <elems>."""
     s = frozenset(elems)
-    if g.zero not in s:
-        return False
-    return all(g.add(a, b) in s for a in s for b in s)
+    return subgroup_generated(g, s).order == len(s)
 
 
 def make_subgroup(g: GroupSpec, elems: Iterable[Element]) -> Subgroup:
@@ -327,34 +330,32 @@ def make_subgroup(g: GroupSpec, elems: Iterable[Element]) -> Subgroup:
 
 
 def subgroup_generated(g: GroupSpec, gens: Iterable[Element]) -> Subgroup:
-    """Smallest subgroup containing gens (closure under add and negate)."""
-    closure = {g.zero}
-    frontier = []
+    """Smallest subgroup containing gens: from {0}, H grows to H + <x> for each x in gens.
+
+    One coset step of _subgroup_lattice (_coset_sums) per generator outside
+    H, on the element indices of H and of the multiples of x up to its
+    order, so the work is O(|<gens>| log |<gens>|) whatever the group order.
+    """
+    H = np.zeros(1, dtype=np.int64)  # sorted element indices
     for x in gens:
-        g.validate(x)
-        for y in (x, g.neg(x)):
-            if y not in closure:
-                closure.add(y)
-                frontier.append(y)
-    while frontier:
-        x = frontier.pop()
-        for y in list(closure):
-            z = g.add(x, y)
-            if z not in closure:
-                closure.add(z)
-                frontier.append(z)
-    return Subgroup(g, tuple(sorted(closure)))
+        if g.index(x) in H:  # g.index validates x
+            continue
+        order = lcm(*(f // gcd(c, f) for c, f in zip(x, g.factors)))
+        row = _multiples(g, np.array([x], dtype=np.int64), order + 1)
+        H = np.unique(_coset_sums(g, _coords(g, H), row, np.isin(row, H))[1])
+    return Subgroup(g, tuple(map(g.element, H.tolist())))
 
 
+@lru_cache(maxsize=None)
 def _radix(g: GroupSpec) -> np.ndarray:
     """Mixed-radix place values: an element's index is its coordinates @ radix."""
     return np.array([prod(g.factors[j + 1 :]) for j in range(g.rank)], dtype=np.int64)
 
 
-def _check_order(g: GroupSpec, what: str) -> None:
-    """CapacityError for an order above SUBGROUP_ORDER_BOUND, before anything is built."""
-    if g.order > SUBGROUP_ORDER_BOUND:
-        raise CapacityError(f"{what} capped at order {SUBGROUP_ORDER_BOUND}, got {g.order}")
+def _check_order(n: int, what: str) -> None:
+    """CapacityError for an order n above SUBGROUP_ORDER_BOUND, before anything is built."""
+    if n > SUBGROUP_ORDER_BOUND:
+        raise CapacityError(f"{what} capped at order {SUBGROUP_ORDER_BOUND}, got {n}")
 
 
 @lru_cache(maxsize=8)
@@ -366,7 +367,7 @@ def _difference_index_table(g: GroupSpec) -> np.ndarray:
     further one into a single (n, n) int16 temporary, so a cyclic group
     needs no temporary at all.  Sums over the table must promote first.
     """
-    _check_order(g, "difference index table")
+    _check_order(g.order, "difference index table")
     E = _coord_matrix(g).astype(np.int16)
     table = np.zeros((g.order, g.order), dtype=np.int16)
     term = np.empty_like(table) if g.rank > 1 else None
@@ -380,39 +381,63 @@ def _difference_index_table(g: GroupSpec) -> np.ndarray:
     return table
 
 
+def _coords(g: GroupSpec, idx: np.ndarray) -> np.ndarray:
+    """(..., k) coordinates of the elements with indices idx, the mixed radix decoded."""
+    return (idx[..., None] // _radix(g)) % g.factors
+
+
+def _multiples(g: GroupSpec, X: np.ndarray, count: int) -> np.ndarray:
+    """(c, count) element indices of k x_c, k = 0..count-1, for the (c, rank) coordinate rows X."""
+    k = np.arange(count)
+    return ((k[None, :, None] * X[:, None, :]) % g.factors) @ _radix(g)
+
+
+def _coset_sums(
+    g: GroupSpec, H: np.ndarray, multiples: np.ndarray, inside: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, sums): element indices of H + <x_c>, column j of sums in H + <x_owner[j]>.
+
+    H is given by its (|H|, k) element coordinates.  Row c of multiples holds the
+    indices of k x_c, k = 0, 1, .., past the first multiple back in H, and
+    inside marks the entries in H.  With k that first multiple, H + <x_c> is
+    the |H| * k coordinate sums of H and the coset representatives 0, x_c,
+    .., (k-1) x_c, mapped to indices by the mixed radix, for all c in one
+    array step.
+    """
+    steps = 1 + np.argmax(inside[:, 1:], axis=1)
+    take = np.arange(multiples.shape[1]) < steps[:, None]
+    owner, reps = np.nonzero(take)[0], multiples[take]
+    sums = ((H[:, None] + _coords(g, reps)) % g.factors) @ _radix(g)
+    return owner, sums
+
+
 @lru_cache(maxsize=None)
 def _subgroup_lattice(g: GroupSpec) -> np.ndarray:
     """(subgroups, n) bool membership, one row per subgroup, sorted by (order, element list).
 
-    A walk from {0} on coordinates, with no add table.  Row c
-    of multiples holds the indices of k x_c, k = 0..N (N the exponent),
-    for one generator x_c of each nontrivial cyclic subgroup.  H grows to
-    H + <x_c> for every x_c outside it: with k the first multiple back in
-    H, that is the |H| * k coordinate sums of H and 0, x_c, .., (k-1) x_c,
-    mapped to indices by the mixed radix, for all c in one array step.
+    A walk from {0} on coordinates, with no add table: row c of multiples
+    holds the indices of k x_c, k = 0..N (N the exponent), for one generator
+    x_c of each nontrivial cyclic subgroup, and H grows to H + <x_c>
+    (_coset_sums) for every x_c outside it.
     """
-    _check_order(g, "subgroup enumeration")
-    n, E, radix = g.order, _coord_matrix(g), _radix(g)
-    k = np.arange(g.exponent + 1)
+    _check_order(g.order, "subgroup enumeration")
+    n, E = g.order, _coord_matrix(g)
     covered = np.zeros(n, dtype=bool)  # generators of a cyclic subgroup already listed
     multiples = []
     for x in range(1, n):
         if not covered[x]:
-            row = ((k[:, None] * E[x]) % g.factors) @ radix
+            row = _multiples(g, E[x : x + 1], g.exponent + 1)[0]
             order = 1 + int(np.argmax(row[1:] == 0))
-            covered[row[:order][np.gcd(k[:order], order) == 1]] = True
+            covered[row[:order][np.gcd(np.arange(order), order) == 1]] = True
             multiples.append(row)
     multiples = np.array(multiples)
     trivial = np.arange(n) == 0
     seen = {trivial.tobytes()}  # rows as bytes: a row view would keep its whole block alive
     found = [trivial]
     for h in found:  # rows found on the way join the walk; the order is sorted away below
-        steps = 1 + np.argmax(h[multiples[:, 1:]], axis=1)
-        grow = np.flatnonzero(steps > 1)
-        take = k < steps[grow, None]  # coset representatives 0, x_c, .., (steps - 1) x_c
-        owner, reps = np.nonzero(take)[0], multiples[grow][take]
-        sums = ((E[h][:, None] + E[reps]) % g.factors) @ radix
-        grown = np.zeros((grow.size, n), dtype=bool)
+        grow = multiples[~h[multiples[:, 1]]]
+        owner, sums = _coset_sums(g, E[h], grow, h[grow])
+        grown = np.zeros((len(grow), n), dtype=bool)
         grown[np.broadcast_to(owner, sums.shape), sums] = True
         for key in map(np.ndarray.tobytes, grown):
             if key not in seen:

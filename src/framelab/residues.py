@@ -13,7 +13,10 @@ one a, required to agree with the closed form to 1e-9; gauss_sum_table
 gives both sides for every a of one prime.  Residue sets and quadratic
 sums build tables of size p, so they take p <= PRIME_BOUND only, checked
 before anything else (a larger p is a CapacityError whether or not it is
-prime, so no unbounded primality test runs on it).  The quartic machinery
+prime, so no unbounded primality test runs on it).  paley_pds,
+quartic_gaussian_ds and quartic_special_cases count differences in Z_p, so
+they make the order check of its difference index table (p <=
+SUBGROUP_ORDER_BOUND) before anything else.  The quartic machinery
 covers primes p = 8q+5, where the fourth powers split the residues and
 furnish two-level difference structures relative to the quadratic ones.
 """
@@ -27,7 +30,7 @@ import numpy as np
 from .arith import four_square_plus, is_prime, residues
 from .diffsets import Classification, classify, difference_counts
 from .errors import CapacityError, DomainError, InvariantError
-from .groups import Element, GroupSpec, _roots_of_unity
+from .groups import Element, GroupSpec, _check_order, _roots_of_unity
 
 GAUSS_TOL = 1e-9
 PRIME_BOUND = 1 << 16  # largest p for the O(p) residue sets and quadratic sums
@@ -174,6 +177,7 @@ def paley_pds(p: int) -> tuple[tuple[Element, ...], Classification]:
     p = 3 mod 4 gives a (p, (p-1)/2, (p-3)/4)-difference set; p = 1 mod 4
     gives a regular (p, (p-1)/2, (p-5)/4, (p-1)/4)-partial difference set.
     """
+    _check_order(p, "difference index table")
     _require_odd_prime(p)
     g = GroupSpec((p,))
     S = tuple((r,) for r in residues(p, 2))
@@ -194,8 +198,11 @@ def paley_pds(p: int) -> tuple[tuple[Element, ...], Classification]:
 
 
 def quartic_coset_decomposition(p: int) -> tuple[tuple[int, ...], ...]:
-    """Z_p* as four cosets of the fourth powers; representative 2 when 2 is a nonsquare."""
-    _require_odd_prime(p)
+    """Z_p* as four cosets of the fourth powers; representative 2 when 2 is a nonsquare.
+
+    p <= PRIME_BOUND, checked first, as for residue_class.
+    """
+    _require_table_prime(p)
     if p % 4 != 1:
         raise DomainError(f"quartic cosets need p = 1 mod 4, got {p}")
     a = 2 if legendre(2, p) == -1 else next(
@@ -223,6 +230,7 @@ def quartic_gaussian_ds(
     the nonzero part of QR + {0}, mu outside.  Without zero lam + mu = q;
     adjoining zero bumps lam by one.
     """
+    _check_order(p, "difference index table")
     q, r = divmod(p - 5, 8)
     if r != 0 or q <= 0 or not is_prime(p):
         raise DomainError(f"{p} is not a prime of the form 8q+5 with q > 0")
@@ -270,6 +278,7 @@ def quartic_special_cases(p: int) -> QuarticCaseReport:
     applicable (this restricts the almost/difference-set families to the
     p = 5 mod 8 branch where the fourth powers form a two-level structure).
     """
+    _check_order(p, "difference index table")
     _require_odd_prime(p)
     if p % 4 != 1:
         raise DomainError(f"quartic special cases need p = 1 mod 4, got {p}")

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -33,6 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .arith import factorize
 from .diffsets import ROW_FLAGS, classify, classify_rows  # noqa: F401 (classify stays importable here)
 from .errors import CapacityError, DomainError
 from .frames import cluster_rows, etf_btf
@@ -52,19 +52,6 @@ def abelian_groups_of_order(n: int) -> tuple[GroupSpec, ...]:
     """
     if n < 2:
         raise DomainError(f"group order must be >= 2, got {n}")
-    primes: list[tuple[int, int]] = []
-    rest = n
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            e = 0
-            while rest % d == 0:
-                rest //= d
-                e += 1
-            primes.append((d, e))
-        d += 1
-    if rest > 1:
-        primes.append((rest, 1))
 
     def partitions(k: int, cap: int | None = None) -> list[tuple[int, ...]]:
         if k == 0:
@@ -77,7 +64,7 @@ def abelian_groups_of_order(n: int) -> tuple[GroupSpec, ...]:
 
     groups = []
     per_prime = [
-        [tuple(p**e for e in part) for part in partitions(exp)] for p, exp in primes
+        [tuple(p**e for e in part) for part in partitions(exp)] for p, exp in factorize(n)
     ]
     for combo in itertools.product(*per_prime):
         factors = tuple(sorted(f for part in combo for f in part))
@@ -351,23 +338,13 @@ def enumerate_and_classify(job: SearchJob) -> SearchReport:
     return SearchReport(job, kept, total, class_counts, time.perf_counter() - t0)
 
 
-def default_jobs() -> int:
-    env = os.environ.get("FRAMELAB_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
-
-
-def find_btfs(group: GroupSpec, m: int, jobs: int | None = None) -> SearchReport:
+def find_btfs(group: GroupSpec, m: int, jobs: int = 1) -> SearchReport:
     """All m-subsets generating two-angle tight frames, with their classifications.
 
     Records carry a `btf_without_bidifference` marker for the headline case:
     a two-angle frame whose generating set has three or more count levels.
     """
-    job = SearchJob(group, m, filter_name="btf", jobs=jobs or default_jobs())
+    job = SearchJob(group, m, filter_name="btf", jobs=jobs)
     report = enumerate_and_classify(job)
     for r in report.records:
         r.flags["btf_without_bidifference"] = bool(
@@ -381,7 +358,7 @@ def cross_group_angle_match(
     m: int,
     target_angles: tuple[float, ...],
     tol: float = 1e-7,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> dict:
     """Match counts for a target angle set across every abelian group of order n.
 
@@ -394,8 +371,7 @@ def cross_group_angle_match(
     out = {"schema": 1, "order": n, "m": m, "target_angles": sorted(target_angles), "groups": []}
     for g in abelian_groups_of_order(n):
         job = SearchJob(
-            g, m, target_angles=tuple(sorted(target_angles)), angle_tol=tol,
-            jobs=jobs or default_jobs(),
+            g, m, target_angles=tuple(sorted(target_angles)), angle_tol=tol, jobs=jobs
         )
         report = enumerate_and_classify(job)
         matches = report.records

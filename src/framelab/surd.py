@@ -22,6 +22,8 @@ from math import sqrt
 
 import mpmath
 
+from .arith import factorize
+
 MAX_COEFF = 10**4
 VERIFY_TOL = 3e-13
 
@@ -42,16 +44,11 @@ def _squarefree_part(n: int) -> tuple[int, int]:
     """n = k^2 * s with s squarefree; returns (k, s)."""
     if n == 0:
         return 1, 0
-    k, s, d = 1, 1, 2
-    while d * d <= n:
-        while n % (d * d) == 0:
-            n //= d * d
-            k *= d
-        if n % d == 0:
-            n //= d
-            s *= d
-        d += 1
-    return k, s * n
+    k = s = 1
+    for p, e in factorize(n):
+        k *= p ** (e // 2)
+        s *= p ** (e % 2)
+    return k, s
 
 
 def _squarefree_candidates(limit: int) -> list[int]:

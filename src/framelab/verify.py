@@ -99,7 +99,7 @@ def _shortest_chain(g: GroupSpec, subset) -> float:
     return shortest(frozenset([g.zero]))
 
 
-def suite_exhaustion_order8(jobs: int = 1) -> list[CheckResult]:
+def suite_exhaustion_order8() -> list[CheckResult]:
     """3-subsets of the order-8 groups matching the angle set {1/3, sqrt(5)/3}.
 
     One search per group.  A match's chain is proper when its length t is
@@ -112,7 +112,7 @@ def suite_exhaustion_order8(jobs: int = 1) -> list[CheckResult]:
     chain_lengths = {}
     for g in abelian_groups_of_order(8):
         name, want = g.name, expected[g.name]
-        found = enumerate_and_classify(SearchJob(g, 3, target_angles=target, jobs=jobs)).records
+        found = enumerate_and_classify(SearchJob(g, 3, target_angles=target)).records
         chain_lengths[name] = {r.flags["t"] for r in found}
         proper = sum(1 for r in found if r.flags["t"] == _shortest_chain(g, r.subset))
         bidifference = sum(1 for r in found if r.flags["bidifference"])

@@ -30,6 +30,10 @@ it, and one np.unique per (subgroup, element).  oracle_quartic_family_angles
 and oracle_quartic_special_cases are the two quartic functions from before
 they shared residues.quartic_conditions, each with its own copy of the four
 p = 4a^2 + c conditions.
+
+oracle_subgroup_generated is groups.subgroup_generated before it grew H by
+the lattice's coset step: a closure adding every sum of a new element with
+every element found so far, O(|H|^2) GroupSpec.add calls.
 """
 
 import itertools
@@ -369,6 +373,26 @@ def oracle_all_subgroups(g):
     subs = [Subgroup(g, tuple(els[i] for i in idx)) for idx in seen.values()]
     subs.sort(key=lambda h: (h.order, h.elements))
     return tuple(subs)
+
+
+def oracle_subgroup_generated(g, gens):
+    """Smallest subgroup containing gens (closure under add and negate)."""
+    closure = {g.zero}
+    frontier = []
+    for x in gens:
+        g.validate(x)
+        for y in (x, g.neg(x)):
+            if y not in closure:
+                closure.add(y)
+                frontier.append(y)
+    while frontier:
+        x = frontier.pop()
+        for y in list(closure):
+            z = g.add(x, y)
+            if z not in closure:
+                closure.add(z)
+                frontier.append(z)
+    return Subgroup(g, tuple(sorted(closure)))
 
 
 def oracle_quartic_family_angles(p, with_zero):

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,11 @@ from framelab.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr; a usage error's SystemExit gives its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -157,10 +164,17 @@ def test_verify_modulation_named_frame(capsys):
     ],
 )
 def test_verify_rejects_options_the_suite_does_not_read(capsys, argv, flags):
+    # a flag the suite does not declare is a usage error; modulation declares
+    # --group and --set, and its own check wants both of them
     code, out, err = run(capsys, "verify", *argv)
-    assert code == 1
     assert out == ""  # nothing ran
-    assert err.startswith("error: ") and flags in err
+    if argv[0] == "modulation" and flags in ("--group", "--set"):
+        assert code == 1
+        assert err.startswith("error: ") and f"needs {flags}" in err
+    else:
+        assert code == 2
+        assert "error: unrecognized arguments:" in err
+        assert all(f in err for f in flags.split(", "))
 
 
 def test_verify_etf_difference_reads_max_order(capsys):
@@ -224,10 +238,10 @@ def test_usage_error_exit_2(capsys):
 )
 def test_predict_missing_parameter_is_a_usage_error(capsys, argv, missing):
     # once a TypeError (or, for ndds, an AttributeError) traceback with exit 1
-    with pytest.raises(SystemExit) as exc:
-        main(["predict", *argv])
-    assert exc.value.code == 2
-    assert f"predict {argv[0]} needs {missing}\n" in capsys.readouterr().err
+    code, out, err = run(capsys, "predict", *argv)
+    assert code == 2 and out == ""
+    required = "error: the following arguments are required"
+    assert f"framelab predict {argv[0]}: {required}: {missing}\n" in err
 
 
 def test_predict_dds_with_trivial_subgroup_is_an_etf(capsys):
@@ -281,3 +295,63 @@ def test_search_unknown_filter_exit_1(capsys):
     assert code == 1
     assert out == ""
     assert "unknown filter 'differnce-set'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("predict", "dds", "-n", "6", "-m", "3", "-l", "2", "--lam", "2", "--mu", "1",
+          "-p", "7", "--group", "Z9"), ("unrecognized arguments: -p 7 --group Z9",)),
+        (("verify", "paley", "--group", "Z6"), ("unrecognized arguments: --group Z6",)),
+        (("search", "-m", "3"), ("one of the arguments --group --order is required",)),
+        (("search", "--group", "Z9", "--order", "8", "-m", "3", "--filter", "angles=0.5"),
+         ("--order", "not allowed with argument --group")),
+        (("search", "--order", "8", "-m", "3", "--mode", "reduced",
+          "--filter", "angles=0.5"), ("--mode reduced takes --group",)),
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv, named):
+    # each once exited 0 with the flag dropped, or ended in a traceback
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert all(s in err for s in named)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("classify", "--group", "Z9", "--set", "0,1,a"),
+         "error: cannot parse element 'a' of Z9: coordinates are integers"),
+        (("classify", "--group", "Z2xZ4", "--set", "(0,0),(1,x)"),
+         "error: cannot parse element '(1,x)' of Z2xZ4: coordinates are integers"),
+        (("search", "--group", "Z9", "-m", "3", "--filter", "angles=x"),
+         "error: --filter angles= takes a comma list of numbers, got 'x'"),
+        (("search", "--group", "Z9", "-m", "3", "--filter", "angles="),
+         "error: --filter angles= takes a comma list of numbers, got ''"),
+    ],
+)
+def test_malformed_values_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of every `framelab ...` line in README's code blocks, comments dropped."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", text, re.M | re.S)
+    lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("framelab ")]
+    return [shlex.split(ln, comments=True)[1:] for ln in lines]
+
+
+def test_readme_has_command_examples():
+    assert len(_readme_commands()) == 23
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=shlex.join)
+def test_readme_command_exits_0(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # for the examples that write --out files
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err

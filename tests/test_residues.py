@@ -9,7 +9,7 @@ import pytest
 import scalar_oracle
 
 from framelab import residues as residues_module
-from framelab.arith import four_square_plus, is_prime, residues
+from framelab.arith import factorize, four_square_plus, is_prime, is_prime_power, residues
 from framelab.errors import CapacityError, DomainError
 from framelab.groups import _difference_index_table, _root_table
 from framelab.residues import (
@@ -190,6 +190,15 @@ def test_gauss_sum_magnitude_is_sqrt_p():
             assert abs(gauss_sum(a, p)) == pytest.approx(math.sqrt(p), abs=1e-9)
 
 
+def test_factorize_against_trial_products():
+    for n in range(1, 5000):
+        f = factorize(n)
+        assert math.prod(p**e for p, e in f) == n
+        assert [p for p, _ in f] == sorted({p for p, _ in f})
+        assert all(is_prime(p) and e >= 1 for p, e in f)
+        assert is_prime_power(n) == (len(f) == 1)
+
+
 def test_four_square_plus_against_brute_force():
     # the p = 4a^2 + c representations behind the quartic special cases and
     # the quartic family predictor
@@ -312,6 +321,28 @@ def test_paley_capped_before_any_table():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 1024 * 1024
+
+
+@pytest.mark.parametrize(
+    "fn, message",
+    [
+        (paley_pds, "difference index table capped at order 4096"),
+        (quartic_gaussian_ds, "difference index table capped at order 4096"),
+        (quartic_special_cases, "difference index table capped at order 4096"),
+        (quartic_coset_decomposition, "residue tables capped at p <= 65536"),
+    ],
+)
+def test_bound_checked_before_any_residue_set(fn, message):
+    # a prime far above both bounds is refused before a residue set of size p
+    # is built (building it first took paley_pds over a second)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=message):
+            fn(1_000_003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_residue_sets_are_not_kept():

@@ -240,17 +240,6 @@ def test_report_roundtrip_and_csv():
         assert col in header
 
 
-def test_framelab_jobs_env(monkeypatch):
-    from framelab.search import default_jobs
-
-    monkeypatch.setenv("FRAMELAB_JOBS", "3")
-    assert default_jobs() == 3
-    monkeypatch.setenv("FRAMELAB_JOBS", "junk")
-    assert default_jobs() == 1
-    monkeypatch.delenv("FRAMELAB_JOBS")
-    assert default_jobs() == 1
-
-
 def test_found_btfs_satisfy_multiplicity_identity():
     from framelab.frames import btf_multiplicities_from_angles
 
