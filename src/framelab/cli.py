@@ -9,9 +9,10 @@ subcommand, where modulation takes --group/--set, etf-difference takes
 --group and --order, and --mode reduced only with --group.  A missing flag,
 a flag the command does not read, or two flags that exclude each other is
 a usage error.  --jobs (default 1) is the worker count of a search.
-Reports are JSON (schema field = 1); search and tables also write CSV,
-chosen with `--format csv`.  `--out` writes to a file, with the format
-inferred from a .json/.csv suffix.
+Reports are JSON (schema field = 1); search with --group and tables also
+write CSV, chosen with `--format csv`.  `--out` writes to a file, with the
+format inferred from a .json/.csv suffix.  CSV asked of any other command is
+an error (exit 1), raised before the command does any work.
 """
 
 from __future__ import annotations
@@ -50,22 +51,28 @@ from .search import SearchJob, cross_group_angle_match, enumerate_and_classify
 from .verify import SUITES, run_suite
 
 
+def _format(args) -> str:
+    """The report format: a .json/.csv suffix of --out, else --format, else json."""
+    out_path = getattr(args, "out", None) or ""
+    for fmt in ("json", "csv"):
+        if out_path.endswith("." + fmt):
+            return fmt
+    return getattr(args, "format", "json")
+
+
+def _has_csv(args) -> bool:
+    """Whether the command writes CSV: tables, and search with --group."""
+    return args.command == "tables" or (args.command == "search" and args.order is None)
+
+
 def _emit(args, payload: dict | list, csv_rows: list[list] | None = None) -> None:
-    fmt = getattr(args, "format", "json")
-    out_path = getattr(args, "out", None)
-    if out_path:
-        if out_path.endswith(".csv"):
-            fmt = "csv"
-        elif out_path.endswith(".json"):
-            fmt = "json"
-    if fmt == "csv":
-        if csv_rows is None:
-            raise FramelabError("csv output not available for this command")
+    if _format(args) == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows)
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2, default=str) + "\n"
+    out_path = getattr(args, "out", None)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -306,6 +313,8 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "order", None) is not None and args.mode == "reduced":
         ap.error("search --order searches each group in full; --mode reduced takes --group")
     try:
+        if _format(args) == "csv" and not _has_csv(args):  # before any work
+            raise FramelabError("csv output not available for this command")
         return args.func(args)
     except FramelabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,19 +4,23 @@ Subsets stream in lexicographic order as (B, m) blocks of element indices,
 B <= BLOCK_SIZE, and each block is classified with array operations: the
 angle magnitudes of all its rows come from one gather-sum over the character
 table, clusters and the ETF/BTF decision from frames, and the set classes
-from the diffsets row kernel.  Per-row temporaries are built in chunks of
-min(BLOCK_SIZE, max(ROW_CHUNK, CHUNK_ENTRIES // (n m))) rows, so the chunk's
-(n, rows, m) complex character gather stays within CHUNK_ENTRIES entries
-(512 KB) whenever ROW_CHUNK rows fit in it, and memory is bounded by the
-group, not by the job; a record is built only for a subset that passes the
-filter.  The serial path classifies each block as it is cut; with jobs > 1
-and more than one block a process pool classifies them, with at most
-2 * jobs blocks in flight.  Aggregation merges blocks in index order, so
-reports are identical for any worker count.  Full mode walks all C(n, m)
-subsets; reduced mode walks the C(n-1, m-1) subsets containing the
-identity.  That is not one representative per translation class: a class of
-m-subsets with trivial stabilizer has m members containing the identity,
-and all of them are kept and counted.
+from the diffsets row kernel.  A block is filled from the combinations
+stream by one np.fromiter.  The per-row stages run on chunks of
+min(BLOCK_SIZE, max(ROW_CHUNK, CHUNK_ENTRIES // n)) rows, so each (rows, n)
+temporary stays within CHUNK_ENTRIES entries whenever ROW_CHUNK rows fit;
+the complex character gather runs in sub-slices of
+min(BLOCK_SIZE, max(ROW_CHUNK, CHUNK_ENTRIES // (n m))) rows, so its
+(n, rows, m) temporary stays within CHUNK_ENTRIES entries (512 KB) on the
+same condition, and memory is bounded by the group, not by the job.  Records are built in bulk
+and only for subsets that pass the filter.  The serial path classifies each
+block as it is cut; with jobs > 1 and more than one block a process pool
+classifies them, with at most 2 * jobs blocks in flight.  Aggregation
+merges blocks in index order, so reports are identical for any worker
+count.  Full mode walks all C(n, m) subsets; reduced mode walks the
+C(n-1, m-1) subsets containing the identity.  That is not one
+representative per translation class: a class of m-subsets with trivial
+stabilizer has m members containing the identity, and all of them are kept
+and counted.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 from .arith import factorize
 from .diffsets import ROW_FLAGS, classify, classify_rows  # noqa: F401 (classify stays importable here)
 from .errors import CapacityError, DomainError
-from .frames import cluster_rows, etf_btf
+from .frames import Clusters, cluster_rows, etf_btf
 from .groups import Element, GroupSpec, full_character_table
 
 SUBSET_CAP = 10**7
@@ -178,8 +182,8 @@ COUNTED = (
     "difference_set", "bidifference", "divisible", "relative",
     "partial", "gaussian", "almost", "nested_divisible", "etf", "btf",
 )
-ROW_CHUNK = 128  # least rows per chunk of per-row temporaries
-CHUNK_ENTRIES = 2**15  # entries of a chunk's (n, rows, m) complex gather: 512 KB
+ROW_CHUNK = 128  # least rows per chunk and per gather sub-slice
+CHUNK_ENTRIES = 2**15  # entries of a chunk's (rows, n) arrays; of a (n, rows, m) gather: 512 KB
 
 
 def _filter_column(job: SearchJob) -> str | None:
@@ -195,11 +199,39 @@ def _filter_column(job: SearchJob) -> str | None:
     return name
 
 
-def _chunk_rows(n: int, m: int) -> int:
-    """Rows per chunk of a block: as many as keep the (n, rows, m) character
-    gather within CHUNK_ENTRIES entries, but at least ROW_CHUNK and at most
-    BLOCK_SIZE."""
+def _chunk_rows(n: int) -> int:
+    """Rows per chunk of a block's per-row stages: as many as keep a chunk's
+    (rows, n) temporaries within CHUNK_ENTRIES entries, but at least
+    ROW_CHUNK and at most BLOCK_SIZE."""
+    return min(BLOCK_SIZE, max(ROW_CHUNK, CHUNK_ENTRIES // n))
+
+
+def _gather_rows(n: int, m: int) -> int:
+    """Rows per sub-slice of the character gather: as many as keep its
+    (n, rows, m) complex temporary within CHUNK_ENTRIES entries, but at
+    least ROW_CHUNK and at most BLOCK_SIZE."""
     return min(BLOCK_SIZE, max(ROW_CHUNK, CHUNK_ENTRIES // (n * m)))
+
+
+@lru_cache(maxsize=None)
+def _element_objects(g: GroupSpec) -> np.ndarray:
+    """elements() as a 1-D object array, so a block's subsets are one gather."""
+    return np.fromiter(g.elements(), dtype=object, count=g.order)
+
+
+def _magnitudes(T: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
+    """(len(rows), n - 1) angle magnitudes |sum_j chi_{g_j}(x)| / m, x != 0 (row 0 of T).
+
+    The complex gather runs _gather_rows(n, m) rows at a time into the one
+    output array; every row's sum is the same gather-sum over its m
+    characters, so the bits do not depend on the sub-slicing.
+    """
+    n = len(T)
+    mags = np.empty((len(rows), n - 1))
+    step = _gather_rows(n, m)
+    for a in range(0, len(rows), step):
+        mags[a : a + step] = (np.abs(T[1:, rows[a : a + step]].sum(axis=-1)) / m).T
+    return mags
 
 
 def _flag_dicts(flags: dict[str, np.ndarray], pick: np.ndarray) -> list[dict]:
@@ -222,32 +254,55 @@ def _flag_dicts(flags: dict[str, np.ndarray], pick: np.ndarray) -> list[dict]:
     for k in values.keys() - ROW_FLAGS:
         values[k] = [None if v < 0 else v for v in values[k]]
     distinct = [dict(zip(values, vs)) for vs in zip(*values.values())]
-    return [distinct[j].copy() for j in inverse.tolist()]
+    return list(map(dict.copy, map(distinct.__getitem__, inverse.tolist())))
+
+
+def _cluster_tuples(c: Clusters, pick: np.ndarray) -> tuple[list[tuple], list[tuple]]:
+    """Angles and multiplicities of the picked rows as tuples, in pick order.
+
+    Rows with d clusters take one (d, rows) gather of reps and sizes per
+    distinct d, zipped column by column into tuples; with more than one d,
+    the lists are put back in pick order.
+    """
+    d = c.d[pick]
+    runs = [np.flatnonzero(d == k) for k in np.flatnonzero(np.bincount(d)).tolist()]
+    angles: list[tuple] = []
+    mults: list[tuple] = []
+    for at in runs:
+        cells = np.arange(d[at[0]])[:, None] + c.starts[pick[at]]
+        angles += zip(*c.reps[cells].tolist())
+        mults += zip(*c.sizes[cells].tolist())
+    if len(runs) > 1:
+        back = np.argsort(np.concatenate(runs)).tolist()
+        angles = list(map(angles.__getitem__, back))
+        mults = list(map(mults.__getitem__, back))
+    return angles, mults
 
 
 def _classify_block(job: SearchJob, block: np.ndarray) -> tuple[list[SubsetRecord], np.ndarray]:
     """Records of the rows of a (B, m) index block that pass the job's filter,
     and the block's class counts in COUNTED order.
 
-    Rows go _chunk_rows(n, m) at a time, so a chunk's complex gather holds
-    at most CHUNK_ENTRIES entries (512 KB), or ROW_CHUNK * n * m where that
-    is more: magnitudes |sum_j chi_{g_j}(x)| / m as one gather-sum over the
-    character table (the same sums, bit for bit, as one subset at a time),
-    clusters and ETF/BTF from frames, set classes from diffsets.classify_rows.
-    A record is built only for a row that is kept.
+    Rows go _chunk_rows(n) at a time, so a chunk's (rows, n) temporaries
+    hold at most CHUNK_ENTRIES entries each, or ROW_CHUNK * n where that is
+    more: magnitudes from _magnitudes (its complex gather in sub-slices of
+    at most CHUNK_ENTRIES entries, 512 KB), clusters and ETF/BTF from
+    frames, set classes from diffsets.classify_rows.  Records are built only
+    for kept rows, in bulk: subsets as one gather from the element object
+    array, angles and multiplicities per distinct cluster count, flag dicts
+    once per distinct flag row.
     """
     g, m, tol = job.group, job.m, job.angle_tol
     T = full_character_table(g)
-    els = g.elements()
+    els = _element_objects(g)
     column = _filter_column(job)
     target = None if job.target_angles is None else np.sort(job.target_angles)
     kept: list[SubsetRecord] = []
     totals = np.zeros(len(COUNTED), dtype=np.int64)
-    step = _chunk_rows(g.order, m)
+    step = _chunk_rows(g.order)
     for a in range(0, len(block), step):
         rows = block[a : a + step]
-        mags = (np.abs(T[:, rows].sum(axis=-1)) / m)[1:].T  # x = 0 is index 0
-        c = cluster_rows(mags, tol)
+        c = cluster_rows(_magnitudes(T, rows, m), tol)
         is_etf, is_btf = etf_btf(g.order, m, c)
         flags = classify_rows(g, rows) if m >= 2 else {}
         cols = {**flags, "etf": is_etf, "btf": is_btf}
@@ -263,26 +318,32 @@ def _classify_block(job: SearchJob, block: np.ndarray) -> tuple[list[SubsetRecor
         pick = np.flatnonzero(keep)
         if not pick.size:
             continue
-        starts, reps, sizes = c.starts.tolist(), c.reps.tolist(), c.sizes.tolist()
-        for i, row, etf, btf, fl in zip(
-            pick.tolist(), rows[pick].tolist(), is_etf[pick].tolist(), is_btf[pick].tolist(),
-            _flag_dicts(flags, pick),
-        ):
-            lo, hi = starts[i], starts[i + 1]
-            subset = tuple(map(els.__getitem__, row))
-            kept.append(SubsetRecord(subset, tuple(reps[lo:hi]), tuple(sizes[lo:hi]), etf, btf, fl))
+        angles, mults = _cluster_tuples(c, pick)
+        kept += map(
+            SubsetRecord, zip(*els[rows[pick].T].tolist()), angles, mults,
+            is_etf[pick].tolist(), is_btf[pick].tolist(), _flag_dicts(flags, pick),
+        )
     return kept, totals
 
 
 def _index_blocks(job: SearchJob) -> Iterator[np.ndarray]:
-    """Subsets in lexicographic order as (B, m) element-index blocks, B <= BLOCK_SIZE."""
+    """Subsets in lexicographic order as (B, m) element-index blocks, B <= BLOCK_SIZE.
+
+    Each block is filled from the combinations stream by one np.fromiter;
+    in reduced mode the stream gives the (m - 1)-subsets of 1..n-1 and
+    column 0 holds the identity.
+    """
     n, m = job.group.order, job.m
-    if job.mode == "reduced":
-        stream = ((0,) + c for c in itertools.combinations(range(1, n), m - 1))
-    else:
-        stream = itertools.combinations(range(n), m)
-    while block := list(itertools.islice(stream, BLOCK_SIZE)):
-        yield np.array(block, dtype=np.intp)
+    lead = int(job.mode == "reduced")
+    stream = itertools.combinations(range(lead, n), m - lead)
+    total = job.subset_count()
+    for start in range(0, total, BLOCK_SIZE):
+        rows = min(BLOCK_SIZE, total - start)
+        flat = itertools.chain.from_iterable(itertools.islice(stream, rows))
+        block = np.fromiter(flat, np.intp, count=rows * (m - lead)).reshape(rows, m - lead)
+        if lead:
+            block = np.concatenate((np.zeros((rows, 1), np.intp), block), axis=1)
+        yield block
 
 
 def _map_blocks(

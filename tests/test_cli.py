@@ -114,6 +114,36 @@ def test_search_csv_output(tmp_path, capsys):
     assert len(rows) > 1
 
 
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (("search", "--order", "8", "-m", "3", "--filter",
+          f"angles=0.3333333333333333,{math.sqrt(5)/3}"), "cross_group_angle_match"),
+        (("classify", "--group", "Z7", "--set", "0,1,3"), "classify"),
+        (("angles", "--group", "Z7", "--set", "0,1,3"), "frame_report"),
+        (("predict", "dds", "-n", "6", "-m", "3", "-l", "2", "--lam", "2", "--mu", "1"),
+         "dds_angles"),
+        (("gauss", "legendre", "2", "7"), "legendre"),
+    ],
+)
+def test_csv_is_refused_before_any_work(capsys, monkeypatch, tmp_path, argv, work):
+    # a command without CSV output exits 1 at once: the work it would have
+    # done raises here, so a check made after the work fails this test
+    import framelab.cli as cli
+
+    def ran(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the format check")
+
+    monkeypatch.setattr(cli, work, ran)
+    out_file = tmp_path / "x.csv"
+    asks = [("--out", str(out_file))] + ([("--format", "csv")] if argv[0] == "search" else [])
+    for extra in asks:
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out) == (1, ""), extra
+        assert err == "error: csv output not available for this command\n"
+    assert not out_file.exists()
+
+
 def test_gauss_commands(capsys):
     code, out, _ = run(capsys, "gauss", "legendre", "2", "13")
     assert code == 0 and json.loads(out)["legendre"] == -1

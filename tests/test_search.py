@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -97,35 +98,56 @@ def _report_text(rep) -> tuple[str, str]:
     return json.dumps(d, indent=1), "\n".join(map(repr, rep.to_csv_rows()))
 
 
+def test_chunk_rules():
+    # per-row stages in chunks of (rows, n) entries, the complex gather in
+    # sub-slices of (n, rows, m) entries, each within CHUNK_ENTRIES
+    assert search._chunk_rows(21) == 1560  # Z21 m=4 full: 5 chunks per search
+    assert search._gather_rows(21, 4) == 390
+    assert search._chunk_rows(64) == 512 and search._gather_rows(64, 3) == 170
+    assert search._chunk_rows(2) == search._gather_rows(2, 1) == BLOCK_SIZE
+    assert search._chunk_rows(4093) == search._gather_rows(1000, 7) == search.ROW_CHUNK
+    for n in range(2, 300):
+        rows = search._chunk_rows(n)
+        assert rows == BLOCK_SIZE or rows == search.ROW_CHUNK or rows * n <= search.CHUNK_ENTRIES
+        for m in (1, 3, n):
+            sub = search._gather_rows(n, m)
+            assert sub <= rows
+            assert sub == search.ROW_CHUNK or sub * n * m <= search.CHUNK_ENTRIES
+
+
 def test_chunk_bound_does_not_change_reports(monkeypatch):
-    # one row per chunk against the whole block in one chunk, byte for byte
+    # row chunk and gather sub-slice at 1, at 7 (most blocks then end in a
+    # short chunk) and at the whole block, in every combination: reports
+    # byte-identical
+    sizes = (1, 7, BLOCK_SIZE)
+    calls = []
+
     def texts(job):
-        monkeypatch.setattr(search, "ROW_CHUNK", 1)
-        monkeypatch.setattr(search, "CHUNK_ENTRIES", 1)
-        assert search._chunk_rows(job.group.order, job.m) == 1
-        single = _report_text(enumerate_and_classify(job))
-        monkeypatch.setattr(search, "ROW_CHUNK", BLOCK_SIZE)
-        assert search._chunk_rows(job.group.order, job.m) == BLOCK_SIZE
-        whole = _report_text(enumerate_and_classify(job))
-        return single, whole
+        out = set()
+        for rows in sizes:
+            for sub in sizes:
+                monkeypatch.setattr(search, "_chunk_rows", lambda n, k=rows: calls.append(n) or k)
+                monkeypatch.setattr(
+                    search, "_gather_rows", lambda n, m, k=sub: calls.append(m) or k
+                )
+                out.add(_report_text(enumerate_and_classify(job)))
+        assert len(out) == 1, job
+        return out.pop()
 
     jobs = 0
     for n in range(2, 11):
         for g in abelian_groups_of_order(n):
             for m in range(1, n + 1):
                 for mode in ("full", "reduced"):
-                    single, whole = texts(SearchJob(g, m, mode=mode))
-                    assert single == whole, (g.name, m, mode)
+                    texts(SearchJob(g, m, mode=mode))
                     jobs += 1
             m = min(3, n)
             for f in ("btf", "nested-divisible"):
-                single, whole = texts(SearchJob(g, m, filter_name=f))
-                assert single == whole, (g.name, m, f)
+                texts(SearchJob(g, m, filter_name=f))
             angles = enumerate_and_classify(SearchJob(g, m)).records[-1].angles
-            single, whole = texts(SearchJob(g, m, mode="reduced", target_angles=angles))
-            assert single == whole, (g.name, m, angles)
-            assert json.loads(single[0])["match_count"] > 0
-    assert jobs > 100
+            text = texts(SearchJob(g, m, mode="reduced", target_angles=angles))
+            assert json.loads(text[0])["match_count"] > 0
+    assert jobs > 100 and len(calls) > 18 * jobs  # both rules read on every run
 
 
 def test_records_own_their_flag_dicts():
@@ -173,6 +195,48 @@ def test_pool_with_more_blocks_than_in_flight_matches_serial(monkeypatch):
     assert len(list(search._index_blocks(job))) == 8
     serial = _report_text(enumerate_and_classify(job))
     assert _report_text(enumerate_and_classify(replace(job, jobs=2))) == serial
+
+
+@pytest.mark.parametrize("name, m", [("Z64", 3), ("Z21", 4)])
+def test_block_memory_is_bounded_by_the_chunk(name, m):
+    # a full 4096-row block whose target matches nothing: the peak is one
+    # chunk's temporaries, about 2 MB; a 2**16-entry bound reads 3.4-3.5 MB
+    job = SearchJob(parse_group(name), m, target_angles=(2.0,))
+    block = next(search._index_blocks(job))
+    assert block.shape == (BLOCK_SIZE, m)
+    search._classify_block(job, block)  # character table, lattice and tables cached
+    tracemalloc.start()
+    try:
+        kept, counts = search._classify_block(job, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept == [] and counts.any()
+    assert peak < 3 * 2**20, peak
+
+
+def test_index_blocks_match_combinations(monkeypatch):
+    # block by block against itertools.combinations, for block sizes 1, 7,
+    # one that divides the subset count, and the default
+    g = parse_group("Z2xZ5")
+    for m in (1, 2, 3, 9, 10):
+        for mode in ("full", "reduced"):
+            job = SearchJob(g, m, mode=mode)
+            if mode == "full":
+                want = list(itertools.combinations(range(10), m))
+            else:
+                want = [(0,) + c for c in itertools.combinations(range(1, 10), m - 1)]
+            total = len(want)
+            assert total == job.subset_count()
+            divisor = max((d for d in range(1, total) if total % d == 0), default=1)
+            for size in (1, 7, divisor, BLOCK_SIZE):
+                monkeypatch.setattr(search, "BLOCK_SIZE", size)
+                blocks = list(search._index_blocks(job))
+                assert len(blocks) == -(-total // size), (m, mode, size)
+                for i, b in enumerate(blocks):
+                    rows = want[i * size : (i + 1) * size]
+                    assert b.dtype == np.intp and b.shape == (len(rows), m)
+                    assert list(map(tuple, b.tolist())) == rows, (m, mode, size, i)
 
 
 @pytest.mark.parametrize("name", ["differnce-set", "lam", "t", "btf_without_bidifference", ""])
