@@ -27,6 +27,15 @@ records around the flags.  Subgroups are read from the group's one
 membership matrix, groups._subgroup_lattice.  Minimal chains come from one
 breadth-first pass over the subgroup inclusion DAG, _chain_levels: search
 reads the chain length from it, and the scalar chain walks its levels.
+
+The count levels bound which rows need the slower tests.  A chain has one
+count value per annulus, so its length t is at least the number of levels,
+and no subgroup chain is longer than Omega(n), the number of prime factors
+of n with multiplicity.  A row that misses the one- and two-level fast paths
+needs t >= 3, so it reaches the chain pass only when max(3, levels) <=
+Omega(n); a constant split (partial, gaussian) has at most two levels, so
+only such rows are split-tested.  Every other row reads t = -1 and False,
+as the tests would give it.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import is_prime, residues
+from .arith import factorize, is_prime, residues
 from .errors import InvalidElementError, InvalidOperationError, InvalidSubsetError, InvariantError
 from .groups import Element, GroupSpec, _difference_index_table, _subgroup_lattice, all_subgroups
 
@@ -481,9 +490,12 @@ def classify_rows(g: GroupSpec, rows: np.ndarray) -> dict[str, np.ndarray]:
     column comes from one (B, n-1) count matrix, a bincount of the rows'
     difference indices.  The number of levels comes from sorted rows; a
     two-level witness is a subgroup when its packed level mask is among the
-    subgroup keys; t is 1 or 2 on those fast paths, and only the remaining
-    rows go through _chain_levels, breadth-first from G for all of them at
-    once.  classify is this function on one row.
+    subgroup keys; t is 1 or 2 on those fast paths.  Of the remaining rows
+    only those with max(3, levels) <= _chain_height(g) go through
+    _chain_levels, breadth-first from G for all of them at once; the others
+    read t = -1.  The partial and Gaussian split tests run only on rows with
+    at most two levels; the others read False.  classify is this function
+    on one row.
     """
     return _row_kernel(g, rows)[0]
 
@@ -493,10 +505,12 @@ def _row_kernel(
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None, np.ndarray]:
     """The columns of classify_rows, the _chain_levels output behind t, and the counts.
 
-    The levels have one row per row that missed both fast paths (t not 1
-    or 2), in row order; None when every row took a fast path.  classify
-    walks its deep chain on them and reads its DiffCounts from the (B, n-1)
-    counts, so the level pass and the count step run once.
+    The levels have one row per row that reached the chain pass (missed
+    both fast paths, and max(3, levels) <= _chain_height(g)), in row order;
+    None when no row reached it.  A row with at least three levels can meet
+    no constant split, so the split tests see only rows with at most two.
+    classify walks its deep chain on the levels and reads its DiffCounts
+    from the (B, n-1) counts, so the level pass and the count step run once.
     """
     member, counts = _count_rows(g, rows)
     B = len(counts)
@@ -523,14 +537,19 @@ def _row_kernel(
     # one level: divisible when any subgroup lies strictly between {0} and G
     divisible = (two & witness) | (one & (len(keys) > 2))
 
-    partial = _constant_split_rows(counts, member[:, 1:])  # A = S + {0}
+    split = levels <= 2  # a constant split has at most two levels
+    partial = np.zeros(B, dtype=bool)
+    partial[split] = _constant_split_rows(counts[split], member[split, 1:])  # A = S + {0}
+    gaussian = np.zeros(B, dtype=bool)
     q = _residue_mask(g)
-    gaussian = np.zeros(B, dtype=bool) if q is None else _constant_split_rows(counts, q)
+    if q is not None:
+        gaussian[split] = _constant_split_rows(counts[split], q)
 
     reversible = (member[:, _difference_index_table(g)[:, 0]] == member).all(axis=1)  # -x_i
 
     t = np.where(one, 1, np.where(two & witness, 2, -1))
-    deep = np.flatnonzero(t < 0)
+    # a missed row needs t >= 3, and t >= levels (one count value per annulus)
+    deep = np.flatnonzero((t < 0) & (np.maximum(levels, 3) <= _chain_height(g)))
     level = None
     if deep.size:
         level = _chain_levels(_chain_dag(g), counts[deep])
@@ -564,6 +583,14 @@ def _constant_split_rows(counts: np.ndarray, inside: np.ndarray) -> np.ndarray:
 
     big = counts.max(initial=0) + 1
     return constant(inside) & constant(~inside)
+
+
+@lru_cache(maxsize=None)
+def _chain_height(g: GroupSpec) -> int:
+    """Omega(n): the prime factors of n with multiplicity, the length of the
+    longest subgroup chain of an abelian group of order n (a composition
+    series), so no nested divisible chain is longer."""
+    return sum(e for _, e in factorize(g.order))
 
 
 @lru_cache(maxsize=None)

@@ -342,7 +342,9 @@ def subgroup_generated(g: GroupSpec, gens: Iterable[Element]) -> Subgroup:
             continue
         order = lcm(*(f // gcd(c, f) for c, f in zip(x, g.factors)))
         row = _multiples(g, np.array([x], dtype=np.int64), order + 1)
-        H = np.unique(_coset_sums(g, _coords(g, H), row, np.isin(row, H))[1])
+        # the cosets H + j x, j below the first multiple of x in H, are
+        # disjoint, so the sums are distinct; np.unique would import numpy.ma
+        H = np.sort(_coset_sums(g, _coords(g, H), row, np.isin(row, H))[1], axis=None)
     return Subgroup(g, tuple(map(g.element, H.tolist())))
 
 

@@ -95,8 +95,16 @@ class SearchJob:
         return math.comb(n, self.m)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SubsetRecord:
+    """One kept subset of a search: its angles, the ETF/BTF decision and its flags.
+
+    Mutable: find_btfs adds a key to each record's flags dict, so freezing
+    the fields would not make a record immutable, and a slotted class
+    without frozen=True is cheaper to build, once per kept row.  Records
+    compare by value, do not hash, and pickle (the pool path returns them).
+    """
+
     subset: tuple[Element, ...]
     angles: tuple[float, ...]
     multiplicities: tuple[int, ...]

@@ -17,7 +17,7 @@ from framelab import diffsets
 from framelab.diffsets import classify
 from framelab.errors import CapacityError
 from framelab.groups import GroupSpec, all_subgroups
-from framelab.search import abelian_groups_of_order
+from framelab.search import SearchJob, abelian_groups_of_order, enumerate_and_classify
 
 
 def _cases():
@@ -78,6 +78,61 @@ def test_deep_classify_runs_one_level_pass(monkeypatch):
     assert chain.t == 3
     assert chain == scalar_oracle.oracle_nested_divisible_chain(g, ((0, 0), (1, 0), (0, 1)))
     assert calls == [1]
+
+
+def _bound_cases():
+    # every subset of the groups of order <= 12, the reduced 4-subsets of the
+    # five groups of order 16, and the full 4-subsets of Z21
+    for n in range(2, 13):
+        for g in abelian_groups_of_order(n):
+            for m in range(2, n + 1):
+                yield g, np.array(list(itertools.combinations(range(n), m)))
+    for g in abelian_groups_of_order(16):
+        rest = np.array(list(itertools.combinations(range(1, 16), 3)))
+        yield g, np.concatenate((np.zeros((len(rest), 1), dtype=int), rest), axis=1)
+    yield GroupSpec((21,)), np.array(list(itertools.combinations(range(21), 4)))
+
+
+def test_level_bounds_are_exact(monkeypatch):
+    # the columns with both bounds equal those with neither: the chain pass
+    # on every row that missed the fast paths, the splits on every row
+    bounded = [diffsets.classify_rows(g, rows) for g, rows in _bound_cases()]
+    monkeypatch.setattr(diffsets, "_chain_height", lambda g: 1 << 30)
+    rows_seen = 0
+    for (g, rows), cols in zip(_bound_cases(), bounded, strict=True):
+        free = diffsets.classify_rows(g, rows)
+        member, counts = diffsets._count_rows(g, rows)
+        free["partial"] = diffsets._constant_split_rows(counts, member[:, 1:])
+        q = diffsets._residue_mask(g)
+        if q is not None:
+            free["gaussian"] = diffsets._constant_split_rows(counts, q)
+        assert cols.keys() == free.keys()
+        for k in cols:
+            assert np.array_equal(cols[k], free[k]), (g, rows.shape, k)
+        rows_seen += len(rows)
+    assert rows_seen == 13_190 + 5 * 455 + 5_985
+
+
+def test_chain_pass_skips_rows_the_height_rules_out(monkeypatch):
+    # Omega(21) = 2, so no Z21 row can carry a chain of three or more steps;
+    # Z2^4 (Omega = 4) still sends its deep rows through the pass
+    levels = diffsets._chain_levels
+    calls = []
+
+    def counted(dag, counts):
+        calls.append(len(counts))
+        return levels(dag, counts)
+
+    monkeypatch.setattr(diffsets, "_chain_levels", counted)
+    z21 = SearchJob(GroupSpec((21,)), 4)
+    enumerate_and_classify(z21)
+    assert calls == []
+    enumerate_and_classify(SearchJob(GroupSpec((2, 2, 2, 2)), 4, mode="reduced"))
+    assert sum(calls) > 0
+    calls.clear()
+    monkeypatch.setattr(diffsets, "_chain_height", lambda g: 1 << 30)
+    enumerate_and_classify(z21)
+    assert sum(calls) == 5_943  # every Z21 row but the 42 on the fast paths
 
 
 @pytest.mark.parametrize("factors", [(2, 2, 2, 2), (4, 4), (2, 8), (12,), (2, 2, 6), (3, 9)])

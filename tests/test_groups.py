@@ -1,6 +1,9 @@
 """Group arithmetic, characters, subgroups, annihilators."""
 
 import itertools
+import os
+import subprocess
+import sys
 import timeit
 import tracemalloc
 from fractions import Fraction
@@ -11,6 +14,7 @@ import scalar_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import framelab
 from framelab.errors import CapacityError, DomainError, InvalidElementError, InvalidSubgroupError
 from framelab.groups import (
     GroupSpec,
@@ -160,6 +164,18 @@ def test_subgroup_generated_is_linear_in_the_subgroup():
         tracemalloc.stop()
     assert H.elements == ((0,), (2**19,))
     assert peak < 64 * 1024
+
+
+def test_subgroup_generated_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use, about 0.6 MB resident
+    code = (
+        "import sys\n"
+        "from framelab.groups import GroupSpec, subgroup_generated\n"
+        "subgroup_generated(GroupSpec((12,)), [(4,)])\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(framelab.__file__))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_is_subgroup_set_on_every_subset():

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -162,6 +163,20 @@ def test_records_own_their_flag_dicts():
             assert type(r.flags[k]) is bool, k
         for k in ("lam", "mu", "l", "t"):
             assert r.flags[k] is None or type(r.flags[k]) is int, k
+
+
+def test_records_replace_pickle_and_assign():
+    r = enumerate_and_classify(SearchJob(parse_group("Z7"), 3, filter_name="difference-set")).records[0]
+    assert pickle.loads(pickle.dumps(r)) == r
+    s = replace(r, angles=(0.5,))
+    assert s != r and s.angles == (0.5,) and s.flags is r.flags
+    # mutable and slotted: attributes assign, unknown ones do not exist
+    r.is_etf = False
+    assert r.is_etf is False and r != s
+    with pytest.raises(AttributeError):
+        r.extra = 1
+    with pytest.raises(TypeError):
+        hash(r)
 
 
 def test_pool_bounds_blocks_in_flight():
