@@ -20,7 +20,12 @@ excluded as uninformative.
 Counts come from one count step, _count_rows (validation, one gather from
 the difference index table, one bincount), for one subset or a block.  The
 row kernel, classify_rows, decides every class for a whole block from its
-count matrix; search calls it on blocks.  classify is the single-subset view
+count matrix; search calls it on blocks.  Every class but partial depends
+on S only through its count row, which translation and negation leave
+unchanged (c_{S+g} = c_{-S} = c_S), so a block has few distinct rows: the
+kernel makes each count-only decision, the chain pass included, once per
+distinct count row and gathers the columns back; partial, reversible and
+regular read S itself and run per row.  classify is the single-subset view
 of the same kernel (the CLI, frame reports, verify): it runs it on one row,
 takes its DiffCounts from the kernel's count row, and only builds the
 records around the flags.  Subgroups are read from the group's one
@@ -97,8 +102,10 @@ def _count_rows(g: GroupSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     Returns (member, counts): member[b] marks row b's elements, counts[b]
     its ordered pairs differing by each nonzero element, in element order.
-    One gather from the difference index table and one bincount (row b
-    offset by b * n); the diagonal lands on the identity, which is dropped.
+    One gather from the flat difference index table over the m(m - 1)
+    ordered pairs of distinct positions, and one bincount (row b offset by
+    b(n - 1), element x >= 1 at column x - 1).  A difference of two distinct
+    elements is never the identity; a table that gives one loses that pair.
     """
     rows = np.asarray(rows, dtype=np.intp)
     B, m = rows.shape
@@ -108,15 +115,15 @@ def _count_rows(g: GroupSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if rows.size and not 0 <= rows.min() <= rows.max() < n:
         raise InvalidElementError(f"element indices must lie in [0, {n})")
     member = np.zeros((B, n), dtype=bool)
-    member[np.arange(B)[:, None], rows] = True
-    if (member.sum(axis=1) != m).any():
+    member.ravel()[(rows + n * np.arange(B)[:, None]).ravel()] = True
+    if np.count_nonzero(member) != B * m:  # a row with a repeat marks fewer than m
         raise InvalidSubsetError("subset has duplicate elements")
-    diffs = _difference_index_table(g)[rows[:, :, None], rows[:, None, :]]
-    diffs = diffs + n * np.arange(B)[:, None, None]  # promotes: b * n overflows int16
-    counts = np.bincount(diffs.ravel(), minlength=B * n).reshape(B, n)[:, 1:]
-    if (counts.sum(axis=1) != m * (m - 1)).any():
+    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    diffs = _difference_index_table(g).ravel()[rows[:, i] * n + rows[:, j]]
+    if not diffs.all():
         raise InvariantError(f"difference counts of a subset do not add up to {m * (m - 1)}")
-    return member, counts
+    diffs = diffs + ((n - 1) * np.arange(B) - 1)[:, None]  # promotes: the offsets overflow int16
+    return member, np.bincount(diffs.ravel(), minlength=B * (n - 1)).reshape(B, n - 1)
 
 
 def reversal(g: GroupSpec, S: Iterable[Element]) -> tuple[Element, ...]:
@@ -488,7 +495,9 @@ def classify_rows(g: GroupSpec, rows: np.ndarray) -> dict[str, np.ndarray]:
     order: the class flags of classify, lam/mu/l of the first bidifference
     witness (the subgroup one first) and the minimal chain length t.  Every
     column comes from one (B, n-1) count matrix, a bincount of the rows'
-    difference indices.  The number of levels comes from sorted rows; a
+    difference indices.  The count-only columns are computed once per
+    distinct count row and gathered back; partial, reversible and regular
+    are computed per row.  The number of levels comes from sorted rows; a
     two-level witness is a subgroup when its packed level mask is among the
     subgroup keys; t is 1 or 2 on those fast paths.  Of the remaining rows
     only those with max(3, levels) <= _chain_height(g) go through
@@ -505,17 +514,27 @@ def _row_kernel(
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None, np.ndarray]:
     """The columns of classify_rows, the _chain_levels output behind t, and the counts.
 
-    The levels have one row per row that reached the chain pass (missed
-    both fast paths, and max(3, levels) <= _chain_height(g)), in row order;
-    None when no row reached it.  A row with at least three levels can meet
-    no constant split, so the split tests see only rows with at most two.
-    classify walks its deep chain on the levels and reads its DiffCounts
-    from the (B, n-1) counts, so the level pass and the count step run once.
+    Every count-only column (levels, lam/mu/l and the subgroup witness,
+    divisible, relative, almost, gaussian, t) is computed once per distinct
+    count row (_distinct_rows) and gathered back to the rows; partial,
+    reversible and regular depend on S itself and are computed per row.  A
+    one-row call skips the deduplication.  The levels have one row per row
+    that reached the chain pass (missed both fast paths, and max(3, levels)
+    <= _chain_height(g)), in row order; None when no row reached it.  A row
+    with at least three levels can meet no constant split, so the split
+    tests see only rows with at most two.  classify walks its deep chain on
+    the levels and reads its DiffCounts from the (B, n-1) counts, so the
+    level pass and the count step run once.
     """
     member, counts = _count_rows(g, rows)
     B = len(counts)
+    if B > 1:
+        distinct, inverse = _distinct_rows(counts)
+    else:
+        distinct, inverse = counts, np.zeros(B, dtype=np.intp)
+    U = len(distinct)
 
-    ordered = np.sort(counts, axis=1)
+    ordered = np.sort(distinct, axis=1)
     lo, hi = ordered[:, 0], ordered[:, -1]
     levels = 1 + np.count_nonzero(np.diff(ordered, axis=1), axis=1)
     one, two = levels == 1, levels == 2
@@ -523,56 +542,105 @@ def _row_kernel(
     # two levels: the witness {0} + level(lam) is tried with lam = lo, then hi
     lam = np.where(one | two, lo, -1)
     mu = np.where(one, lo, np.where(two, hi, -1))
-    witness = np.zeros(B, dtype=bool)
+    witness = np.zeros(U, dtype=bool)
     keys = _subgroup_keys(g)
     pair = np.flatnonzero(two)
-    low = counts[pair] == lo[pair, None]
+    low = distinct[pair] == lo[pair, None]
     for i, a, b in zip(pair.tolist(), np.packbits(low, axis=1), np.packbits(~low, axis=1)):
         if a.tobytes() in keys:
             witness[i] = True
         elif b.tobytes() in keys:
             witness[i] = True
             lam[i], mu[i] = hi[i], lo[i]
-    size = np.count_nonzero(counts == lam[:, None], axis=1) + 1
+    size = np.count_nonzero(distinct == lam[:, None], axis=1) + 1
     # one level: divisible when any subgroup lies strictly between {0} and G
     divisible = (two & witness) | (one & (len(keys) > 2))
 
-    split = levels <= 2  # a constant split has at most two levels
-    partial = np.zeros(B, dtype=bool)
-    partial[split] = _constant_split_rows(counts[split], member[split, 1:])  # A = S + {0}
-    gaussian = np.zeros(B, dtype=bool)
+    gaussian = np.zeros(U, dtype=bool)
     q = _residue_mask(g)
     if q is not None:
-        gaussian[split] = _constant_split_rows(counts[split], q)
-
-    reversible = (member[:, _difference_index_table(g)[:, 0]] == member).all(axis=1)  # -x_i
+        split = levels <= 2  # a constant split has at most two levels
+        gaussian[split] = _constant_split_rows(distinct[split], q)
 
     t = np.where(one, 1, np.where(two & witness, 2, -1))
     # a missed row needs t >= 3, and t >= levels (one count value per annulus)
     deep = np.flatnonzero((t < 0) & (np.maximum(levels, 3) <= _chain_height(g)))
     level = None
     if deep.size:
-        level = _chain_levels(_chain_dag(g), counts[deep])
+        level = _chain_levels(_chain_dag(g), distinct[deep])
         t[deep] = level[:, 0]
+        slot = np.full(U, -1)
+        slot[deep] = np.arange(deep.size)
+        slot = slot[inverse]
+        level = level[slot[slot >= 0]]  # back to row order
+
+    # one stacked gather takes the count-only columns back to the rows
+    levels, lam, mu, size, t, *flags = np.stack(
+        (levels, lam, mu, np.where(two, size, -1), t, divisible, gaussian, two & (hi == lo + 1))
+    )[:, inverse]
+    divisible, gaussian, almost = (f.astype(bool) for f in flags)
+    one, two, split = levels == 1, levels == 2, levels <= 2
+
+    # per row: partial, reversible and regular read S itself
+    partial = np.zeros(B, dtype=bool)
+    partial[split] = _constant_split_rows(counts[split], member[split, 1:])  # A = S + {0}
+    reversible = (member[:, _difference_index_table(g)[:, 0]] == member).all(axis=1)  # -x_i
     nested = t > 0
     return {
         "difference_set": one,
-        "bidifference": levels <= 2,
+        "bidifference": split,
         "proper_bidifference": two,
         "divisible": divisible,
         "relative": divisible & (lam == 0),
         "partial": partial,
         "gaussian": gaussian,
-        "almost": two & (hi == lo + 1),
+        "almost": almost,
         "nested_divisible": nested,
         "reversible": reversible,
         "regular": reversible & ~member[:, 0],
         "lam": lam,
         "mu": mu,
-        "l": np.where(two, size, -1),
+        "l": size,
         "t": t,
         "proper_chain": nested,
     }, level, counts
+
+
+@lru_cache(maxsize=None)
+def _row_weights(width: int) -> np.ndarray:
+    """Fixed odd int64 weights for the keys of count rows of this width.
+
+    The splitmix64 finaliser of 1..width, so the weights are spread over
+    all 64 bits without a random generator.
+    """
+    x = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x ^= x >> np.uint64(shift)
+        x *= np.uint64(mult)
+    x ^= x >> np.uint64(31)
+    return (x | np.uint64(1)).view(np.int64)
+
+
+def _distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, inverse): the distinct rows of counts, and distinct[inverse] == counts.
+
+    Rows are keyed by one 64-bit product with _row_weights (wrapping) and
+    grouped by sorting the keys.  The keys are exact only if no two distinct
+    rows collide, so the gathered rows are compared with counts, and any
+    difference falls back to deduplicating whole rows.
+    """
+    key = counts @ _row_weights(counts.shape[1])
+    order = key.argsort()
+    key = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    distinct = counts[order[new]]
+    inverse = np.empty(len(key), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    if not (distinct[inverse] == counts).all():  # a key collision
+        distinct, inverse = np.unique(counts, axis=0, return_inverse=True)
+    return distinct, inverse
 
 
 def _constant_split_rows(counts: np.ndarray, inside: np.ndarray) -> np.ndarray:
@@ -606,10 +674,11 @@ def _residue_mask(g: GroupSpec) -> np.ndarray | None:
 def _chain_levels(dag: _ChainDag, counts: np.ndarray) -> np.ndarray:
     """Each subgroup's level, per row of nonzero-element counts: (rows, subgroups).
 
-    One breadth-first pass from G over the edges _edge_sums finds usable,
-    for every row at once: G is level 0, and level k holds the subgroups
-    first reached over a usable edge into level k - 1.  A row stops at the
-    level that reaches {0}, so level[:, 0] is the minimal chain length t;
+    The row kernel passes distinct count rows only.  One breadth-first
+    pass from G over the edges _edge_sums finds usable, for every row at
+    once: G is level 0, and level k holds the subgroups first reached over
+    a usable edge into level k - 1.  A row stops at the level that reaches
+    {0}, so level[:, 0] is the minimal chain length t;
     -1 marks a subgroup the row did not reach (for {0}: no chain).  Levels
     are counted as levels waited unreached: an addition per level is cheaper
     than a masked store.  Batches keep (rows, edges) arrays within _EDGE_CHUNK.

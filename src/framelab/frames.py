@@ -353,12 +353,13 @@ class ModulationReport:
 def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationReport:
     """Check the three modulation-operator identities on an explicit frame.
 
-    The closed-form operators X_xi come from the difference index table
-    (_closed_operators); the other side of every check comes from the
-    character table T and the frame vectors V = T[:, ids] / sqrt(m).  All
-    operators are flattened to rows of length m^2, so each side is one
-    matrix product with T, with W[x, a m + b] = V[x, a] conj(V[x, b]) the
-    rank-one operators f_x f_x^*.  The closed forms stay real, and each
+    The closed-form operators X_xi come from the difference index table D,
+    as one scatter (n/m at row D[i_a, i_b], column a m + b); the other side
+    of every check comes from the character table T and the frame vectors
+    V = T[:, ids] / sqrt(m).  All operators are flattened to rows of length
+    m^2, so each side is one matrix product with T, with W[x, a m + b] =
+    V[x, a] conj(V[x, b]) the rank-one operators f_x f_x^*.  The closed
+    forms stay real (a product with conj(T) is two real products), and each
     difference is taken in place in its product's result:
     (o)   the definitional sums sum_x chi_xi(x) f_x f_x^*, T^T W, agree with
           the closed forms entrywise;
@@ -372,9 +373,12 @@ def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationR
     if n * m * m > MODULATION_CAPACITY:
         raise CapacityError(f"modulation check needs n*m^2 <= {MODULATION_CAPACITY}")
     T = full_character_table(f.group)
-    V = T[:, [f.group.index(g) for g in f.generators]] / math.sqrt(m)
+    ids = [f.group.index(g) for g in f.generators]
+    V = T[:, ids] / math.sqrt(m)
     W = (V[:, :, None] * V.conj()[:, None, :]).reshape(n, m * m)
-    closed = _closed_operators(f, np.arange(n)[:, None, None]).reshape(n, m * m)
+    table = _difference_index_table(f.group)
+    closed = np.zeros((n, m * m))
+    closed[table[np.ix_(ids, ids)].ravel(), np.arange(m * m)] = n / m
     diff = T.T @ W
     diff -= closed
     dev_def = float(np.max(np.abs(diff)))
@@ -384,8 +388,11 @@ def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationR
     np.fill_diagonal(grams, 0.0)
     dev_hs = float(np.max(np.abs(grams)))
 
-    # Fourier inversion: f_x f_x^* = (1/n) sum_xi conj(chi_x(xi)) X_xi
-    np.matmul(T.conj(), closed, out=diff)
+    # Fourier inversion: f_x f_x^* = (1/n) sum_xi conj(chi_x(xi)) X_xi, from the
+    # two real products, as the closed forms are real
+    diff.real = T.real @ closed
+    diff.imag = T.imag @ closed
+    np.negative(diff.imag, out=diff.imag)
     diff /= n
     diff -= W
     dev_inv = float(np.max(np.abs(diff)))
@@ -393,8 +400,7 @@ def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationR
     rhs = T @ hs  # rhs[z] = sum_xi chi_z(xi) ||X_xi||^2
     G = V @ V.conj().T
     lhs = (n * n) * np.abs(G) ** 2
-    idx = _difference_index_table(f.group)
-    dev_enc = float(np.max(np.abs(lhs - rhs.real[idx])))
+    dev_enc = float(np.max(np.abs(lhs - rhs.real[table])))
     return ModulationReport(dev_def, dev_hs, dev_inv, dev_enc, tol)
 
 

@@ -80,16 +80,21 @@ def test_deep_classify_runs_one_level_pass(monkeypatch):
     assert calls == [1]
 
 
-def _bound_cases():
-    # every subset of the groups of order <= 12, the reduced 4-subsets of the
-    # five groups of order 16, and the full 4-subsets of Z21
-    for n in range(2, 13):
+def _blocks(top):
+    # every subset of the groups of order <= top, one block per (group, m),
+    # and the reduced 4-subsets of the five groups of order 16
+    for n in range(2, top + 1):
         for g in abelian_groups_of_order(n):
             for m in range(2, n + 1):
                 yield g, np.array(list(itertools.combinations(range(n), m)))
     for g in abelian_groups_of_order(16):
         rest = np.array(list(itertools.combinations(range(1, 16), 3)))
         yield g, np.concatenate((np.zeros((len(rest), 1), dtype=int), rest), axis=1)
+
+
+def _bound_cases():
+    # the blocks to order 12, and the full 4-subsets of Z21
+    yield from _blocks(12)
     yield GroupSpec((21,)), np.array(list(itertools.combinations(range(21), 4)))
 
 
@@ -131,8 +136,65 @@ def test_chain_pass_skips_rows_the_height_rules_out(monkeypatch):
     assert sum(calls) > 0
     calls.clear()
     monkeypatch.setattr(diffsets, "_chain_height", lambda g: 1 << 30)
+    count_rows = diffsets._count_rows
+    chunks = []
+    monkeypatch.setattr(diffsets, "_count_rows", lambda g, rows: chunks.append(rows) or count_rows(g, rows))
     enumerate_and_classify(z21)
-    assert sum(calls) == 5_943  # every Z21 row but the 42 on the fast paths
+    sent, searched = sum(calls), list(chunks)
+    # the pass sees each chunk's distinct count rows off the fast paths (t not 1 or 2)
+    distinct = 0
+    for rows in searched:
+        _, counts = count_rows(z21.group, rows)
+        t = diffsets.classify_rows(z21.group, rows)["t"]
+        distinct += len(np.unique(counts[(t < 0) | (t > 2)], axis=0))
+    assert sent == distinct
+    assert sum(map(len, searched)) == 5_985
+
+
+def _assert_same_kernel(want, got, where):
+    cols, level, counts = got
+    assert cols.keys() == want[0].keys(), where
+    for k in cols:
+        assert cols[k].dtype == want[0][k].dtype, (where, k)
+        assert np.array_equal(cols[k], want[0][k]), (where, k)
+    assert (level is None) == (want[1] is None), where
+    if level is not None:
+        assert np.array_equal(level, want[1]), where
+    assert np.array_equal(counts, want[2]), where
+
+
+def test_block_kernel_matches_row_kernel():
+    # a block decides each distinct count row once and gathers the columns
+    # back; a one-row call shares nothing.  The levels stay in row order.
+    rows_seen = deep = 0
+    for g, rows in _blocks(10):
+        single = [diffsets._row_kernel(g, rows[i : i + 1]) for i in range(len(rows))]
+        levels = [lv for _, lv, _ in single if lv is not None]
+        want = (
+            {k: np.concatenate([c[k] for c, _, _ in single]) for k in single[0][0]},
+            np.concatenate(levels) if levels else None,
+            np.concatenate([c for _, _, c in single]),
+        )
+        _assert_same_kernel(want, diffsets._row_kernel(g, rows), (g, rows.shape))
+        assert np.array_equal(diffsets.classify_rows(g, rows)["t"], want[0]["t"])
+        rows_seen += len(rows)
+        deep += len(levels)
+    assert rows_seen == 2_988 + 5 * 455
+    assert deep > 0
+
+
+def test_key_collisions_fall_back_to_whole_rows(monkeypatch):
+    # constant weights key every row by its sum, m(m - 1): every key of a
+    # block collides, so only the row comparison keeps distinct rows apart
+    blocks = list(_blocks(10))
+    want = [diffsets._row_kernel(g, rows) for g, rows in blocks]
+    monkeypatch.setattr(diffsets, "_row_weights", lambda width: np.ones(width, dtype=np.int64))
+    merged = 0
+    for (g, rows), w in zip(blocks, want, strict=True):
+        _, counts = diffsets._count_rows(g, rows)
+        merged += len(np.unique(counts, axis=0)) > 1
+        _assert_same_kernel(w, diffsets._row_kernel(g, rows), (g, rows.shape))
+    assert merged > 0
 
 
 @pytest.mark.parametrize("factors", [(2, 2, 2, 2), (4, 4), (2, 8), (12,), (2, 2, 6), (3, 9)])

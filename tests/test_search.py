@@ -3,13 +3,17 @@
 import itertools
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import framelab
 from framelab import search
 from framelab.diffsets import ROW_FLAGS, translate
 from framelab.errors import CapacityError, DomainError
@@ -334,3 +338,19 @@ def test_etf_iff_difference_set_to_order_12():
 
     results = suite_etf_difference(max_order=12)
     assert all(r.passed for r in results), results
+
+
+def test_search_leaves_numpy_random_and_ma_unimported():
+    # the count-row keys use fixed weights, not a random generator: numpy.random
+    # and numpy.ma each add resident memory to every search process
+    code = (
+        "import sys\n"
+        "from framelab.groups import GroupSpec\n"
+        "from framelab.search import SearchJob, enumerate_and_classify\n"
+        "enumerate_and_classify(SearchJob(GroupSpec((21,)), 4))\n"
+        "enumerate_and_classify(SearchJob(GroupSpec((2, 2, 2, 2)), 4, mode='reduced'))\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random'\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(framelab.__file__))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
