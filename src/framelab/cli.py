@@ -23,6 +23,7 @@ import inspect
 import io
 import json
 import sys
+from collections.abc import Callable
 
 from .diffsets import classify, nested_divisible_chain
 from .errors import DomainError, FramelabError
@@ -65,13 +66,26 @@ def _has_csv(args) -> bool:
     return args.command == "tables" or (args.command == "search" and args.order is None)
 
 
-def _emit(args, payload: dict | list, csv_rows: list[list] | None = None) -> None:
+def _emit(
+    args,
+    payload: dict | list | Callable[[], dict | list],
+    csv_rows: list[list] | Callable[[], list[list]] | None = None,
+) -> None:
+    """Write the JSON payload, or the CSV rows when the format is csv.
+
+    Either may be given as a zero-argument builder, called only when its
+    format is the one written: a search report's rows cost more than the
+    search on large jobs.
+    """
     if _format(args) == "csv":
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(csv_rows)
+        csv.writer(buf, lineterminator="\n").writerows(
+            csv_rows() if callable(csv_rows) else csv_rows
+        )
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, indent=2, default=str) + "\n"
+        data = payload() if callable(payload) else payload
+        text = json.dumps(data, indent=2, default=str) + "\n"
     out_path = getattr(args, "out", None)
     if out_path:
         with open(out_path, "w") as fh:
@@ -151,7 +165,7 @@ def cmd_search(args) -> int:
         target_angles=target, jobs=args.jobs,
     )
     report = enumerate_and_classify(job)
-    _emit(args, report.to_dict(), csv_rows=report.to_csv_rows())
+    _emit(args, report.to_dict, csv_rows=report.to_csv_rows)
     return 0
 
 

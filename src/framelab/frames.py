@@ -144,9 +144,13 @@ def cluster_rows(values: np.ndarray, tol: float) -> Clusters:
 
     A row is sorted and cut wherever neighbours differ by more than tol; a
     cut closer than 10 * tol marks the row ambiguous.  A cluster's value is
-    its mean, taken as sum / size over all clusters of one size at once:
-    the same pairwise sum over the same contiguous values as ndarray.mean,
-    so the bits match a one-cluster-at-a-time loop.
+    its mean, sum / size, with every sum from one np.add.reduceat over the
+    sorted values laid out flat with a 0.0 in front of each cluster (value
+    i moves right by the number of clusters begun at or before it).  The
+    zero matters: reduceat adds a segment's first value to the pairwise sum
+    of the rest, so a segment 0.0, v_1..v_k gives 0.0 + the pairwise sum of
+    v_1..v_k, the same bits as ndarray.sum and ndarray.mean over the
+    cluster, where a segment without it would not.
     """
     order = np.sort(values, axis=1)
     rows, width = order.shape
@@ -155,17 +159,17 @@ def cluster_rows(values: np.ndarray, tol: float) -> Clusters:
     first[:, 1:] = gaps > tol
     ambiguous = (first[:, 1:] & (gaps < 10 * tol)).any(axis=1)
     begin = np.flatnonzero(first)
-    end = np.empty_like(begin)
-    end[:-1] = begin[1:]
-    end[-1:] = rows * width
-    sizes = end - begin
-    flat = order.ravel()
-    reps = np.empty(len(begin))
-    for k in set(sizes.tolist()):
-        sel = sizes == k
-        reps[sel] = flat[begin[sel, None] + np.arange(k)].sum(axis=1) / k
+    clusters = len(begin)
+    sizes = np.empty_like(begin)
+    sizes[:-1] = begin[1:] - begin[:-1]
+    sizes[-1:] = rows * width - begin[-1:]
+    at = np.cumsum(first)  # clusters begun at or before each flat position
     starts = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(first.sum(axis=1), out=starts[1:])
+    starts[1:] = at[width - 1 :: width]
+    at += np.arange(rows * width)  # each sorted value's place, past the zeros
+    padded = np.zeros(rows * width + clusters)
+    padded[at] = order.ravel()
+    reps = np.add.reduceat(padded, begin + np.arange(clusters)) / sizes
     return Clusters(reps, sizes, starts, ambiguous, tol)
 
 

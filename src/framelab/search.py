@@ -3,9 +3,10 @@
 Subsets stream in lexicographic order as (B, m) blocks of element indices,
 B <= BLOCK_SIZE, and each block is classified with array operations: the
 angle magnitudes of all its rows come from one gather-sum over the character
-table, clusters and the ETF/BTF decision from frames, and the set classes
-from the diffsets row kernel.  A block is filled from the combinations
-stream by one np.fromiter.  The per-row stages run on chunks of
+table, clusters and the ETF/BTF decision from frames (frames.cluster_rows
+sorts and cuts the rows and takes every cluster mean with one reduceat),
+and the set classes from the diffsets row kernel.  A block is filled from
+the combinations stream by one np.fromiter.  The per-row stages run on chunks of
 min(BLOCK_SIZE, max(ROW_CHUNK, CHUNK_ENTRIES // n)) rows, so each (rows, n)
 temporary stays within CHUNK_ENTRIES entries whenever ROW_CHUNK rows fit;
 the complex character gather runs in sub-slices of
@@ -29,7 +30,6 @@ import itertools
 import math
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
@@ -367,6 +367,8 @@ def _map_blocks(
     if jobs == 1:
         yield from (_classify_block(job, b) for b in blocks)
         return
+    from concurrent.futures import ProcessPoolExecutor  # jobs == 1 never loads it
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         pending: deque = deque()
         for b in blocks:

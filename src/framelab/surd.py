@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-import mpmath
-
 from .arith import factorize
 
 MAX_COEFF = 10**4
@@ -66,6 +64,8 @@ def recognize_angle(alpha: float, extra_surds: tuple[int, ...] = ()) -> SurdForm
     rat = Fraction(v).limit_denominator(MAX_COEFF)
     if abs(float(rat) - v) <= VERIFY_TOL:
         return SurdForm(rat, Fraction(0), 1)
+    import mpmath  # loaded on the first irrational angle, not with the package
+
     surds = list(_CANDIDATES)
     for s in extra_surds:
         _, sf = _squarefree_part(s)

@@ -34,6 +34,10 @@ p = 4a^2 + c conditions.
 oracle_subgroup_generated is groups.subgroup_generated before it grew H by
 the lattice's coset step: a closure adding every sum of a new element with
 every element found so far, O(|H|^2) GroupSpec.add calls.
+
+oracle_cluster_rows is frames.cluster_rows before its means came from one
+np.add.reduceat: the same sort and cuts, then one fancy-index gather and
+sum(axis=1) / k per distinct cluster size k.
 """
 
 import itertools
@@ -57,7 +61,13 @@ from framelab.diffsets import (
 )
 from framelab.diffsets import classify as library_classify
 from framelab.errors import DomainError
-from framelab.frames import FrameSpec, ModulationReport, _closed_operators, angle_profile
+from framelab.frames import (
+    Clusters,
+    FrameSpec,
+    ModulationReport,
+    _closed_operators,
+    angle_profile,
+)
 from framelab.groups import (
     GroupSpec,
     Subgroup,
@@ -295,6 +305,29 @@ def oracle_frame_violations(g, m):
         if np.max(rows.max(axis=0) - rows.min(axis=0)) > 1e-9:
             bad_equi += 1
     return frames, bad_tight, bad_equi
+
+
+def oracle_cluster_rows(values, tol):
+    """Clusters of each row of a (B, L) array, each mean from a per-size gather."""
+    order = np.sort(values, axis=1)
+    rows, width = order.shape
+    gaps = order[:, 1:] - order[:, :-1]
+    first = np.ones((rows, width), dtype=bool)
+    first[:, 1:] = gaps > tol
+    ambiguous = (first[:, 1:] & (gaps < 10 * tol)).any(axis=1)
+    begin = np.flatnonzero(first)
+    end = np.empty_like(begin)
+    end[:-1] = begin[1:]
+    end[-1:] = rows * width
+    sizes = end - begin
+    flat = order.ravel()
+    reps = np.empty(len(begin))
+    for k in set(sizes.tolist()):
+        sel = sizes == k
+        reps[sel] = flat[begin[sel, None] + np.arange(k)].sum(axis=1) / k
+    starts = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(first.sum(axis=1), out=starts[1:])
+    return Clusters(reps, sizes, starts, ambiguous, tol)
 
 
 def oracle_full_character_table(g):

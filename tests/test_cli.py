@@ -114,6 +114,24 @@ def test_search_csv_output(tmp_path, capsys):
     assert len(rows) > 1
 
 
+@pytest.mark.parametrize("fmt, other", [("json", "to_csv_rows"), ("csv", "to_dict")])
+def test_search_builds_only_the_format_it_writes(capsys, monkeypatch, fmt, other):
+    from framelab.search import SearchReport
+
+    argv = ("search", "--group", "Z6", "-m", "3", "--format", fmt)
+    code, want, _ = run(capsys, *argv)
+
+    def refused(self):
+        raise AssertionError(f"{other} built for a {fmt} report")
+
+    monkeypatch.setattr(SearchReport, other, refused)
+    code_patched, got, _ = run(capsys, *argv)
+    assert (code, code_patched) == (0, 0)
+    runtime = re.compile(r'"runtime_seconds": [^,]*,')
+    assert runtime.sub("", got) == runtime.sub("", want)
+    assert want.count("\n") > 20
+
+
 @pytest.mark.parametrize(
     "argv, work",
     [

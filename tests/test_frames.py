@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scalar_oracle
 
-from framelab import frames
+from framelab import frames, search
 from framelab.errors import DomainError, InconsistentAnglesError
 from framelab.frames import (
     FrameSpec,
@@ -24,7 +24,7 @@ from framelab.frames import (
     welch_bound,
 )
 from framelab.groups import GroupSpec, parse_group, parse_subset
-from framelab.search import abelian_groups_of_order
+from framelab.search import SearchJob, abelian_groups_of_order, enumerate_and_classify
 
 
 def F(group: str, subset: str) -> FrameSpec:
@@ -317,6 +317,69 @@ def test_cluster_rows_match_one_row_loop():
             assert list(prof.angles) == reps  # bit for bit
             assert list(prof.multiplicities) == mults
             assert prof.ambiguous == ambiguous
+
+
+def _search_chunks(monkeypatch):
+    """The magnitude arrays every full-mode search hands cluster_rows: every m
+    for the groups of order <= 12, and Z32 m = 4."""
+    chunks = []
+
+    def recorded(values, tol):
+        chunks.append(values.copy())
+        return cluster_rows(values, tol)
+
+    monkeypatch.setattr(search, "cluster_rows", recorded)
+    jobs = [SearchJob(g, m) for n in range(2, 13) for g in abelian_groups_of_order(n)
+            for m in range(1, n + 1)]
+    for job in jobs + [SearchJob(GroupSpec((32,)), 4)]:
+        enumerate_and_classify(job)
+    monkeypatch.undo()
+    return chunks
+
+
+def _planted_rows(rng, width, sizes, gap):
+    """A shuffled row of clusters of the given sizes, a cluster of k values
+    rising in steps below width / k, and a gap of gap() after each cluster."""
+    row, at = [], rng.uniform(0, 1)
+    for k in sizes:
+        steps = rng.uniform(0, 1, k)
+        row.extend(at + (np.cumsum(steps) - steps[0]) * width / k)
+        at = row[-1] + gap()
+    return rng.permutation(row)
+
+
+def test_cluster_rows_match_per_size_oracle(monkeypatch):
+    # bit for bit against the per-size gather loop: every full-mode search
+    # chunk of the small groups and Z32; planted clusters of 8 to 69 values,
+    # where numpy's pairwise sum leaves a left-to-right sum; planted gaps
+    # within 5% of 10 * tol, on both sides of the ambiguity cut
+    rng = np.random.default_rng(17)
+    cases = [(x, 1e-7) for x in _search_chunks(monkeypatch)]
+    not_left_to_right = 0
+    for tol in (1e-7, 1e-3, 0.05):
+        rows = [_planted_rows(rng, tol, rng.integers(8, 70, 3), lambda: 3 * tol)
+                for _ in range(40)]
+        width = min(len(r) for r in rows)
+        batch = np.array([r[:width] for r in rows])
+        cases.append((batch, tol))
+        for row in batch:
+            c = scalar_oracle.oracle_cluster_rows(row[None, :], tol)
+            for rep, a, k in zip(c.reps, np.cumsum(c.sizes) - c.sizes, c.sizes):
+                not_left_to_right += rep != sum(np.sort(row)[a : a + k].tolist()) / k
+        rows = [_planted_rows(rng, tol / 2, rng.integers(1, 12, 6),
+                              lambda: tol * rng.uniform(9.5, 10.5)) for _ in range(60)]
+        cases += [(np.array([r]), tol) for r in rows]
+    assert not_left_to_right > 0
+    near_cut = []
+    for values, tol in cases:
+        got = cluster_rows(values, tol)
+        want = scalar_oracle.oracle_cluster_rows(values, tol)
+        for name in ("reps", "sizes", "starts", "ambiguous"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        if got.d.tolist() == [6]:
+            near_cut.append(bool(got.ambiguous[0]))
+    assert len(near_cut) == 180 and 0 < sum(near_cut) < 180
 
 
 def test_modulation_capacity_bound():

@@ -354,3 +354,28 @@ def test_search_leaves_numpy_random_and_ma_unimported():
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(framelab.__file__))}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_serial_search_and_rational_reports_leave_mpmath_and_pools_unimported():
+    # mpmath loads on the first PSLQ call and the process pool only for
+    # jobs > 1; Z7 {1, 2, 4} has the angle sqrt(2)/3, whose square 2/9 is
+    # rational, so its report needs no PSLQ.  Z5 {0, 1} needs it.
+    code = (
+        "import sys\n"
+        "import framelab\n"
+        "from framelab import classify, frame_report, FrameSpec, GroupSpec\n"
+        "from framelab.search import SearchJob, enumerate_and_classify\n"
+        "unwanted = ('mpmath', 'multiprocessing', 'concurrent.futures.process')\n"
+        "enumerate_and_classify(SearchJob(GroupSpec((21,)), 4, jobs=1))\n"
+        "g, S = GroupSpec((7,)), ((1,), (2,), (4,))\n"
+        "classify(g, S)\n"
+        "angles = frame_report(FrameSpec(g, S))['angles']\n"
+        "assert [a['symbolic'] for a in angles] == ['sqrt(2)/3'], angles\n"
+        "assert not [m for m in unwanted if m in sys.modules], sys.modules.keys()\n"
+        "angles = frame_report(FrameSpec(GroupSpec((5,)), ((0,), (1,))))['angles']\n"
+        "assert [a['symbolic'] for a in angles] == "
+        "['sqrt(3/8 - sqrt(5)/8)', 'sqrt(3/8 + sqrt(5)/8)'], angles\n"
+        "assert 'mpmath' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(framelab.__file__))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
