@@ -36,6 +36,33 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def unit_generators(N: int) -> tuple[int, ...]:
+    """Units that generate the multiplicative group mod N, N >= 1.
+
+    (Z/N)^* is the product of (Z/q)^* over the prime powers q = p^e of N:
+    cyclic with a primitive root for odd p, generated by 3 for q = 4 and by
+    -1 and 5 for q = 2^e, e >= 3, trivial for q = 2.  Each local generator
+    u is lifted by the Chinese remainder theorem to the unit 1 mod N/q.
+    """
+    gens = []
+    for p, e in factorize(N):
+        q, rest = p**e, N // p**e
+        if p == 2:
+            local: tuple[int, ...] = (q - 1, 5) if e >= 3 else (3,) if e == 2 else ()
+        else:
+            local = (_primitive_root(p, e),)
+        gens += [1 + rest * ((u - 1) * pow(rest, -1, q) % q) for u in local]
+    return tuple(gens)
+
+
+def _primitive_root(p: int, e: int) -> int:
+    """A generator of (Z/p^e)^*, p an odd prime: a primitive root g mod p,
+    or g + p when g^(p-1) = 1 mod p^2 (then g + p generates mod every p^e)."""
+    orders = [(p - 1) // r for r, _ in factorize(p - 1)]
+    g = next(g for g in range(2, p) if all(pow(g, k, p) != 1 for k in orders))
+    return g + p if e > 1 and pow(g, p - 1, p * p) == 1 else g
+
+
 def is_prime_power(n: int) -> bool:
     return n >= 2 and len(factorize(n)) == 1
 

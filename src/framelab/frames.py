@@ -28,9 +28,11 @@ from .groups import (
     Element,
     GroupSpec,
     _difference_index_table,
+    _radix,
     character_phase,
     character_table_columns,
     full_character_table,
+    galois_orbits,
     phase_column,
 )
 
@@ -201,14 +203,39 @@ def angle_profile(
     f: FrameSpec, tol: float = DEFAULT_ANGLE_TOL, symbolic: bool = False
 ) -> AngleProfile:
     """Cluster the n-1 identity-row magnitudes into the frame's angle set."""
-    prof = cluster_rows(angle_magnitudes(f)[None, :], tol).profile(0)
-    return _with_symbolic(f, prof) if symbolic else prof
+    mags = angle_magnitudes(f)
+    prof = cluster_rows(mags[None, :], tol).profile(0)
+    return _with_symbolic(f, prof, mags) if symbolic else prof
 
 
-def _with_symbolic(f: FrameSpec, prof: AngleProfile) -> AngleProfile:
-    """prof with the recognized exact form of each angle, None where there is none."""
+def _with_symbolic(f: FrameSpec, prof: AngleProfile, mags: np.ndarray) -> AngleProfile:
+    """prof with the recognized exact form of each angle, None where there is none.
+
+    prof is the clustering of mags.  Each squared angle m^2 |<f_x, f_0>|^2
+    lies in Q(zeta_N)^+, and the Galois map sigma_k sends its value at x to
+    its value at kx, so the clusters of one Galois class (_galois_classes)
+    are conjugates of its first cluster.  surd.recognize_angle runs once on
+    that first cluster.  Each other cluster of the class takes the first's
+    form r0 + r1 sqrt(s) or its conjugate r0 - r1 sqrt(s), whichever its
+    square matches within surd.VERIFY_TOL (surd.conjugate_form), and gets
+    its own recognize_angle call when neither does; when the first cluster
+    is not recognized, no cluster of its class is.  An ambiguous profile
+    runs recognize_angle on every angle.
+    """
     extra = (f.n,) + f.group.factors
-    forms = [surd.recognize_angle(a, extra_surds=extra) for a in prof.angles]
+    first = (
+        range(prof.d) if prof.ambiguous
+        else _galois_classes(f.group, mags, prof.multiplicities).tolist()
+    )
+    forms: list[surd.SurdForm | None] = []
+    for j, a in enumerate(prof.angles):
+        if first[j] == j:
+            forms.append(surd.recognize_angle(a, extra_surds=extra))
+        elif forms[first[j]] is None:  # the class's first cluster is not recognized
+            forms.append(None)
+        else:
+            shared = surd.conjugate_form(forms[first[j]], a)
+            forms.append(shared or surd.recognize_angle(a, extra_surds=extra))
     N = f.group.exponent
     sym = tuple(
         surd.display(fm)
@@ -217,6 +244,32 @@ def _with_symbolic(f: FrameSpec, prof: AngleProfile) -> AngleProfile:
         for fm in forms
     )
     return replace(prof, symbolic=sym)
+
+
+def _galois_classes(g: GroupSpec, mags: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
+    """Per cluster of mags, the index of the first cluster of its Galois class.
+
+    Cluster membership is the argsort of mags cut by the cluster sizes, the
+    order cluster_rows cuts.  Two Galois orbits (groups.galois_orbits) that
+    share a cluster share every value, as each orbit's values are the
+    conjugates of any one of them; a class is the clusters linked through
+    shared orbits, found as the fixed point of two minimum scatters, orbit
+    from clusters and cluster from orbits.  Each class is a union of whole
+    clusters and of whole orbits.
+    """
+    d = len(sizes)
+    cluster = np.empty(len(mags), dtype=np.int64)
+    cluster[np.argsort(mags, kind="stable")] = np.repeat(np.arange(d), sizes)
+    orbit = np.delete(galois_orbits(g), g.index(g.zero))
+    first = np.arange(d)
+    while True:
+        low = np.full(g.order, d)
+        np.minimum.at(low, orbit, first[cluster])
+        new = np.full(d, d)
+        np.minimum.at(new, cluster, low[orbit])
+        if np.array_equal(new, first):
+            return first
+        first = new
 
 
 def _surd_in_cyclotomic_field(s: int, N: int) -> bool:
@@ -265,7 +318,11 @@ class AngularityReport:
 
 def classify_angularity(f: FrameSpec, tol: float = DEFAULT_ANGLE_TOL) -> AngularityReport:
     """d-angularity with ETF (Welch equality) and BTF (2 angles + tight) flags."""
-    c = cluster_rows(angle_magnitudes(f)[None, :], tol)
+    return _angularity(f, angle_magnitudes(f), tol)
+
+
+def _angularity(f: FrameSpec, mags: np.ndarray, tol: float) -> AngularityReport:
+    c = cluster_rows(mags[None, :], tol)
     is_etf, is_btf = etf_btf(f.n, f.m, c)
     prof = c.profile(0)
     return AngularityReport(prof.d, bool(is_etf[0]), bool(is_btf[0]), welch_bound(f.n, f.m), prof)
@@ -367,28 +424,31 @@ def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationR
     difference is taken in place in its product's result:
     (o)   the definitional sums sum_x chi_xi(x) f_x f_x^*, T^T W, agree with
           the closed forms entrywise;
-    (i)   the closed forms are pairwise Hilbert-Schmidt orthogonal: their
-          Gram matrix is diagonal, and its diagonal holds ||X_xi||^2_HS;
+    (i)   the definitional operators are pairwise Hilbert-Schmidt
+          orthogonal: their Gram matrix T^T |V V^*|^2 conj(T) is diagonal;
     (ii)  Fourier inversion of the closed forms, conj(T) X / n, gives back W;
-    (iii) n^2 |<f_x,f_y>|^2 from the Gram matrix equals
-          sum_xi chi_{y-x}(xi) ||X_xi||^2_HS.
+    (iii) n^2 |<f_x,f_y>|^2 from the frame Gram matrix V V^* equals
+          sum_xi chi_{y-x}(xi) ||X_xi||^2_HS, the norms of the closed forms
+          read from a bincount of their nonzero rows.
     """
     n, m = f.n, f.m
     if n * m * m > MODULATION_CAPACITY:
         raise CapacityError(f"modulation check needs n*m^2 <= {MODULATION_CAPACITY}")
     T = full_character_table(f.group)
-    ids = [f.group.index(g) for g in f.generators]
+    ids = np.array(f.generators, dtype=np.int64) @ _radix(f.group)
     V = T[:, ids] / math.sqrt(m)
     W = (V[:, :, None] * V.conj()[:, None, :]).reshape(n, m * m)
     table = _difference_index_table(f.group)
+    at = table[np.ix_(ids, ids)].ravel()
     closed = np.zeros((n, m * m))
-    closed[table[np.ix_(ids, ids)].ravel(), np.arange(m * m)] = n / m
+    closed[at, np.arange(m * m)] = n / m
     diff = T.T @ W
     diff -= closed
     dev_def = float(np.max(np.abs(diff)))
 
-    grams = closed @ closed.T
-    hs = grams.diagonal().copy()
+    # <X_xi, X_eta>_HS = sum_{x,y} chi_xi(x) |<f_x,f_y>|^2 conj(chi_eta(y))
+    A = np.abs(V @ V.conj().T) ** 2
+    grams = T.T @ A @ T.conj()
     np.fill_diagonal(grams, 0.0)
     dev_hs = float(np.max(np.abs(grams)))
 
@@ -401,9 +461,9 @@ def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationR
     diff -= W
     dev_inv = float(np.max(np.abs(diff)))
 
+    hs = (n / m) ** 2 * np.bincount(at, minlength=n)  # ||X_xi||^2: (n/m)^2 per entry
     rhs = T @ hs  # rhs[z] = sum_xi chi_z(xi) ||X_xi||^2
-    G = V @ V.conj().T
-    lhs = (n * n) * np.abs(G) ** 2
+    lhs = (n * n) * A
     dev_enc = float(np.max(np.abs(lhs - rhs.real[table])))
     return ModulationReport(dev_def, dev_hs, dev_inv, dev_enc, tol)
 
@@ -420,8 +480,9 @@ def is_real_frame(f: FrameSpec) -> bool:
 
 def frame_report(f: FrameSpec, tol: float = DEFAULT_ANGLE_TOL) -> dict:
     """JSON-ready report for one frame (schema version 1), from one clustering."""
-    ang = classify_angularity(f, tol)
-    prof = _with_symbolic(f, ang.profile)
+    mags = angle_magnitudes(f)
+    ang = _angularity(f, mags, tol)
+    prof = _with_symbolic(f, ang.profile, mags)
     tight = verify_tightness(f)
     gens: list = [
         x[0] if f.group.rank == 1 else list(x) for x in f.generators

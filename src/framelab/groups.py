@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .arith import unit_generators
 from .errors import (
     CapacityError,
     DomainError,
@@ -392,6 +393,26 @@ def _multiples(g: GroupSpec, X: np.ndarray, count: int) -> np.ndarray:
     """(c, count) element indices of k x_c, k = 0..count-1, for the (c, rank) coordinate rows X."""
     k = np.arange(count)
     return ((k[None, :, None] * X[:, None, :]) % g.factors) @ _radix(g)
+
+
+def galois_orbits(g: GroupSpec) -> np.ndarray:
+    """Per element index, the smallest index in its orbit under x -> kx, k a unit mod the exponent.
+
+    The orbit of x is the set of generators of the cyclic subgroup <x>.  The
+    units are generated by arith.unit_generators; for each generator k the
+    labels take their minimum along the permutation x -> kx by pointer
+    doubling (a cycle has at most n elements, so n.bit_length() rounds of
+    label = min(label, label[step]), step = step[step] cover it), and the
+    generators one after another give the minimum over their products.
+    """
+    E = _coord_matrix(g)
+    label = np.arange(g.order)
+    for k in unit_generators(g.exponent):
+        step = ((k * E) % g.factors) @ _radix(g)
+        for _ in range(g.order.bit_length()):
+            np.minimum(label, label[step], out=label)
+            step = step[step]
+    return label
 
 
 def _coset_sums(

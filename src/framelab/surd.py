@@ -12,11 +12,16 @@ separate the two.  Spurious relations do pass it: the frame angle of Z14
 {0,2,4,7,8,9} near 0.3003 is accepted with sqrt(42), which cannot occur in
 Q(zeta_14).  A caller that knows the field the value lives in must check the
 surd against it, as frames.angle_profile does.
+
+Frame angles come in Galois orbits, and frames calls recognize_angle once
+per orbit: the other angles of the orbit take the form found or its
+conjugate rat - coef*sqrt(surd), whichever conjugate_form matches within
+VERIFY_TOL, and only an angle matching neither is searched on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import sqrt
 
@@ -84,6 +89,16 @@ def recognize_angle(alpha: float, extra_surds: tuple[int, ...] = ()) -> SurdForm
             form = SurdForm(Fraction(-b, a), Fraction(-c, a), s)
             if abs(form.value() - v) <= VERIFY_TOL and form.coef != 0:
                 return form
+    return None
+
+
+def conjugate_form(form: SurdForm, alpha: float) -> SurdForm | None:
+    """form or its conjugate rat - coef*sqrt(surd), whichever equals alpha^2
+    within VERIFY_TOL; None when neither does."""
+    v = alpha * alpha
+    for fm in (form, replace(form, coef=-form.coef)):
+        if abs(fm.value() - v) <= VERIFY_TOL:
+            return fm
     return None
 
 

@@ -12,8 +12,9 @@ oracle_modulation_operator and oracle_is_real_frame are the frames
 functions before they read the difference index table and integer phase
 columns: one GroupSpec.sub per generator pair, one exact Fraction phase
 per (generator, element).  oracle_verify_modulation_identities is the
-identity check before it became matrix products: four einsums over the
-(n, m, m) operator stack.
+identity check before it became matrix products: four einsums, over the
+(n, m, m) operator stack and, for the Hilbert-Schmidt Gram matrix of the
+definitional operators, over the character table and |<f_x, f_y>|^2.
 
 oracle_frame_violations is the properties sweep before it went by
 (group, m) blocks: one FrameSpec per subset, its angle_profile tight sum
@@ -38,14 +39,20 @@ every element found so far, O(|H|^2) GroupSpec.add calls.
 oracle_cluster_rows is frames.cluster_rows before its means came from one
 np.add.reduceat: the same sort and cuts, then one fancy-index gather and
 sum(axis=1) / k per distinct cluster size k.
+
+oracle_with_symbolic is frames._with_symbolic before recognition went by
+Galois class: surd.recognize_angle on every angle of the profile, then the
+conductor rule.
 """
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
+from framelab import surd
 from framelab.arith import four_square_plus, is_prime, residues
 from framelab.diffsets import (
     AlmostRecord,
@@ -66,6 +73,7 @@ from framelab.frames import (
     FrameSpec,
     ModulationReport,
     _closed_operators,
+    _surd_in_cyclotomic_field,
     angle_profile,
 )
 from framelab.groups import (
@@ -273,8 +281,8 @@ def oracle_verify_modulation_identities(f, tol=1e-8):
     closed = _closed_operators(f, np.arange(n)[:, None, None])
     dev_def = float(np.max(np.abs(D - closed)))
 
-    flat = closed.reshape(n, m * m)
-    grams = flat @ flat.conj().T
+    G = V @ V.conj().T
+    grams = np.einsum("xz,xy,yw->zw", T, np.abs(G) ** 2, T.conj(), optimize=True)
     dev_hs = float(np.max(np.abs(grams - np.diag(np.diag(grams)))))
 
     recon = np.einsum("xz,zab->xab", T.conj(), closed, optimize=True) / n
@@ -283,7 +291,6 @@ def oracle_verify_modulation_identities(f, tol=1e-8):
 
     hs = np.einsum("zab,zab->z", closed, closed.conj(), optimize=True).real
     rhs = T @ hs
-    G = V @ V.conj().T
     lhs = (n * n) * np.abs(G) ** 2
     idx = _difference_index_table(f.group)
     dev_enc = float(np.max(np.abs(lhs - rhs.real[idx])))
@@ -328,6 +335,20 @@ def oracle_cluster_rows(values, tol):
     starts = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(first.sum(axis=1), out=starts[1:])
     return Clusters(reps, sizes, starts, ambiguous, tol)
+
+
+def oracle_with_symbolic(f, prof):
+    """prof with one recognize_angle call per angle, forms outside Q(zeta_N) dropped."""
+    extra = (f.n,) + f.group.factors
+    forms = [surd.recognize_angle(a, extra_surds=extra) for a in prof.angles]
+    N = f.group.exponent
+    sym = tuple(
+        surd.display(fm)
+        if fm is not None and (fm.coef == 0 or _surd_in_cyclotomic_field(fm.surd, N))
+        else None
+        for fm in forms
+    )
+    return replace(prof, symbolic=sym)
 
 
 def oracle_full_character_table(g):

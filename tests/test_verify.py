@@ -222,3 +222,23 @@ def test_modulation_suite_visits_the_drawn_frames_group_by_group(monkeypatch):
     drawn = [(f.group.factors, f.generators) for f in _suite_draw()]
     assert Counter(visited) == Counter(drawn)
     assert [k for k, _ in visited] == sorted(k for k, _ in drawn)
+
+
+def test_hs_check_fails_on_a_corrupted_character_table(monkeypatch):
+    # the closed forms have one nonzero per column, so a Gram matrix of the
+    # closed forms is diagonal whatever the table holds; the check takes the
+    # Gram matrix of the definitional operators, which a wrong character sees
+    table = frames.full_character_table
+
+    def corrupted(g):
+        T = table(g).copy()
+        T[1, 1] = -T[1, 1]
+        return T
+
+    assert _verdicts(verify.suite_modulation())["modulation/hs"]
+    monkeypatch.setattr(frames, "full_character_table", corrupted)
+    got = _verdicts(verify.suite_modulation())
+    assert not got["modulation/hs"]
+    g = abelian_groups_of_order(7)[0]
+    rep = frames.verify_modulation_identities(FrameSpec(g, ((0,), (1,), (3,))))
+    assert rep.hs_orthogonality_deviation > 1.0
