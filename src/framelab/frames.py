@@ -369,15 +369,20 @@ def modulation_operator(f: FrameSpec, xi: Element) -> ModulationOperator:
 
 
 def _closed_operators(f: FrameSpec, z: int | np.ndarray) -> np.ndarray:
-    """(n/m) [D[i_a, i_b] == z], D the difference index table on the generators.
+    """(n/m) [D[a, b] == z], D the pair index table of the generators (_pair_indices).
 
-    D[i_a, i_b] is the index of g_b - g_a, so for an element index z this is
+    D[a, b] is the index of g_b - g_a, so for an element index z this is
     the (m, m) closed-form operator at that element; z = arange(n)[:, None, None]
     gives all n operators as one (n, m, m) array.  The operators are real.
     """
-    ids = [f.group.index(g) for g in f.generators]
-    D = _difference_index_table(f.group)[np.ix_(ids, ids)]
-    return np.where(D == z, f.n / f.m, 0.0)
+    return np.where(_pair_indices(f)[1] == z, f.n / f.m, 0.0)
+
+
+def _pair_indices(f: FrameSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, D): the generators' element indices, one product with the radix,
+    and the difference index table at their pairs, D[a, b] the index of g_b - g_a."""
+    ids = np.array(f.generators, dtype=np.int64) @ _radix(f.group)
+    return ids, _difference_index_table(f.group)[np.ix_(ids, ids)]
 
 
 @dataclass(frozen=True)
@@ -414,36 +419,34 @@ class ModulationReport:
 def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationReport:
     """Check the three modulation-operator identities on an explicit frame.
 
-    The closed-form operators X_xi come from the difference index table D,
-    as one scatter (n/m at row D[i_a, i_b], column a m + b); the other side
-    of every check comes from the character table T and the frame vectors
-    V = T[:, ids] / sqrt(m).  All operators are flattened to rows of length
-    m^2, so each side is one matrix product with T, with W[x, a m + b] =
-    V[x, a] conj(V[x, b]) the rank-one operators f_x f_x^*.  The closed
-    forms stay real (a product with conj(T) is two real products), and each
-    difference is taken in place in its product's result:
+    Flattened to rows of length m^2, the closed-form operator X_xi holds n/m
+    in each column c with at[c] == xi, at the pair index table of the
+    generators (_pair_indices) read row after row, and 0 elsewhere; X is
+    never formed.  The other side of every check comes from the character
+    table T and the frame vectors V = T[:, ids] / sqrt(m), with W[x, a m + b]
+    = V[x, a] conj(V[x, b]) the rank-one operators f_x f_x^*.  Each
+    difference is taken in place in one (n, m^2) array and, as each column
+    of X has one nonzero, has the bits of a product with a dense X:
     (o)   the definitional sums sum_x chi_xi(x) f_x f_x^*, T^T W, agree with
-          the closed forms entrywise;
+          the closed forms entrywise: n/m comes off at (at[c], c);
     (i)   the definitional operators are pairwise Hilbert-Schmidt
           orthogonal: their Gram matrix T^T |V V^*|^2 conj(T) is diagonal;
-    (ii)  Fourier inversion of the closed forms, conj(T) X / n, gives back W;
+    (ii)  Fourier inversion of the closed forms, conj(T) X / n, gives back W,
+          with column c of T X the gather T[:, at[c]] n/m;
     (iii) n^2 |<f_x,f_y>|^2 from the frame Gram matrix V V^* equals
           sum_xi chi_{y-x}(xi) ||X_xi||^2_HS, the norms of the closed forms
-          read from a bincount of their nonzero rows.
+          read from a bincount of at.
     """
     n, m = f.n, f.m
     if n * m * m > MODULATION_CAPACITY:
         raise CapacityError(f"modulation check needs n*m^2 <= {MODULATION_CAPACITY}")
     T = full_character_table(f.group)
-    ids = np.array(f.generators, dtype=np.int64) @ _radix(f.group)
+    ids, D = _pair_indices(f)
+    at = D.ravel()
     V = T[:, ids] / math.sqrt(m)
     W = (V[:, :, None] * V.conj()[:, None, :]).reshape(n, m * m)
-    table = _difference_index_table(f.group)
-    at = table[np.ix_(ids, ids)].ravel()
-    closed = np.zeros((n, m * m))
-    closed[at, np.arange(m * m)] = n / m
     diff = T.T @ W
-    diff -= closed
+    diff[at, np.arange(m * m)] -= n / m
     dev_def = float(np.max(np.abs(diff)))
 
     # <X_xi, X_eta>_HS = sum_{x,y} chi_xi(x) |<f_x,f_y>|^2 conj(chi_eta(y))
@@ -452,11 +455,10 @@ def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationR
     np.fill_diagonal(grams, 0.0)
     dev_hs = float(np.max(np.abs(grams)))
 
-    # Fourier inversion: f_x f_x^* = (1/n) sum_xi conj(chi_x(xi)) X_xi, from the
-    # two real products, as the closed forms are real
-    diff.real = T.real @ closed
-    diff.imag = T.imag @ closed
-    np.negative(diff.imag, out=diff.imag)
+    # Fourier inversion: f_x f_x^* = (1/n) sum_xi conj(chi_x(xi)) X_xi
+    np.take(T, at, axis=1, out=diff)
+    diff *= n / m
+    np.conjugate(diff, out=diff)
     diff /= n
     diff -= W
     dev_inv = float(np.max(np.abs(diff)))
@@ -464,7 +466,7 @@ def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationR
     hs = (n / m) ** 2 * np.bincount(at, minlength=n)  # ||X_xi||^2: (n/m)^2 per entry
     rhs = T @ hs  # rhs[z] = sum_xi chi_z(xi) ||X_xi||^2
     lhs = (n * n) * A
-    dev_enc = float(np.max(np.abs(lhs - rhs.real[table])))
+    dev_enc = float(np.max(np.abs(lhs - rhs.real[_difference_index_table(f.group)])))
     return ModulationReport(dev_def, dev_hs, dev_inv, dev_enc, tol)
 
 

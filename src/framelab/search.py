@@ -37,7 +37,7 @@ from typing import Iterator
 import numpy as np
 
 from .arith import factorize
-from .diffsets import ROW_FLAGS, classify, classify_rows  # noqa: F401 (classify stays importable here)
+from .diffsets import ROW_FLAGS, _distinct_rows, classify, classify_rows  # noqa: F401 (re-exports classify)
 from .errors import CapacityError, DomainError
 from .frames import Clusters, cluster_rows, etf_btf
 from .groups import Element, GroupSpec, full_character_table
@@ -152,13 +152,9 @@ class SearchReport:
 
     def to_csv_rows(self) -> list[list]:
         g = self.job.group
-        header = [
-            "group", "subset", "n", "m",
-            "difference_set", "bidifference", "divisible", "relative", "partial",
-            "gaussian", "almost", "nested_divisible", "reversible", "regular",
-            "lam", "mu", "l", "t", "angles",
+        rows: list[list] = [
+            ["group", "subset", "n", "m", *CSV_FLAGS, *CSV_PARAMETERS, "angles"]
         ]
-        rows: list[list] = [header]
         for r in self.records:
             fl = r.flags
             rows.append([
@@ -166,20 +162,8 @@ class SearchReport:
                 " ".join(g.format_element(x) for x in r.subset),
                 g.order,
                 self.job.m,
-                fl.get("difference_set", False),
-                fl.get("bidifference", False),
-                fl.get("divisible", False),
-                fl.get("relative", False),
-                fl.get("partial", False),
-                fl.get("gaussian", False),
-                fl.get("almost", False),
-                fl.get("nested_divisible", False),
-                fl.get("reversible", False),
-                fl.get("regular", False),
-                fl.get("lam", ""),
-                fl.get("mu", ""),
-                fl.get("l", ""),
-                fl.get("t", ""),
+                *(fl.get(k, False) for k in CSV_FLAGS),
+                *(fl.get(k, "") for k in CSV_PARAMETERS),
                 ";".join(f"{a:.12g}" for a in r.angles),
             ])
         return rows
@@ -190,6 +174,12 @@ COUNTED = (
     "difference_set", "bidifference", "divisible", "relative",
     "partial", "gaussian", "almost", "nested_divisible", "etf", "btf",
 )
+# a record's CSV columns: flags (False where absent), then parameters ("" where absent)
+CSV_FLAGS = (
+    "difference_set", "bidifference", "divisible", "relative", "partial",
+    "gaussian", "almost", "nested_divisible", "reversible", "regular",
+)
+CSV_PARAMETERS = ("lam", "mu", "l", "t")
 ROW_CHUNK = 128  # least rows per chunk and per gather sub-slice
 CHUNK_ENTRIES = 2**15  # entries of a chunk's (rows, n) arrays; of a (n, rows, m) gather: 512 KB
 
@@ -245,24 +235,21 @@ def _magnitudes(T: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
 def _flag_dicts(flags: dict[str, np.ndarray], pick: np.ndarray) -> list[dict]:
     """The record flag dicts of the picked rows, in pick order.
 
-    A dict is built once per distinct row of the flag columns, found by a
-    packed integer key (a mixed radix over the columns' value spans, far
-    inside int64 since n <= SUBGROUP_ORDER_BOUND), and each record gets its
-    own copy, because find_btfs adds a key per record.  Values keep their
-    types: bool for ROW_FLAGS, int or None (for -1) for lam, mu, l and t.
+    A dict is built once per distinct row of the int64 flag columns
+    (diffsets._distinct_rows), and each record gets its own copy, because
+    find_btfs adds a key per record.  Values keep their types: bool for
+    ROW_FLAGS, int or None (for -1) for lam, mu, l and t.
     """
     if not flags:
         return [{} for _ in pick]
-    cols = np.stack([v[pick] for v in flags.values()], axis=1).astype(np.int64)
-    lo = cols.min(axis=0)
-    span = cols.max(axis=0) - lo + 1
-    key = (cols - lo) @ np.cumprod(np.concatenate(([1], span[:-1])))
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    values = {k: v[pick[first]].tolist() for k, v in flags.items()}
-    for k in values.keys() - ROW_FLAGS:
-        values[k] = [None if v < 0 else v for v in values[k]]
-    distinct = [dict(zip(values, vs)) for vs in zip(*values.values())]
-    return list(map(dict.copy, map(distinct.__getitem__, inverse.tolist())))
+    distinct, inverse = _distinct_rows(
+        np.stack([v[pick] for v in flags.values()], axis=1, dtype=np.int64)
+    )
+    dicts = [
+        {k: bool(v) if k in ROW_FLAGS else None if v < 0 else v for k, v in zip(flags, row)}
+        for row in distinct.tolist()
+    ]
+    return list(map(dict.copy, map(dicts.__getitem__, inverse.tolist())))
 
 
 def _cluster_tuples(c: Clusters, pick: np.ndarray) -> tuple[list[tuple], list[tuple]]:

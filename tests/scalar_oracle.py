@@ -15,6 +15,10 @@ per (generator, element).  oracle_verify_modulation_identities is the
 identity check before it became matrix products: four einsums, over the
 (n, m, m) operator stack and, for the Hilbert-Schmidt Gram matrix of the
 definitional operators, over the character table and |<f_x, f_y>|^2.
+oracle_dense_modulation_identities is the check before it worked from the
+pair index alone: the closed forms scattered into a dense (n, m^2) array,
+subtracted from T^T W and multiplied by the character table in two real
+products for the inversion.
 
 oracle_frame_violations is the properties sweep before it went by
 (group, m) blocks: one FrameSpec per subset, its angle_profile tight sum
@@ -80,6 +84,7 @@ from framelab.groups import (
     GroupSpec,
     Subgroup,
     _difference_index_table,
+    _radix,
     _root_table,
     all_subgroups,
     character_phase,
@@ -294,6 +299,39 @@ def oracle_verify_modulation_identities(f, tol=1e-8):
     lhs = (n * n) * np.abs(G) ** 2
     idx = _difference_index_table(f.group)
     dev_enc = float(np.max(np.abs(lhs - rhs.real[idx])))
+    return ModulationReport(dev_def, dev_hs, dev_inv, dev_enc, tol)
+
+
+def oracle_dense_modulation_identities(f, tol=1e-8):
+    n, m = f.n, f.m
+    T = full_character_table(f.group)
+    ids = np.array(f.generators, dtype=np.int64) @ _radix(f.group)
+    V = T[:, ids] / math.sqrt(m)
+    W = (V[:, :, None] * V.conj()[:, None, :]).reshape(n, m * m)
+    table = _difference_index_table(f.group)
+    at = table[np.ix_(ids, ids)].ravel()
+    closed = np.zeros((n, m * m))
+    closed[at, np.arange(m * m)] = n / m
+    diff = T.T @ W
+    diff -= closed
+    dev_def = float(np.max(np.abs(diff)))
+
+    A = np.abs(V @ V.conj().T) ** 2
+    grams = T.T @ A @ T.conj()
+    np.fill_diagonal(grams, 0.0)
+    dev_hs = float(np.max(np.abs(grams)))
+
+    diff.real = T.real @ closed
+    diff.imag = T.imag @ closed
+    np.negative(diff.imag, out=diff.imag)
+    diff /= n
+    diff -= W
+    dev_inv = float(np.max(np.abs(diff)))
+
+    hs = (n / m) ** 2 * np.bincount(at, minlength=n)
+    rhs = T @ hs
+    lhs = (n * n) * A
+    dev_enc = float(np.max(np.abs(lhs - rhs.real[table])))
     return ModulationReport(dev_def, dev_hs, dev_inv, dev_enc, tol)
 
 

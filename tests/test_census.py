@@ -1,0 +1,53 @@
+"""The taxonomy's converse, counted: which BTFs the difference-set classes
+miss, and which bidifference sets give no BTF.
+
+One reduced-mode search per (group, m) covers the subsets containing 0 of
+every abelian group of order 4..16, for m = 2..n-2: 169 searches, 198,911
+subsets.  A two-angle tight frame need not come from a bidifference set or
+a nested divisible chain: in the groups below its counts take more levels
+than any chain of length Omega(n) can hold.  And a proper bidifference set
+(exactly two count levels) need not give a BTF.
+"""
+
+from collections import Counter
+
+from framelab.search import SearchJob, abelian_groups_of_order, enumerate_and_classify
+
+BTFS = 13_884
+# BTFs that are neither bidifference nor nested divisible, by (group, m);
+# in each group the two values of m are complements
+BTF_OUTSIDE = {
+    ("Z2xZ2xZ3", 5): 60, ("Z2xZ2xZ3", 7): 84,
+    ("Z3xZ4", 5): 10, ("Z3xZ4", 7): 14,
+    ("Z2xZ8", 7): 56, ("Z2xZ8", 9): 72,
+}
+# proper bidifference sets whose frame is not a BTF, by group (10,191 in all)
+BIDIFFERENCE_WITHOUT_BTF = {
+    "Z2xZ3": 6, "Z7": 21, "Z2xZ4": 32, "Z8": 48, "Z9": 162, "Z2xZ5": 200, "Z11": 275,
+    "Z2xZ2xZ3": 60, "Z3xZ4": 288, "Z13": 897, "Z2xZ7": 1204, "Z3xZ5": 1830,
+    "Z2xZ2xZ2xZ2": 1680, "Z2xZ2xZ4": 848, "Z2xZ8": 528, "Z4xZ4": 432, "Z16": 1680,
+}
+
+
+def test_census_of_btfs_against_the_difference_set_classes():
+    searches = subsets = btfs = 0
+    outside: Counter = Counter()
+    without: Counter = Counter()
+    for n in range(4, 17):
+        for g in abelian_groups_of_order(n):
+            for m in range(2, n - 1):
+                report = enumerate_and_classify(SearchJob(g, m, mode="reduced"))
+                searches += 1
+                subsets += report.total_enumerated
+                for r in report.records:
+                    if r.is_btf:
+                        btfs += 1
+                        if not (r.flags["bidifference"] or r.flags["nested_divisible"]):
+                            outside[g.name, m] += 1
+                    elif r.flags["proper_bidifference"]:
+                        without[g.name] += 1
+    assert (searches, subsets) == (169, 198_911)
+    assert btfs == BTFS
+    assert dict(outside) == BTF_OUTSIDE
+    assert dict(without) == BIDIFFERENCE_WITHOUT_BTF
+    assert sum(without.values()) == 10_191

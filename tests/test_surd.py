@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from framelab.frames import FrameSpec, angle_profile
+from framelab.groups import GroupSpec
 from framelab.surd import SurdForm, display, recognize_angle
 
 
@@ -58,3 +60,16 @@ def test_extra_surd_candidates():
     assert recognize_angle(val) is None
     form = recognize_angle(val, extra_surds=(211,))
     assert form == SurdForm(Fraction(1, 40), Fraction(1, 640), 211)
+
+
+def test_paley_angles_keep_their_strings_at_the_coefficient_bound():
+    # the squared angles of Z137's quadratic residues are
+    # (69 -+ sqrt(137)) / 9248, denominators just inside MAX_COEFF
+    p = 137
+    residues = sorted({x * x % p for x in range(1, p)})
+    f = FrameSpec(GroupSpec((p,)), tuple((x,) for x in residues))
+    angles = angle_profile(f, symbolic=True)
+    assert angles.d == 2 and all(angles.symbolic)
+    for value, text in zip(angles.angles, angles.symbolic):
+        assert "9248" in text
+        assert abs(eval(text, {"__builtins__": {}, "sqrt": math.sqrt}) - value) <= 1e-12

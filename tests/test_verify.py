@@ -189,14 +189,19 @@ def _suite_draw():
     return [verify._random_frame(rng, 32) for _ in range(200)]
 
 
-def test_modulation_identities_match_the_einsum_oracle():
-    small = [
+def _small_frames(max_order):
+    """Every frame on every nonempty subset of every group of order 2..max_order."""
+    return [
         FrameSpec(g, S)
-        for n in range(2, 7)
+        for n in range(2, max_order + 1)
         for g in abelian_groups_of_order(n)
         for m in range(1, n + 1)
         for S in itertools.combinations(g.elements(), m)
     ]
+
+
+def test_modulation_identities_match_the_einsum_oracle():
+    small = _small_frames(6)
     assert len(small) == 134
     for f in small + _suite_draw():
         got = frames.verify_modulation_identities(f)
@@ -207,6 +212,16 @@ def test_modulation_identities_match_the_einsum_oracle():
         ):
             assert abs(getattr(got, key) - getattr(want, key)) <= 1e-12, (f, key)
         assert got.passed == want.passed, f
+
+
+def test_modulation_deviations_keep_the_bits_of_the_dense_closed_forms():
+    # the check works from the pair index alone; each column of the dense
+    # closed forms has one nonzero, so every deviation keeps its bits
+    small = _small_frames(8)
+    assert len(small) == 1026
+    for f in small + _suite_draw():
+        got = frames.verify_modulation_identities(f)
+        assert got == scalar_oracle.oracle_dense_modulation_identities(f), f
 
 
 def test_modulation_suite_visits_the_drawn_frames_group_by_group(monkeypatch):
