@@ -517,8 +517,8 @@ def _row_kernel(
     Every count-only column (levels, lam/mu/l and the subgroup witness,
     divisible, relative, almost, gaussian, t) is computed once per distinct
     count row (_distinct_rows) and gathered back to the rows; partial,
-    reversible and regular depend on S itself and are computed per row.  A
-    one-row call skips the deduplication.  The levels have one row per row
+    reversible and regular depend on S itself and are computed per row, and
+    a one-row call takes the same path.  The levels have one row per row
     that reached the chain pass (missed both fast paths, and max(3, levels)
     <= _chain_height(g)), in row order; None when no row reached it.  A row
     with at least three levels can meet no constant split, so the split
@@ -528,10 +528,7 @@ def _row_kernel(
     """
     member, counts = _count_rows(g, rows)
     B = len(counts)
-    if B > 1:
-        distinct, inverse = _distinct_rows(counts)
-    else:
-        distinct, inverse = counts, np.zeros(B, dtype=np.intp)
+    distinct, inverse = _distinct_rows(counts)
     U = len(distinct)
 
     ordered = np.sort(distinct, axis=1)

@@ -3,8 +3,9 @@
 A generator subset S = {g_1, ..., g_m} of a group of order n defines the n
 unit vectors f_x = (1/sqrt(m)) (chi_{g_j}(x))_j.  Everything observable about
 the frame reduces to character sums: <f_x, f_y> = (1/m) sum_j chi_{g_j}(x-y),
-so angle profiles need only the n-1 sums against the identity index, and the
-frame is materialized as an explicit array only for the verification paths.
+so angle profiles need only the n-1 sums against the identity index
+(character_magnitudes, shared with search and verify), and the frame is
+materialized as an explicit array only for the verification paths.
 The closed-form modulation operators are read from the difference index
 table: entry (a, b) of X_xi is n/m exactly when g_b - g_a = xi.
 """
@@ -191,12 +192,30 @@ def etf_btf(n: int, m: int, c: Clusters) -> tuple[np.ndarray, np.ndarray]:
     return is_etf, is_btf
 
 
+def character_magnitudes(T: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(B, n - 1) magnitudes |sum_j T[rows[i, j], x]| / m, x = 1..n-1, of a (B, m) index block.
+
+    Row y of T is chi_y at every element (column 0 the identity; the full
+    character table is symmetric), so row i of the result is the angle
+    magnitudes |<f_x, f_0>|, x != 0, of the frame generated by rows[i].  The
+    m rows are added left to right, one in-place add per generator, so the
+    same characters give the same bits whatever the memory layout of T.
+    This is the one place characters are summed into magnitudes: frames,
+    search blocks and the verify sweep all call it.
+    """
+    total = T[rows[:, 0], 1:]
+    for j in range(1, rows.shape[1]):
+        total += T[rows[:, j], 1:]
+    mags = np.abs(total)
+    mags /= rows.shape[1]
+    return mags
+
+
 def angle_magnitudes(f: FrameSpec) -> np.ndarray:
-    """|<f_x, f_0>| for every x != 0, exploiting shift invariance."""
-    cols = character_table_columns(f.group, f.generators)
-    sums = cols.sum(axis=1)
-    mags = np.abs(sums) / f.m
-    return np.delete(mags, f.group.index(f.group.zero))
+    """|<f_x, f_0>| for every x != 0, exploiting shift invariance: one
+    character_magnitudes row over the generators' characters."""
+    table = character_table_columns(f.group, f.generators).T
+    return character_magnitudes(table, np.arange(f.m)[None, :])[0]
 
 
 def angle_profile(

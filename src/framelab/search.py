@@ -1,21 +1,19 @@
 """Exhaustive enumeration and classification of generator subsets.
 
 Subsets stream in lexicographic order as (B, m) blocks of element indices,
-B <= BLOCK_SIZE, and each block is classified with array operations: the
-angle magnitudes of all its rows come from one gather-sum over the character
-table, clusters and the ETF/BTF decision from frames (frames.cluster_rows
-sorts and cuts the rows and takes every cluster mean with one reduceat),
-and the set classes from the diffsets row kernel.  A block is filled from
-the combinations stream by one np.fromiter.  The per-row stages run on chunks of
-min(BLOCK_SIZE, max(ROW_CHUNK, CHUNK_ENTRIES // n)) rows, so each (rows, n)
-temporary stays within CHUNK_ENTRIES entries whenever ROW_CHUNK rows fit;
-the complex character gather runs in sub-slices of
-min(BLOCK_SIZE, max(ROW_CHUNK, CHUNK_ENTRIES // (n m))) rows, so its
-(n, rows, m) temporary stays within CHUNK_ENTRIES entries (512 KB) on the
-same condition, and memory is bounded by the group, not by the job.  Records are built in bulk
-and only for subsets that pass the filter.  The serial path classifies each
-block as it is cut; with jobs > 1 and more than one block a process pool
-classifies them, with at most 2 * jobs blocks in flight.  Aggregation
+cut at one rule, _block_rows(n) = max(MIN_BLOCK_ROWS, BLOCK_ENTRIES // n)
+rows, so each (B, n) temporary of a block holds at most BLOCK_ENTRIES
+entries whenever MIN_BLOCK_ROWS rows fit, and memory is bounded by the
+group, not by the job.  A block is filled from the combinations stream by
+one np.fromiter and classified with array operations: the angle magnitudes
+of all its rows from frames.character_magnitudes (the routine that gives a
+frame its angles, so a record and a frame report share their bits), clusters
+and the ETF/BTF decision from frames (frames.cluster_rows sorts and cuts the
+rows and takes every cluster mean with one reduceat), and the set classes
+from the diffsets row kernel.  Records are built in bulk and only for
+subsets that pass the filter.  The serial path classifies each block as it
+is cut; with jobs > 1 and more than one block a process pool classifies
+them, with at most 2 * jobs blocks in flight.  Aggregation
 merges blocks in index order, so reports are identical for any worker
 count.  Full mode walks all C(n, m) subsets; reduced mode walks the
 C(n-1, m-1) subsets containing the identity.  That is not one
@@ -39,11 +37,10 @@ import numpy as np
 from .arith import factorize
 from .diffsets import ROW_FLAGS, _distinct_rows, classify, classify_rows  # noqa: F401 (re-exports classify)
 from .errors import CapacityError, DomainError
-from .frames import Clusters, cluster_rows, etf_btf
+from .frames import Clusters, character_magnitudes, cluster_rows, etf_btf
 from .groups import Element, GroupSpec, full_character_table
 
-SUBSET_CAP = 10**7
-BLOCK_SIZE = 4096
+SUBSET_CAP = 10**7  # most subsets a job may enumerate, read when a search starts
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +83,6 @@ class SearchJob:
     target_angles: tuple[float, ...] | None = None
     angle_tol: float = 1e-7
     jobs: int = 1
-    cap: int = SUBSET_CAP
 
     def subset_count(self) -> int:
         n = self.group.order
@@ -180,8 +176,8 @@ CSV_FLAGS = (
     "gaussian", "almost", "nested_divisible", "reversible", "regular",
 )
 CSV_PARAMETERS = ("lam", "mu", "l", "t")
-ROW_CHUNK = 128  # least rows per chunk and per gather sub-slice
-CHUNK_ENTRIES = 2**15  # entries of a chunk's (rows, n) arrays; of a (n, rows, m) gather: 512 KB
+MIN_BLOCK_ROWS = 128  # least rows per block
+BLOCK_ENTRIES = 2**15  # entries of a block's (rows, n) arrays: 512 KB complex
 
 
 def _filter_column(job: SearchJob) -> str | None:
@@ -197,39 +193,16 @@ def _filter_column(job: SearchJob) -> str | None:
     return name
 
 
-def _chunk_rows(n: int) -> int:
-    """Rows per chunk of a block's per-row stages: as many as keep a chunk's
-    (rows, n) temporaries within CHUNK_ENTRIES entries, but at least
-    ROW_CHUNK and at most BLOCK_SIZE."""
-    return min(BLOCK_SIZE, max(ROW_CHUNK, CHUNK_ENTRIES // n))
-
-
-def _gather_rows(n: int, m: int) -> int:
-    """Rows per sub-slice of the character gather: as many as keep its
-    (n, rows, m) complex temporary within CHUNK_ENTRIES entries, but at
-    least ROW_CHUNK and at most BLOCK_SIZE."""
-    return min(BLOCK_SIZE, max(ROW_CHUNK, CHUNK_ENTRIES // (n * m)))
+def _block_rows(n: int) -> int:
+    """Rows per block: as many as keep a block's (rows, n) temporaries within
+    BLOCK_ENTRIES entries, but at least MIN_BLOCK_ROWS."""
+    return max(MIN_BLOCK_ROWS, BLOCK_ENTRIES // n)
 
 
 @lru_cache(maxsize=None)
 def _element_objects(g: GroupSpec) -> np.ndarray:
     """elements() as a 1-D object array, so a block's subsets are one gather."""
     return np.fromiter(g.elements(), dtype=object, count=g.order)
-
-
-def _magnitudes(T: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
-    """(len(rows), n - 1) angle magnitudes |sum_j chi_{g_j}(x)| / m, x != 0 (row 0 of T).
-
-    The complex gather runs _gather_rows(n, m) rows at a time into the one
-    output array; every row's sum is the same gather-sum over its m
-    characters, so the bits do not depend on the sub-slicing.
-    """
-    n = len(T)
-    mags = np.empty((len(rows), n - 1))
-    step = _gather_rows(n, m)
-    for a in range(0, len(rows), step):
-        mags[a : a + step] = (np.abs(T[1:, rows[a : a + step]].sum(axis=-1)) / m).T
-    return mags
 
 
 def _flag_dicts(flags: dict[str, np.ndarray], pick: np.ndarray) -> list[dict]:
@@ -278,51 +251,42 @@ def _classify_block(job: SearchJob, block: np.ndarray) -> tuple[list[SubsetRecor
     """Records of the rows of a (B, m) index block that pass the job's filter,
     and the block's class counts in COUNTED order.
 
-    Rows go _chunk_rows(n) at a time, so a chunk's (rows, n) temporaries
-    hold at most CHUNK_ENTRIES entries each, or ROW_CHUNK * n where that is
-    more: magnitudes from _magnitudes (its complex gather in sub-slices of
-    at most CHUNK_ENTRIES entries, 512 KB), clusters and ETF/BTF from
+    The block's (B, n) temporaries are bounded by the cut (_block_rows):
+    magnitudes from frames.character_magnitudes, clusters and ETF/BTF from
     frames, set classes from diffsets.classify_rows.  Records are built only
     for kept rows, in bulk: subsets as one gather from the element object
     array, angles and multiplicities per distinct cluster count, flag dicts
     once per distinct flag row.
     """
     g, m, tol = job.group, job.m, job.angle_tol
-    T = full_character_table(g)
-    els = _element_objects(g)
-    column = _filter_column(job)
-    target = None if job.target_angles is None else np.sort(job.target_angles)
-    kept: list[SubsetRecord] = []
-    totals = np.zeros(len(COUNTED), dtype=np.int64)
-    step = _chunk_rows(g.order)
-    for a in range(0, len(block), step):
-        rows = block[a : a + step]
-        c = cluster_rows(_magnitudes(T, rows, m), tol)
-        is_etf, is_btf = etf_btf(g.order, m, c)
-        flags = classify_rows(g, rows) if m >= 2 else {}
-        cols = {**flags, "etf": is_etf, "btf": is_btf}
-        totals += [np.count_nonzero(cols[k]) if k in cols else 0 for k in COUNTED]
+    c = cluster_rows(character_magnitudes(full_character_table(g), block), tol)
+    is_etf, is_btf = etf_btf(g.order, m, c)
+    flags = classify_rows(g, block) if m >= 2 else {}
+    cols = {**flags, "etf": is_etf, "btf": is_btf}
+    totals = np.array([np.count_nonzero(cols[k]) if k in cols else 0 for k in COUNTED], np.int64)
 
-        keep = np.ones(len(rows), dtype=bool)
-        if target is not None:
-            keep &= c.d == len(target)
-            first = c.starts[:-1][keep, None] + np.arange(len(target))
-            keep[keep] = (np.abs(c.reps[first] - target) <= tol).all(axis=1)
-        if column is not None:
-            keep &= cols[column] if column in cols else False
-        pick = np.flatnonzero(keep)
-        if not pick.size:
-            continue
-        angles, mults = _cluster_tuples(c, pick)
-        kept += map(
-            SubsetRecord, zip(*els[rows[pick].T].tolist()), angles, mults,
-            is_etf[pick].tolist(), is_btf[pick].tolist(), _flag_dicts(flags, pick),
-        )
+    keep = np.ones(len(block), dtype=bool)
+    if job.target_angles is not None:
+        target = np.sort(job.target_angles)
+        keep &= c.d == len(target)
+        first = c.starts[:-1][keep, None] + np.arange(len(target))
+        keep[keep] = (np.abs(c.reps[first] - target) <= tol).all(axis=1)
+    column = _filter_column(job)
+    if column is not None:
+        keep &= cols[column] if column in cols else False
+    pick = np.flatnonzero(keep)
+    if not pick.size:
+        return [], totals
+    angles, mults = _cluster_tuples(c, pick)
+    kept = list(map(
+        SubsetRecord, zip(*_element_objects(g)[block[pick].T].tolist()), angles, mults,
+        is_etf[pick].tolist(), is_btf[pick].tolist(), _flag_dicts(flags, pick),
+    ))
     return kept, totals
 
 
 def _index_blocks(job: SearchJob) -> Iterator[np.ndarray]:
-    """Subsets in lexicographic order as (B, m) element-index blocks, B <= BLOCK_SIZE.
+    """Subsets in lexicographic order as (B, m) element-index blocks, B <= _block_rows(n).
 
     Each block is filled from the combinations stream by one np.fromiter;
     in reduced mode the stream gives the (m - 1)-subsets of 1..n-1 and
@@ -332,8 +296,9 @@ def _index_blocks(job: SearchJob) -> Iterator[np.ndarray]:
     lead = int(job.mode == "reduced")
     stream = itertools.combinations(range(lead, n), m - lead)
     total = job.subset_count()
-    for start in range(0, total, BLOCK_SIZE):
-        rows = min(BLOCK_SIZE, total - start)
+    size = _block_rows(n)
+    for start in range(0, total, size):
+        rows = min(size, total - start)
         flat = itertools.chain.from_iterable(itertools.islice(stream, rows))
         block = np.fromiter(flat, np.intp, count=rows * (m - lead)).reshape(rows, m - lead)
         if lead:
@@ -382,11 +347,11 @@ def enumerate_and_classify(job: SearchJob) -> SearchReport:
         raise DomainError(f"unknown mode {job.mode!r}")
     _filter_column(job)
     total = job.subset_count()
-    if total > job.cap:
-        raise CapacityError(f"{total} subsets exceed cap {job.cap}")
+    if total > SUBSET_CAP:
+        raise CapacityError(f"{total} subsets exceed cap {SUBSET_CAP}")
 
     t0 = time.perf_counter()
-    jobs = 1 if total <= BLOCK_SIZE else max(1, job.jobs)
+    jobs = 1 if total <= _block_rows(n) else max(1, job.jobs)
     kept: list[SubsetRecord] = []
     totals = np.zeros(len(COUNTED), dtype=np.int64)
     for records, counts in _map_blocks(job, _index_blocks(job), jobs):

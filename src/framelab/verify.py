@@ -12,8 +12,8 @@ chain in _shortest_chain) is computed beside it; translates go by one
 translate call per (group, shift), whose permutation moves every subset row
 at once.  The tight-sum and equidistribution sweep reads character-table
 blocks, all m-subsets of a group at once (_frame_violations): identity-row
-magnitudes clustered in one call, and the Gram magnitudes of every frame as
-one batched product.  The modulation check sets closed-form operators from
+magnitudes from frames.character_magnitudes clustered in one call, and the
+Gram magnitudes of every frame as one batched product.  The modulation check sets closed-form operators from
 the difference index table against products with the character table,
 visiting its random frames group by group; the example, Paley, quartic and
 table suites set closed forms from predictions and residues against frames
@@ -42,6 +42,7 @@ from .frames import (
     FrameSpec,
     angle_profile,
     btf_multiplicities_from_angles,
+    character_magnitudes,
     classify_angularity,
     cluster_rows,
     verify_modulation_identities,
@@ -528,21 +529,21 @@ def suite_tables() -> list[CheckResult]:
 def _frame_violations(g: GroupSpec, m: int) -> tuple[int, int, int]:
     """(frames, tight-sum violations, equidistribution violations) over all m-subsets.
 
-    The frames of all m-subsets are one (B, m) block of character columns of
-    T = full_character_table(g).  Tight sum: the identity-row magnitudes
-    |sum_j T[x, idx_j]| / m (the gather-sum of search, bit for bit
-    angle_magnitudes) clustered in one cluster_rows call, then sum t a^2 per
-    row against (n - m) / m.  Equidistribution: the Gram magnitudes
-    |V V^*| of V = T[:, idx] / sqrt(m) as one batched product; with the
-    diagonal set to -1 and each row sorted, every row must be the same.
+    The frames of all m-subsets are one (B, m) block idx of character indices
+    of T = full_character_table(g).  Tight sum: the identity-row magnitudes
+    from frames.character_magnitudes(T, idx), the routine behind
+    angle_magnitudes and search, so bit for bit theirs, clustered in one
+    cluster_rows call, then sum t a^2 per row against (n - m) / m.
+    Equidistribution: the Gram magnitudes |V V^*| of V = T[:, idx] / sqrt(m)
+    as one batched product; with the diagonal set to -1 and each row sorted,
+    every row must be the same.
     """
     n = g.order
     T = full_character_table(g)
     idx = np.array(list(itertools.combinations(range(n), m)), dtype=np.intp)
-    cols = T[:, idx]  # (n, B, m)
-    c = cluster_rows((np.abs(cols.sum(axis=-1)) / m)[1:].T, DEFAULT_ANGLE_TOL)
+    c = cluster_rows(character_magnitudes(T, idx), DEFAULT_ANGLE_TOL)
     tight = np.add.reduceat(c.sizes * c.reps * c.reps, c.starts[:-1])
-    V = np.moveaxis(cols, 0, 1) / math.sqrt(m)  # (B, n, m)
+    V = np.moveaxis(T[:, idx], 0, 1) / math.sqrt(m)  # (B, n, m)
     G = np.abs(V @ V.conj().swapaxes(1, 2))
     G[:, np.arange(n), np.arange(n)] = -1.0
     rows = np.sort(G, axis=2)

@@ -14,6 +14,12 @@ from collections import Counter
 from framelab.search import SearchJob, abelian_groups_of_order, enumerate_and_classify
 
 BTFS = 13_884
+# SearchReport.class_counts summed over the 169 searches
+CLASS_COUNTS = {
+    "almost": 8_181, "bidifference": 23_679, "btf": 13_884, "difference_set": 1_398,
+    "divisible": 4_758, "etf": 1_398, "gaussian": 228, "nested_divisible": 29_520,
+    "partial": 2_201, "relative": 238,
+}
 # BTFs that are neither bidifference nor nested divisible, by (group, m);
 # in each group the two values of m are complements
 BTF_OUTSIDE = {
@@ -33,12 +39,14 @@ def test_census_of_btfs_against_the_difference_set_classes():
     searches = subsets = btfs = 0
     outside: Counter = Counter()
     without: Counter = Counter()
+    counts: Counter = Counter()
     for n in range(4, 17):
         for g in abelian_groups_of_order(n):
             for m in range(2, n - 1):
                 report = enumerate_and_classify(SearchJob(g, m, mode="reduced"))
                 searches += 1
                 subsets += report.total_enumerated
+                counts.update(report.class_counts)
                 for r in report.records:
                     if r.is_btf:
                         btfs += 1
@@ -48,6 +56,7 @@ def test_census_of_btfs_against_the_difference_set_classes():
                         without[g.name] += 1
     assert (searches, subsets) == (169, 198_911)
     assert btfs == BTFS
+    assert dict(counts) == CLASS_COUNTS
     assert dict(outside) == BTF_OUTSIDE
     assert dict(without) == BIDIFFERENCE_WITHOUT_BTF
     assert sum(without.values()) == 10_191

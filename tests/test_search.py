@@ -19,7 +19,6 @@ from framelab.diffsets import ROW_FLAGS, translate
 from framelab.errors import CapacityError, DomainError
 from framelab.groups import GroupSpec, parse_group
 from framelab.search import (
-    BLOCK_SIZE,
     SearchJob,
     abelian_groups_of_order,
     cross_group_angle_match,
@@ -51,10 +50,17 @@ def test_subset_counts_by_mode():
     assert all(r.subset[0] == (0,) for r in rep.records)
 
 
-def test_capacity_cap():
+def test_capacity_cap(monkeypatch):
     g = GroupSpec((40,))
+    monkeypatch.setattr(search, "SUBSET_CAP", 1000)  # read when the search starts
     with pytest.raises(CapacityError):
-        enumerate_and_classify(SearchJob(g, 20, cap=1000))
+        enumerate_and_classify(SearchJob(g, 20))
+    job = SearchJob(GroupSpec((10,)), 3)  # C(10, 3) = 120 subsets
+    monkeypatch.setattr(search, "SUBSET_CAP", 119)
+    with pytest.raises(CapacityError, match="120 subsets exceed cap 119"):
+        enumerate_and_classify(job)
+    monkeypatch.setattr(search, "SUBSET_CAP", 120)
+    assert enumerate_and_classify(job).total_enumerated == 120
 
 
 def test_order8_match_counts():
@@ -86,10 +92,10 @@ def test_determinism_across_worker_counts():
 
 
 def test_process_pool_matches_serial():
-    # C(16, 5) = 4368 subsets: two blocks, so jobs=2 takes the process pool
+    # C(16, 5) = 4368 subsets: three blocks of at most 2048, so jobs=2 takes the process pool
     g = parse_group("Z16")
     job = SearchJob(g, 5, mode="full")
-    assert job.subset_count() > BLOCK_SIZE
+    assert len(list(search._index_blocks(job))) == 3
     serial = enumerate_and_classify(job).to_dict()
     pooled = enumerate_and_classify(replace(job, jobs=2)).to_dict()
     del serial["runtime_seconds"], pooled["runtime_seconds"]
@@ -103,39 +109,29 @@ def _report_text(rep) -> tuple[str, str]:
     return json.dumps(d, indent=1), "\n".join(map(repr, rep.to_csv_rows()))
 
 
-def test_chunk_rules():
-    # per-row stages in chunks of (rows, n) entries, the complex gather in
-    # sub-slices of (n, rows, m) entries, each within CHUNK_ENTRIES
-    assert search._chunk_rows(21) == 1560  # Z21 m=4 full: 5 chunks per search
-    assert search._gather_rows(21, 4) == 390
-    assert search._chunk_rows(64) == 512 and search._gather_rows(64, 3) == 170
-    assert search._chunk_rows(2) == search._gather_rows(2, 1) == BLOCK_SIZE
-    assert search._chunk_rows(4093) == search._gather_rows(1000, 7) == search.ROW_CHUNK
+def test_block_rule():
+    # blocks of (rows, n) entries within BLOCK_ENTRIES, at least MIN_BLOCK_ROWS rows
+    assert search._block_rows(21) == 1560  # Z21 m=4 full: 4 blocks per search
+    assert search._block_rows(32) == 1024  # Z2^5 m=4 reduced: 4,495 rows in 5 blocks
+    assert search._block_rows(64) == 512
+    assert search._block_rows(4093) == search.MIN_BLOCK_ROWS
     for n in range(2, 300):
-        rows = search._chunk_rows(n)
-        assert rows == BLOCK_SIZE or rows == search.ROW_CHUNK or rows * n <= search.CHUNK_ENTRIES
-        for m in (1, 3, n):
-            sub = search._gather_rows(n, m)
-            assert sub <= rows
-            assert sub == search.ROW_CHUNK or sub * n * m <= search.CHUNK_ENTRIES
+        rows = search._block_rows(n)
+        assert rows == search.MIN_BLOCK_ROWS or rows * n <= search.BLOCK_ENTRIES
+        assert rows == search.MIN_BLOCK_ROWS or (rows + 1) * n > search.BLOCK_ENTRIES
 
 
-def test_chunk_bound_does_not_change_reports(monkeypatch):
-    # row chunk and gather sub-slice at 1, at 7 (most blocks then end in a
-    # short chunk) and at the whole block, in every combination: reports
-    # byte-identical
-    sizes = (1, 7, BLOCK_SIZE)
+def test_block_rule_does_not_change_reports(monkeypatch):
+    # blocks of 1, of 7 (most searches then end in a short block) and of
+    # the rule's own size: reports byte-identical
+    block_rows = search._block_rows
     calls = []
 
     def texts(job):
         out = set()
-        for rows in sizes:
-            for sub in sizes:
-                monkeypatch.setattr(search, "_chunk_rows", lambda n, k=rows: calls.append(n) or k)
-                monkeypatch.setattr(
-                    search, "_gather_rows", lambda n, m, k=sub: calls.append(m) or k
-                )
-                out.add(_report_text(enumerate_and_classify(job)))
+        for rule in (lambda n: 1, lambda n: 7, block_rows):
+            monkeypatch.setattr(search, "_block_rows", lambda n, k=rule: calls.append(n) or k(n))
+            out.add(_report_text(enumerate_and_classify(job)))
         assert len(out) == 1, job
         return out.pop()
 
@@ -152,7 +148,7 @@ def test_chunk_bound_does_not_change_reports(monkeypatch):
             angles = enumerate_and_classify(SearchJob(g, m)).records[-1].angles
             text = texts(SearchJob(g, m, mode="reduced", target_angles=angles))
             assert json.loads(text[0])["match_count"] > 0
-    assert jobs > 100 and len(calls) > 18 * jobs  # both rules read on every run
+    assert jobs > 100 and len(calls) > 6 * jobs  # the rule is read on every run
 
 
 def test_records_own_their_flag_dicts():
@@ -209,7 +205,7 @@ def test_pool_bounds_blocks_in_flight():
 
 
 def test_pool_with_more_blocks_than_in_flight_matches_serial(monkeypatch):
-    monkeypatch.setattr(search, "BLOCK_SIZE", 16)  # C(10, 3) = 120: 8 blocks
+    monkeypatch.setattr(search, "_block_rows", lambda n: 16)  # C(10, 3) = 120: 8 blocks
     job = SearchJob(parse_group("Z10"), 3)
     assert len(list(search._index_blocks(job))) == 8
     serial = _report_text(enumerate_and_classify(job))
@@ -218,11 +214,11 @@ def test_pool_with_more_blocks_than_in_flight_matches_serial(monkeypatch):
 
 @pytest.mark.parametrize("name, m", [("Z64", 3), ("Z21", 4)])
 def test_block_memory_is_bounded_by_the_chunk(name, m):
-    # a full 4096-row block whose target matches nothing: the peak is one
-    # chunk's temporaries, about 2 MB; a 2**16-entry bound reads 3.4-3.5 MB
+    # a full block whose target matches nothing: the peak is one block's
+    # temporaries, about 1.8 MB; a 2**16-entry bound reads 3.5-3.6 MB
     job = SearchJob(parse_group(name), m, target_angles=(2.0,))
     block = next(search._index_blocks(job))
-    assert block.shape == (BLOCK_SIZE, m)
+    assert block.shape == (search._block_rows(job.group.order), m)
     search._classify_block(job, block)  # character table, lattice and tables cached
     tracemalloc.start()
     try:
@@ -248,8 +244,8 @@ def test_index_blocks_match_combinations(monkeypatch):
             total = len(want)
             assert total == job.subset_count()
             divisor = max((d for d in range(1, total) if total % d == 0), default=1)
-            for size in (1, 7, divisor, BLOCK_SIZE):
-                monkeypatch.setattr(search, "BLOCK_SIZE", size)
+            for size in (1, 7, divisor, search._block_rows(10)):
+                monkeypatch.setattr(search, "_block_rows", lambda n, k=size: k)
                 blocks = list(search._index_blocks(job))
                 assert len(blocks) == -(-total // size), (m, mode, size)
                 for i, b in enumerate(blocks):
