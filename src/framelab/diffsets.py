@@ -18,9 +18,10 @@ classes wherever a witness exists; witnesses {0} and the whole group are
 excluded as uninformative.
 
 Counts come from one count step, _count_rows (validation, one gather from
-the difference index table, one bincount), for one subset or a block.  The
-row kernel, classify_rows, decides every class for a whole block from its
-count matrix; search calls it on blocks.  Every class but partial depends
+the difference index table, the pair block, and one bincount), for one
+subset or a block; search hands it the pair block it already gathered for
+the class representatives.  The row kernel, classify_rows, decides every
+class for a whole block from its count matrix; search calls it on blocks.  Every class but partial depends
 on S only through its count row, which translation and negation leave
 unchanged (c_{S+g} = c_{-S} = c_S), so a block has few distinct rows: the
 kernel makes each count-only decision, the chain pass included, once per
@@ -97,15 +98,18 @@ def _diff_counts(g: GroupSpec, subset: tuple[Element, ...], row: np.ndarray) -> 
     return DiffCounts(g, subset, counts, {c: tuple(v) for c, v in levels.items()})
 
 
-def _count_rows(g: GroupSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _count_rows(
+    g: GroupSpec, rows: np.ndarray, pairs: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The one count step: validate a (B, m) block of element indices and count it.
 
     Returns (member, counts): member[b] marks row b's elements, counts[b]
     its ordered pairs differing by each nonzero element, in element order.
-    One gather from the flat difference index table over the m(m - 1)
-    ordered pairs of distinct positions, and one bincount (row b offset by
-    b(n - 1), element x >= 1 at column x - 1).  A difference of two distinct
-    elements is never the identity; a table that gives one loses that pair.
+    pairs is the rows' pair block (_pair_block), gathered here unless the
+    caller already holds it, and one bincount counts its m^2 cells (row b
+    offset by bn); counts is the bincount's columns 1..n-1.  The m diagonal
+    cells of a row are its only identities: a table that gives the identity
+    for two distinct elements loses that pair.
     """
     rows = np.asarray(rows, dtype=np.intp)
     B, m = rows.shape
@@ -118,12 +122,24 @@ def _count_rows(g: GroupSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     member.ravel()[(rows + n * np.arange(B)[:, None]).ravel()] = True
     if np.count_nonzero(member) != B * m:  # a row with a repeat marks fewer than m
         raise InvalidSubsetError("subset has duplicate elements")
-    i, j = np.nonzero(~np.eye(m, dtype=bool))
-    diffs = _difference_index_table(g).ravel()[rows[:, i] * n + rows[:, j]]
-    if not diffs.all():
+    if pairs is None:
+        pairs = _pair_block(g, rows)
+    cells = pairs.reshape(B, m * m) + n * np.arange(B)[:, None]  # promotes: the offsets overflow int16
+    counts = np.bincount(cells.ravel(), minlength=B * n).reshape(B, n)
+    if (counts[:, 0] != m).any():
         raise InvariantError(f"difference counts of a subset do not add up to {m * (m - 1)}")
-    diffs = diffs + ((n - 1) * np.arange(B) - 1)[:, None]  # promotes: the offsets overflow int16
-    return member, np.bincount(diffs.ravel(), minlength=B * (n - 1)).reshape(B, n - 1)
+    return member, counts[:, 1:]
+
+
+def _pair_block(g: GroupSpec, rows: np.ndarray) -> np.ndarray:
+    """(B, m, m) pair block of a (B, m) index block: entry [b, i, j] is the
+    index of s_j - s_i in row b, one gather from the difference index table.
+
+    The count step counts its cells; frames.class_representatives reads a
+    row's translates S - s_i and s_j - S from its rows and columns.
+    """
+    n = g.order
+    return _difference_index_table(g).take(rows[:, :, None] * n + rows[:, None, :])
 
 
 def reversal(g: GroupSpec, S: Iterable[Element]) -> tuple[Element, ...]:
@@ -488,7 +504,9 @@ ROW_FLAGS = (
 _EDGE_CHUNK = 1 << 14  # bound on the (rows, edges) entries of a chain-length batch
 
 
-def classify_rows(g: GroupSpec, rows: np.ndarray) -> dict[str, np.ndarray]:
+def classify_rows(
+    g: GroupSpec, rows: np.ndarray, pairs: np.ndarray | None = None
+) -> dict[str, np.ndarray]:
     """Search flags of many subsets, given as a (B, m) array of element indices.
 
     Returns one length-B column per flag of a search record, in record
@@ -504,13 +522,14 @@ def classify_rows(g: GroupSpec, rows: np.ndarray) -> dict[str, np.ndarray]:
     _chain_levels, breadth-first from G for all of them at once; the others
     read t = -1.  The partial and Gaussian split tests run only on rows with
     at most two levels; the others read False.  classify is this function
-    on one row.
+    on one row.  pairs is the rows' pair block (_pair_block), for a caller
+    that already holds it; the count step gathers it otherwise.
     """
-    return _row_kernel(g, rows)[0]
+    return _row_kernel(g, rows, pairs)[0]
 
 
 def _row_kernel(
-    g: GroupSpec, rows: np.ndarray
+    g: GroupSpec, rows: np.ndarray, pairs: np.ndarray | None = None
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None, np.ndarray]:
     """The columns of classify_rows, the _chain_levels output behind t, and the counts.
 
@@ -526,14 +545,14 @@ def _row_kernel(
     the levels and reads its DiffCounts from the (B, n-1) counts, so the
     level pass and the count step run once.
     """
-    member, counts = _count_rows(g, rows)
+    member, counts = _count_rows(g, rows, pairs)
     B = len(counts)
     distinct, inverse = _distinct_rows(counts)
     U = len(distinct)
 
     ordered = np.sort(distinct, axis=1)
     lo, hi = ordered[:, 0], ordered[:, -1]
-    levels = 1 + np.count_nonzero(np.diff(ordered, axis=1), axis=1)
+    levels = 1 + (ordered[:, 1:] != ordered[:, :-1]).sum(axis=1)
     one, two = levels == 1, levels == 2
 
     # two levels: the witness {0} + level(lam) is tried with lam = lo, then hi
@@ -549,7 +568,7 @@ def _row_kernel(
         elif b.tobytes() in keys:
             witness[i] = True
             lam[i], mu[i] = hi[i], lo[i]
-    size = np.count_nonzero(distinct == lam[:, None], axis=1) + 1
+    size = (distinct == lam[:, None]).sum(axis=1) + 1
     # one level: divisible when any subgroup lies strictly between {0} and G
     divisible = (two & witness) | (one & (len(keys) > 2))
 
@@ -572,7 +591,7 @@ def _row_kernel(
         level = level[slot[slot >= 0]]  # back to row order
 
     # one stacked gather takes the count-only columns back to the rows
-    levels, lam, mu, size, t, *flags = np.stack(
+    levels, lam, mu, size, t, *flags = np.array(
         (levels, lam, mu, np.where(two, size, -1), t, divisible, gaussian, two & (hi == lo + 1))
     )[:, inverse]
     divisible, gaussian, almost = (f.astype(bool) for f in flags)
@@ -605,10 +624,14 @@ def _row_kernel(
 
 @lru_cache(maxsize=None)
 def _row_weights(width: int) -> np.ndarray:
-    """Fixed odd int64 weights for the keys of count rows of this width.
+    """Fixed odd int64 weights: the keys of count rows of this width
+    (_distinct_rows), and the element weights of a group of this order
+    behind the set keys of frames.class_representatives.
 
-    The splitmix64 finaliser of 1..width, so the weights are spread over
-    all 64 bits without a random generator.
+    A change to them changes which translate represents a class, so the
+    last bits of every reported angle.  The splitmix64 finaliser of
+    1..width, so the weights are spread over all 64 bits without a random
+    generator.
     """
     x = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):

@@ -5,7 +5,10 @@ unit vectors f_x = (1/sqrt(m)) (chi_{g_j}(x))_j.  Everything observable about
 the frame reduces to character sums: <f_x, f_y> = (1/m) sum_j chi_{g_j}(x-y),
 so angle profiles need only the n-1 sums against the identity index
 (character_magnitudes, shared with search and verify), and the frame is
-materialized as an explicit array only for the verification paths.
+materialized as an explicit array only for the verification paths.  Every
+translate and the negation of S have the same angles, so frames and search
+sum the characters of one representative of that class
+(class_representatives), and all of them report the same bits.
 The closed-form modulation operators are read from the difference index
 table: entry (a, b) of X_xi is n/m exactly when g_b - g_a = xi.
 """
@@ -14,10 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from . import surd
+from .diffsets import _row_weights
 from .errors import (
     CapacityError,
     DomainError,
@@ -28,6 +33,8 @@ from .errors import (
 from .groups import (
     Element,
     GroupSpec,
+    _character_block,
+    _coords,
     _difference_index_table,
     _radix,
     character_phase,
@@ -211,10 +218,56 @@ def character_magnitudes(T: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return mags
 
 
+def class_representatives(g: GroupSpec, pairs: np.ndarray) -> np.ndarray:
+    """(B, m) representative of the translate-negation class of each row of a
+    (B, m, m) pair block, entry [b, i, j] the element index of s_j - s_i.
+
+    The class of S holds every translate of S and of -S.  Its members share
+    one angle set: translating S by h multiplies the character sum at x by
+    chi_x(h), and negating S conjugates it, so no magnitude moves.  The
+    representative is the translate of S or of -S that contains 0 with the
+    least key, the wrapping sum of diffsets._row_weights(n) over its
+    elements, as sorted element indices.  Those translates are the 2m
+    candidates S - s_i and s_j - S, row i and column j of the pair block.
+    Search gathers the block from the difference index table
+    (diffsets._pair_block, shared with the count step); angle_magnitudes
+    sets its one row from coordinates.  Every member of a class has the
+    same candidates, so the same representative; only two distinct
+    candidates with equal keys (a 64-bit collision) are told apart by
+    position.
+    """
+    B, m, _ = pairs.shape
+    weights = _row_weights(g.order).take(pairs)
+    keys = np.concatenate((np.einsum("bij->bi", weights), np.einsum("bij->bj", weights)), axis=1)
+    rep = pairs.reshape(B, m * m)[np.arange(B)[:, None], _candidate_cells(m)[keys.argmin(axis=1)]]
+    rep.sort(axis=1)
+    return rep
+
+
+@lru_cache(maxsize=None)
+def _candidate_cells(m: int) -> np.ndarray:
+    """(2m, m) flat cells of an (m, m) pair block: row c (S - s_c) for the
+    first m candidates, column c (s_c - S) for the last m."""
+    c, k = np.indices((m, m))
+    return np.concatenate((c * m + k, k * m + c))
+
+
 def angle_magnitudes(f: FrameSpec) -> np.ndarray:
-    """|<f_x, f_0>| for every x != 0, exploiting shift invariance: one
-    character_magnitudes row over the generators' characters."""
-    table = character_table_columns(f.group, f.generators).T
+    """|<f_x, f_0>| for every x != 0: one character_magnitudes row over the
+    characters of the frame's class representative (class_representatives).
+
+    The representative's one pair block row is set from the generators'
+    coordinates, and its m character columns come from the phase product
+    behind character_table_columns (groups._character_block), so no n x n
+    table is built and any group order is served.  Every translate and the
+    negation of the generators, in any order, give the bits of their search
+    records.
+    """
+    g = f.group
+    C = np.array(f.generators, dtype=np.int64).reshape(f.m, g.rank)
+    pairs = ((C[None, :, :] - C[:, None, :]) % g.factors) @ _radix(g)  # [i, j]: s_j - s_i
+    rep = class_representatives(g, pairs[None])[0]
+    table = _character_block(g, _coords(g, rep)).T
     return character_magnitudes(table, np.arange(f.m)[None, :])[0]
 
 

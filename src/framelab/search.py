@@ -5,13 +5,19 @@ cut at one rule, _block_rows(n) = max(MIN_BLOCK_ROWS, BLOCK_ENTRIES // n)
 rows, so each (B, n) temporary of a block holds at most BLOCK_ENTRIES
 entries whenever MIN_BLOCK_ROWS rows fit, and memory is bounded by the
 group, not by the job.  A block is filled from the combinations stream by
-one np.fromiter and classified with array operations: the angle magnitudes
-of all its rows from frames.character_magnitudes (the routine that gives a
-frame its angles, so a record and a frame report share their bits), clusters
-and the ETF/BTF decision from frames (frames.cluster_rows sorts and cuts the
-rows and takes every cluster mean with one reduceat), and the set classes
-from the diffsets row kernel.  Records are built in bulk and only for
-subsets that pass the filter.  The serial path classifies each block as it
+one np.fromiter and classified with array operations.  One gather of the
+difference index table, the block's pair block (diffsets._pair_block),
+serves both the count step and the class representatives.  Angles are
+taken once per translate-negation class of the block: each row maps to
+its class representative (frames.class_representatives, the routine that
+gives a frame its angles, so a record and a frame report share their
+bits), and the distinct representatives get their magnitudes from
+frames.character_magnitudes, their clusters and the ETF/BTF decision from
+frames (frames.cluster_rows sorts and cuts the rows and takes every cluster
+mean with one reduceat).  The set classes come from the diffsets row
+kernel.  Records are built in bulk and only for subsets that pass the
+filter; the records of one class share its immutable angle and
+multiplicity tuples.  The serial path classifies each block as it
 is cut; with jobs > 1 and more than one block a process pool classifies
 them, with at most 2 * jobs blocks in flight.  Aggregation
 merges blocks in index order, so reports are identical for any worker
@@ -35,9 +41,9 @@ from typing import Iterator
 import numpy as np
 
 from .arith import factorize
-from .diffsets import ROW_FLAGS, _distinct_rows, classify, classify_rows  # noqa: F401 (re-exports classify)
+from .diffsets import ROW_FLAGS, _distinct_rows, _pair_block, classify, classify_rows  # noqa: F401 (re-exports classify)
 from .errors import CapacityError, DomainError
-from .frames import Clusters, character_magnitudes, cluster_rows, etf_btf
+from .frames import character_magnitudes, class_representatives, cluster_rows, etf_btf
 from .groups import Element, GroupSpec, full_character_table
 
 SUBSET_CAP = 10**7  # most subsets a job may enumerate, read when a search starts
@@ -97,8 +103,11 @@ class SubsetRecord:
 
     Mutable: find_btfs adds a key to each record's flags dict, so freezing
     the fields would not make a record immutable, and a slotted class
-    without frozen=True is cheaper to build, once per kept row.  Records
-    compare by value, do not hash, and pickle (the pool path returns them).
+    without frozen=True is cheaper to build, once per kept row.  The angle
+    and multiplicity tuples are immutable and shared by every record of one
+    translate-negation class in a block; the flags dict is each record's
+    own.  Records compare by value, do not hash, and pickle (the pool path
+    returns them).
     """
 
     subset: tuple[Element, ...]
@@ -225,61 +234,57 @@ def _flag_dicts(flags: dict[str, np.ndarray], pick: np.ndarray) -> list[dict]:
     return list(map(dict.copy, map(dicts.__getitem__, inverse.tolist())))
 
 
-def _cluster_tuples(c: Clusters, pick: np.ndarray) -> tuple[list[tuple], list[tuple]]:
-    """Angles and multiplicities of the picked rows as tuples, in pick order.
-
-    Rows with d clusters take one (d, rows) gather of reps and sizes per
-    distinct d, zipped column by column into tuples; with more than one d,
-    the lists are put back in pick order.
-    """
-    d = c.d[pick]
-    runs = [np.flatnonzero(d == k) for k in np.flatnonzero(np.bincount(d)).tolist()]
-    angles: list[tuple] = []
-    mults: list[tuple] = []
-    for at in runs:
-        cells = np.arange(d[at[0]])[:, None] + c.starts[pick[at]]
-        angles += zip(*c.reps[cells].tolist())
-        mults += zip(*c.sizes[cells].tolist())
-    if len(runs) > 1:
-        back = np.argsort(np.concatenate(runs)).tolist()
-        angles = list(map(angles.__getitem__, back))
-        mults = list(map(mults.__getitem__, back))
-    return angles, mults
-
-
 def _classify_block(job: SearchJob, block: np.ndarray) -> tuple[list[SubsetRecord], np.ndarray]:
     """Records of the rows of a (B, m) index block that pass the job's filter,
     and the block's class counts in COUNTED order.
 
-    The block's (B, n) temporaries are bounded by the cut (_block_rows):
-    magnitudes from frames.character_magnitudes, clusters and ETF/BTF from
-    frames, set classes from diffsets.classify_rows.  Records are built only
-    for kept rows, in bulk: subsets as one gather from the element object
-    array, angles and multiplicities per distinct cluster count, flag dicts
-    once per distinct flag row.
+    The block's (B, n) temporaries are bounded by the cut (_block_rows).
+    The pair block (diffsets._pair_block) is gathered once and read by the
+    class representatives and by the count step of diffsets.classify_rows,
+    which gives the set classes.  Angles depend on a row only through its
+    translate-negation class, so they are taken once per class: the rows'
+    class representatives (frames.class_representatives), their distinct
+    rows and inverse (diffsets._distinct_rows), magnitudes of the distinct
+    representatives from frames.character_magnitudes, their clusters, the
+    ETF/BTF decision and the target-angle match, gathered back to the rows
+    through the inverse.  Records are built only for kept rows, in bulk:
+    subsets as one gather from the element object array, one angle and one
+    multiplicity tuple per kept class, shared by all its records, and flag
+    dicts once per distinct flag row, copied per record.
     """
     g, m, tol = job.group, job.m, job.angle_tol
-    c = cluster_rows(character_magnitudes(full_character_table(g), block), tol)
-    is_etf, is_btf = etf_btf(g.order, m, c)
-    flags = classify_rows(g, block) if m >= 2 else {}
+    pairs = _pair_block(g, block)
+    reps, inverse = _distinct_rows(class_representatives(g, pairs))
+    c = cluster_rows(character_magnitudes(full_character_table(g), reps), tol)
+    is_etf, is_btf = (v[inverse] for v in etf_btf(g.order, m, c))
+    flags = classify_rows(g, block, pairs) if m >= 2 else {}
     cols = {**flags, "etf": is_etf, "btf": is_btf}
     totals = np.array([np.count_nonzero(cols[k]) if k in cols else 0 for k in COUNTED], np.int64)
 
     keep = np.ones(len(block), dtype=bool)
     if job.target_angles is not None:
         target = np.sort(job.target_angles)
-        keep &= c.d == len(target)
-        first = c.starts[:-1][keep, None] + np.arange(len(target))
-        keep[keep] = (np.abs(c.reps[first] - target) <= tol).all(axis=1)
+        match = c.d == len(target)
+        first = c.starts[:-1][match, None] + np.arange(len(target))
+        match[match] = (np.abs(c.reps[first] - target) <= tol).all(axis=1)
+        keep = match[inverse]
     column = _filter_column(job)
     if column is not None:
         keep &= cols[column] if column in cols else False
     pick = np.flatnonzero(keep)
     if not pick.size:
         return [], totals
-    angles, mults = _cluster_tuples(c, pick)
+    cls = inverse[pick]
+    angles: list = [None] * len(reps)
+    mults: list = [None] * len(reps)
+    bounds, values, sizes = c.starts.tolist(), c.reps.tolist(), c.sizes.tolist()
+    for k in np.flatnonzero(np.bincount(cls, minlength=len(reps))).tolist():  # kept classes
+        angles[k] = tuple(values[bounds[k] : bounds[k + 1]])
+        mults[k] = tuple(sizes[bounds[k] : bounds[k + 1]])
+    row_class = cls.tolist()
     kept = list(map(
-        SubsetRecord, zip(*_element_objects(g)[block[pick].T].tolist()), angles, mults,
+        SubsetRecord, zip(*_element_objects(g)[block[pick].T].tolist()),
+        map(angles.__getitem__, row_class), map(mults.__getitem__, row_class),
         is_etf[pick].tolist(), is_btf[pick].tolist(), _flag_dicts(flags, pick),
     ))
     return kept, totals

@@ -12,8 +12,9 @@ chain in _shortest_chain) is computed beside it; translates go by one
 translate call per (group, shift), whose permutation moves every subset row
 at once.  The tight-sum and equidistribution sweep reads character-table
 blocks, all m-subsets of a group at once (_frame_violations): identity-row
-magnitudes from frames.character_magnitudes clustered in one call, and the
-Gram magnitudes of every frame as one batched product.  The modulation check sets closed-form operators from
+magnitudes of each subset's own characters from frames.character_magnitudes
+clustered in one call, and the Gram magnitudes of every frame as one batched
+product.  The modulation check sets closed-form operators from
 the difference index table against products with the character table,
 visiting its random frames group by group; the example, Paley, quartic and
 table suites set closed forms from predictions and residues against frames
@@ -531,9 +532,11 @@ def _frame_violations(g: GroupSpec, m: int) -> tuple[int, int, int]:
 
     The frames of all m-subsets are one (B, m) block idx of character indices
     of T = full_character_table(g).  Tight sum: the identity-row magnitudes
-    from frames.character_magnitudes(T, idx), the routine behind
-    angle_magnitudes and search, so bit for bit theirs, clustered in one
-    cluster_rows call, then sum t a^2 per row against (n - m) / m.
+    from frames.character_magnitudes(T, idx), summed over each subset's own
+    characters, so every frame's own sums are tested; angle_magnitudes and
+    search sum the characters of the subset's class representative instead,
+    so the two can differ in the last bits.  The magnitudes are clustered in
+    one cluster_rows call, then sum t a^2 per row against (n - m) / m.
     Equidistribution: the Gram magnitudes |V V^*| of V = T[:, idx] / sqrt(m)
     as one batched product; with the diagonal set to -1 and each row sorted,
     every row must be the same.

@@ -7,10 +7,22 @@ subsets.  A two-angle tight frame need not come from a bidifference set or
 a nested divisible chain: in the groups below its counts take more levels
 than any chain of length Omega(n) can hold.  And a proper bidifference set
 (exactly two count levels) need not give a BTF.
+
+Every BTF satisfies the dual-set identity.  Let D be the characters that
+carry its less frequent angle.  The counts are the Fourier transform of
+the squared character sums, which take one value on D and another off it,
+so for d != 0, c(d) is an affine function of sum_{chi in D} chi(d) with a
+nonzero slope.  Hence the count levels are as many as the distinct values
+of that sum.
 """
 
 from collections import Counter
 
+import numpy as np
+
+from framelab.diffsets import _count_rows
+from framelab.frames import character_magnitudes
+from framelab.groups import full_character_table
 from framelab.search import SearchJob, abelian_groups_of_order, enumerate_and_classify
 
 BTFS = 13_884
@@ -27,6 +39,8 @@ BTF_OUTSIDE = {
     ("Z3xZ4", 5): 10, ("Z3xZ4", 7): 14,
     ("Z2xZ8", 7): 56, ("Z2xZ8", 9): 72,
 }
+# |D| of the BTFs in BTF_OUTSIDE, D the characters of the less frequent angle
+DUAL_SIZES_OUTSIDE = {2: 96, 4: 72, 6: 128}
 # proper bidifference sets whose frame is not a BTF, by group (10,191 in all)
 BIDIFFERENCE_WITHOUT_BTF = {
     "Z2xZ3": 6, "Z7": 21, "Z2xZ4": 32, "Z8": 48, "Z9": 162, "Z2xZ5": 200, "Z11": 275,
@@ -35,8 +49,32 @@ BIDIFFERENCE_WITHOUT_BTF = {
 }
 
 
+def dual_set_sizes(g, records) -> list[int]:
+    """|D| per BTF record, after checking the dual-set identity on each.
+
+    D is the set of nonzero x whose magnitude |sum_{s in S} chi_x(s)| / m
+    is the less frequent angle (the smaller one on a tie; the sum over the
+    complement is -1 minus the sum over D, so it has as many values).
+    """
+    index = {x: i for i, x in enumerate(g.elements())}
+    rows = np.array([[index[x] for x in r.subset] for r in records])
+    T = full_character_table(g)
+    _, counts = _count_rows(g, rows)
+    sizes = []
+    for r, mags, row in zip(records, character_magnitudes(T, rows), counts):
+        (a1, a2), (k1, k2) = r.angles, r.multiplicities
+        D = 1 + np.flatnonzero(np.abs(mags - (a1 if k1 <= k2 else a2)) <= 1e-7)
+        sums = T[D, 1:].sum(axis=0)
+        assert np.abs(sums.imag).max() < 1e-9, (g, r.subset)
+        values = len(set(np.round(sums.real, 6).tolist()))
+        assert values == len(set(row.tolist())), (g, r.subset)
+        sizes.append(len(D))
+    return sizes
+
+
 def test_census_of_btfs_against_the_difference_set_classes():
     searches = subsets = btfs = 0
+    dual_outside: Counter = Counter()
     outside: Counter = Counter()
     without: Counter = Counter()
     counts: Counter = Counter()
@@ -47,16 +85,19 @@ def test_census_of_btfs_against_the_difference_set_classes():
                 searches += 1
                 subsets += report.total_enumerated
                 counts.update(report.class_counts)
+                found = [r for r in report.records if r.is_btf]
+                for r, size in zip(found, dual_set_sizes(g, found) if found else []):
+                    btfs += 1
+                    if not (r.flags["bidifference"] or r.flags["nested_divisible"]):
+                        outside[g.name, m] += 1
+                        dual_outside[size] += 1
                 for r in report.records:
-                    if r.is_btf:
-                        btfs += 1
-                        if not (r.flags["bidifference"] or r.flags["nested_divisible"]):
-                            outside[g.name, m] += 1
-                    elif r.flags["proper_bidifference"]:
+                    if not r.is_btf and r.flags["proper_bidifference"]:
                         without[g.name] += 1
     assert (searches, subsets) == (169, 198_911)
     assert btfs == BTFS
     assert dict(counts) == CLASS_COUNTS
     assert dict(outside) == BTF_OUTSIDE
+    assert dict(dual_outside) == DUAL_SIZES_OUTSIDE
     assert dict(without) == BIDIFFERENCE_WITHOUT_BTF
     assert sum(without.values()) == 10_191

@@ -138,7 +138,9 @@ def test_chain_pass_skips_rows_the_height_rules_out(monkeypatch):
     monkeypatch.setattr(diffsets, "_chain_height", lambda g: 1 << 30)
     count_rows = diffsets._count_rows
     chunks = []
-    monkeypatch.setattr(diffsets, "_count_rows", lambda g, rows: chunks.append(rows) or count_rows(g, rows))
+    monkeypatch.setattr(
+        diffsets, "_count_rows", lambda g, rows, *pairs: chunks.append(rows) or count_rows(g, rows, *pairs)
+    )
     enumerate_and_classify(z21)
     sent, searched = sum(calls), list(chunks)
     # the pass sees each chunk's distinct count rows off the fast paths (t not 1 or 2)
@@ -220,9 +222,9 @@ def test_classify_counts_once(monkeypatch):
     count_rows = diffsets._count_rows
     calls = []
 
-    def counted(g, rows):
+    def counted(g, rows, *pairs):
         calls.append(len(rows))
-        return count_rows(g, rows)
+        return count_rows(g, rows, *pairs)
 
     monkeypatch.setattr(diffsets, "_count_rows", counted)
     for g, S in [(GroupSpec((6,)), ((0,), (1,), (3,))), (GroupSpec((2, 4)), ((0, 0), (1, 0), (0, 1)))]:

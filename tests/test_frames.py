@@ -2,15 +2,18 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scalar_oracle
 
-from framelab import frames, search
+from framelab import diffsets, frames, search
+from framelab.diffsets import _row_weights
 from framelab.errors import DomainError, InconsistentAnglesError
 from framelab.frames import (
     FrameSpec,
+    angle_magnitudes,
     angle_profile,
     btf_multiplicities_from_angles,
     classify_angularity,
@@ -289,6 +292,82 @@ def test_frame_angles_are_the_search_record_bit_for_bit():
                     assert got == (r.angles, r.multiplicities, r.is_etf, r.is_btf), (g, r.subset)
                     frames_seen += 1
     assert frames_seen == 13_308
+
+
+def test_translates_negation_and_reversal_share_angle_bits():
+    # every subset of every group of order <= 12: each translate of it, its
+    # negation and its generators in reversed order report the same angle
+    # and multiplicity bits as it does, and so does its search record
+    frames_seen = 0
+    for n in range(2, 13):
+        for g in abelian_groups_of_order(n):
+            elements = g.elements()
+            index = {x: i for i, x in enumerate(elements)}
+            plus = np.array([[index[g.add(x, h)] for x in elements] for h in elements])
+            minus = np.array([index[g.neg(x)] for x in elements])
+
+            def profile(subset):
+                a = classify_angularity(FrameSpec(g, tuple(elements[i] for i in subset)))
+                return a.profile.angles, a.profile.multiplicities
+
+            for m in range(1, n + 1):
+                idx = np.array(list(itertools.combinations(range(n), m)))
+                got = {tuple(S): profile(S) for S in idx.tolist()}
+                for images in [np.sort(minus[idx], axis=1), *np.sort(plus[:, idx], axis=2)]:
+                    for S, image in zip(idx.tolist(), images.tolist()):
+                        assert got[tuple(image)] == got[tuple(S)], (g, S, image)
+                for S in idx.tolist():
+                    assert profile(S[::-1]) == got[tuple(S)], (g, S)
+                for r in enumerate_and_classify(SearchJob(g, m)).records:
+                    key = tuple(index[x] for x in r.subset)
+                    assert (r.angles, r.multiplicities) == got[key], (g, r.subset)
+                    frames_seen += 1
+    assert frames_seen == 13_308
+
+
+def test_class_representatives_match_set_oracle():
+    # the least-key translate of S or -S containing 0, from Python sets and
+    # wrapping 64-bit sums, against the (B, m, m) gather
+    classes = {}
+    for g, m in [(GroupSpec((21,)), 4), (GroupSpec((2, 6)), 5), (GroupSpec((3, 3)), 1)]:
+        elements = g.elements()
+        index = {x: i for i, x in enumerate(elements)}
+        w = [int(v) % 2**64 for v in _row_weights(g.order)]
+        rows = np.array(list(itertools.combinations(range(g.order), m)))
+        want = []
+        for S in rows.tolist():
+            xs = [elements[i] for i in S]
+            cands = [{index[g.sub(y, x)] for y in xs} for x in xs]
+            cands += [{index[g.sub(x, y)] for y in xs} for x in xs]
+            want.append(sorted(min(cands, key=lambda c: (sum(w[i] for i in c) + 2**63) % 2**64)))
+        got = frames.class_representatives(g, diffsets._pair_block(g, rows))
+        assert got.tolist() == want, g
+        classes[g.name] = len({tuple(r) for r in want})
+    assert classes["Z21"] == 165  # among its 5,985 4-subsets
+
+
+def test_angles_past_the_difference_table_cap():
+    # the representative's pair block comes from coordinates, so a frame of
+    # order 5003 > SUBGROUP_ORDER_BOUND gets its angles without an n x n table
+    g = GroupSpec((5003,))
+    S = ((0,), (1,), (3,))
+    tracemalloc.start()
+    try:
+        got = classify_angularity(FrameSpec(g, S))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000  # an int16 difference table alone holds 50 MB
+    x = np.arange(1, 5003)
+    want = np.abs(sum(np.exp(2j * np.pi * x * s / 5003) for (s,) in S)) / 3
+    mags = angle_magnitudes(FrameSpec(g, S))
+    assert np.abs(mags - want).max() < 1e-14
+    angles = np.array(got.profile.angles)
+    near = np.clip(np.searchsorted(angles, want), 1, len(angles) - 1)
+    assert np.minimum(abs(want - angles[near]), abs(want - angles[near - 1])).max() <= 1e-7
+    assert got.profile.d == 2500 and sum(got.profile.multiplicities) == 5002
+    shifted = FrameSpec(g, ((5001,), (0,), (5000,)))  # S - 3, in another order
+    assert angle_magnitudes(shifted).tobytes() == mags.tobytes()
 
 
 def test_cluster_ambiguity_flag():

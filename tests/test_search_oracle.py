@@ -5,7 +5,8 @@ character-table sum, a clustering loop taking each cluster's mean, the
 ETF/BTF decision, the scalar classifier of scalar_oracle.py (not the
 library's classify, which is the row kernel on one row) and the flag dict;
 then the old filter and class counting.  Reports must agree field for field
-(runtime aside) and row for row in CSV.
+(runtime aside) and row for row in CSV, angles within ANGLE_TOL of the
+oracle's and every other field equal.
 """
 
 import itertools
@@ -125,17 +126,41 @@ def oracle_report(job, records):
     return SearchReport(job, kept, len(records), counts)
 
 
+# a record's angles come from the characters of its translate-negation class
+# representative, the oracle's from the row's own, so they agree to rounding
+ANGLE_TOL = 4e-15
+CSV_ANGLE_TOL = 1e-12  # the CSV prints 12 significant digits of angles at most 1
+
+
+def split_angles(report):
+    """The report as a dict, runtime dropped, and its angles popped out, one list per record."""
+    d = report.to_dict()
+    del d["runtime_seconds"]
+    return d, [r.pop("angles") for r in d["records"]]
+
+
+def close_angles(got, want, tol):
+    return len(got) == len(want) and all(
+        len(a) == len(b) and all(abs(x - y) <= tol for x, y in zip(a, b))
+        for a, b in zip(got, want)
+    )
+
+
 def assert_same_report(job, records):
     got = enumerate_and_classify(job)
     want = oracle_report(job, records)
-    a, b = got.to_dict(), want.to_dict()
-    del a["runtime_seconds"], b["runtime_seconds"]
+    (a, a_angles), (b, b_angles) = split_angles(got), split_angles(want)
     assert a == b, job
-    assert got.to_csv_rows() == want.to_csv_rows(), job
+    assert close_angles(a_angles, b_angles, ANGLE_TOL), job
+    csv_a, csv_b = got.to_csv_rows(), want.to_csv_rows()
+    assert [r[:-1] for r in csv_a] == [r[:-1] for r in csv_b], job
+    assert csv_a[0] == csv_b[0], job
+    cells = [[[float(x) for x in r[-1].split(";")] for r in rows[1:]] for rows in (csv_a, csv_b)]
+    assert close_angles(*cells, CSV_ANGLE_TOL), job
     # == takes True for 1, the text does not; compared as one bool, so that a
     # failure does not make pytest diff megabytes of text
-    same_text = json.dumps(a) == json.dumps(b) and repr(got.to_csv_rows()) == repr(
-        want.to_csv_rows()
+    same_text = json.dumps(a) == json.dumps(b) and repr([r[:-1] for r in csv_a]) == repr(
+        [r[:-1] for r in csv_b]
     )
     assert same_text, job
     return got
