@@ -256,19 +256,24 @@ def angle_magnitudes(f: FrameSpec) -> np.ndarray:
     """|<f_x, f_0>| for every x != 0: one character_magnitudes row over the
     characters of the frame's class representative (class_representatives).
 
-    The representative's one pair block row is set from the generators'
-    coordinates, and its m character columns come from the phase product
-    behind character_table_columns (groups._character_block), so no n x n
-    table is built and any group order is served.  Every translate and the
-    negation of the generators, in any order, give the bits of their search
-    records.
+    The representative's one pair block row is _coordinate_pairs(f), and its
+    m character columns come from the phase product behind
+    character_table_columns (groups._character_block), so no n x n table is
+    built and any group order is served.  Every translate and the negation
+    of the generators, in any order, give the bits of their search records.
     """
     g = f.group
-    C = np.array(f.generators, dtype=np.int64).reshape(f.m, g.rank)
-    pairs = ((C[None, :, :] - C[:, None, :]) % g.factors) @ _radix(g)  # [i, j]: s_j - s_i
-    rep = class_representatives(g, pairs[None])[0]
+    rep = class_representatives(g, _coordinate_pairs(f)[None])[0]
     table = _character_block(g, _coords(g, rep)).T
     return character_magnitudes(table, np.arange(f.m)[None, :])[0]
+
+
+def _coordinate_pairs(f: FrameSpec) -> np.ndarray:
+    """(m, m) element indices of g_j - g_i at [i, j], from the generators'
+    coordinates and the radix; no n x n table."""
+    g = f.group
+    C = np.array(f.generators, dtype=np.int64).reshape(f.m, g.rank)
+    return ((C[None, :, :] - C[:, None, :]) % g.factors) @ _radix(g)
 
 
 def angle_profile(
@@ -281,18 +286,55 @@ def angle_profile(
 
 
 def _with_symbolic(f: FrameSpec, prof: AngleProfile, mags: np.ndarray) -> AngleProfile:
-    """prof with the recognized exact form of each angle, None where there is none.
+    """prof with the exact form of each angle, None where there is none.
 
-    prof is the clustering of mags.  Each squared angle m^2 |<f_x, f_0>|^2
-    lies in Q(zeta_N)^+, and the Galois map sigma_k sends its value at x to
-    its value at kx, so the clusters of one Galois class (_galois_classes)
-    are conjugates of its first cluster.  surd.recognize_angle runs once on
-    that first cluster.  Each other cluster of the class takes the first's
-    form r0 + r1 sqrt(s) or its conjugate r0 - r1 sqrt(s), whichever its
-    square matches within surd.VERIFY_TOL (surd.conjugate_form), and gets
-    its own recognize_angle call when neither does; when the first cluster
-    is not recognized, no cluster of its class is.  An ambiguous profile
-    runs recognize_angle on every angle.
+    prof is the clustering of mags.  A profile of one or two angles that is
+    not ambiguous takes its forms from two integer moments of the generators
+    (_moment_forms), with no integer-relation search.  Every other profile,
+    and one whose moment forms fail their check, goes to the Galois-class
+    search (_recognized_forms).  Either way, a form whose surd cannot lie in
+    Q(zeta_N), N the group exponent, is dropped (_surd_in_cyclotomic_field).
+    """
+    forms = _moment_forms(f, prof) if prof.d <= 2 and not prof.ambiguous else None
+    if forms is None:
+        forms = _recognized_forms(f, prof, mags)
+    N = f.group.exponent
+    sym = tuple(surd.display(fm) if fm is not None and _admissible(fm, N) else None for fm in forms)
+    return replace(prof, symbolic=sym)
+
+
+def _moment_forms(f: FrameSpec, prof: AngleProfile) -> tuple[surd.SurdForm, ...] | None:
+    """surd.moment_forms of a one- or two-angle profile, Q counted from the
+    generators' pair indices (_coordinate_pairs); None unless every form
+    matches its cluster's squared angle within surd.VERIFY_TOL and passes
+    the conductor rule."""
+    _, counts = np.unique(_coordinate_pairs(f), return_counts=True)
+    Q = int((counts * counts).sum()) - f.m * f.m  # c_S(0) = m
+    forms = surd.moment_forms(f.n, f.m, Q, prof.multiplicities)
+    N = f.group.exponent
+    if forms is None or not all(
+        abs(fm.value() - a * a) <= surd.VERIFY_TOL and _admissible(fm, N)
+        for fm, a in zip(forms, prof.angles)
+    ):
+        return None
+    return forms
+
+
+def _recognized_forms(
+    f: FrameSpec, prof: AngleProfile, mags: np.ndarray
+) -> list[surd.SurdForm | None]:
+    """Per angle of prof, the form surd.recognize_angle finds, once per Galois class.
+
+    Each squared angle m^2 |<f_x, f_0>|^2 lies in Q(zeta_N)^+, and the
+    Galois map sigma_k sends its value at x to its value at kx, so the
+    clusters of one Galois class (_galois_classes) are conjugates of its
+    first cluster.  surd.recognize_angle runs once on that first cluster.
+    Each other cluster of the class takes the first's form r0 + r1 sqrt(s)
+    or its conjugate r0 - r1 sqrt(s), whichever its square matches within
+    surd.VERIFY_TOL (surd.conjugate_form), and gets its own recognize_angle
+    call when neither does; when the first cluster is not recognized, no
+    cluster of its class is.  An ambiguous profile runs recognize_angle on
+    every angle.
     """
     extra = (f.n,) + f.group.factors
     first = (
@@ -308,14 +350,7 @@ def _with_symbolic(f: FrameSpec, prof: AngleProfile, mags: np.ndarray) -> AngleP
         else:
             shared = surd.conjugate_form(forms[first[j]], a)
             forms.append(shared or surd.recognize_angle(a, extra_surds=extra))
-    N = f.group.exponent
-    sym = tuple(
-        surd.display(fm)
-        if fm is not None and (fm.coef == 0 or _surd_in_cyclotomic_field(fm.surd, N))
-        else None
-        for fm in forms
-    )
-    return replace(prof, symbolic=sym)
+    return forms
 
 
 def _galois_classes(g: GroupSpec, mags: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
@@ -342,6 +377,12 @@ def _galois_classes(g: GroupSpec, mags: np.ndarray, sizes: tuple[int, ...]) -> n
         if np.array_equal(new, first):
             return first
         first = new
+
+
+def _admissible(form: surd.SurdForm, N: int) -> bool:
+    """Whether form can be a squared angle of a group of exponent N: rational,
+    or its surd in Q(zeta_N)."""
+    return form.coef == 0 or _surd_in_cyclotomic_field(form.surd, N)
 
 
 def _surd_in_cyclotomic_field(s: int, N: int) -> bool:

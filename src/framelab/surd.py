@@ -11,19 +11,22 @@ random real verify no better than ~1e-12, but the 3e-13 cutoff does not
 separate the two.  Spurious relations do pass it: the frame angle of Z14
 {0,2,4,7,8,9} near 0.3003 is accepted with sqrt(42), which cannot occur in
 Q(zeta_14).  A caller that knows the field the value lives in must check the
-surd against it, as frames.angle_profile does.
+surd against it, as frames._with_symbolic does.
 
-Frame angles come in Galois orbits, and frames calls recognize_angle once
-per orbit: the other angles of the orbit take the form found or its
-conjugate rat - coef*sqrt(surd), whichever conjugate_form matches within
-VERIFY_TOL, and only an angle matching neither is searched on its own.
+Frames with one or two angles need no search: moment_forms gives their
+squared angles exactly from two integer moments of the generator subset,
+with no bound on the coefficients.  For more angles, frames calls
+recognize_angle once per Galois orbit: the other angles of the orbit take
+the form found or its conjugate rat - coef*sqrt(surd), whichever
+conjugate_form matches within VERIFY_TOL, and only an angle matching
+neither is searched on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import sqrt
+from math import isqrt, sqrt
 
 from .arith import factorize
 
@@ -90,6 +93,58 @@ def recognize_angle(alpha: float, extra_surds: tuple[int, ...] = ()) -> SurdForm
             if abs(form.value() - v) <= VERIFY_TOL and form.coef != 0:
                 return form
     return None
+
+
+def moment_forms(
+    n: int, m: int, Q: int, multiplicities: tuple[int, ...]
+) -> tuple[SurdForm, ...] | None:
+    """Exact alpha^2 of each angle of a harmonic frame with one or two angles.
+
+    A subset S of m elements of a group of order n, with c_S(d) its ordered
+    pairs differing by d and Q = sum_{d != 0} c_S(d)^2, fixes two moments of
+    v_x = m^2 |<f_x, f_0>|^2 over the n - 1 characters x != 0: Parseval
+    gives sum v_x = nm - m^2 and the fourth-power identity sum v_x^2 =
+    n(m^2 + Q) - m^4.  One angle is their mean, (n - m) / (m(n - 1)).  Two
+    angles v_1 < v_2, with multiplicities (k_1, k_2) in that order, sit at
+    v_1 = mu - sqrt(var k_2 / k_1) and v_2 = mu + sqrt(var k_1 / k_2), mu
+    and var the mean and variance of v.  With W = (n - 1)^2 var, an integer,
+    the two roots are sqrt(W k_1 k_2) / ((n - 1) k_i), i = 1, 2.
+
+    v lies in Q(zeta_N) with N | n, and so does sqrt(s) for the squarefree
+    part s of W k_1 k_2; the conductor of Q(sqrt(s)) then divides n, so no
+    prime outside n divides s, and s is read off the primes of n alone (no
+    coefficient bound, no search).  None when var < 0 or when W k_1 k_2 / s
+    is not a square, or when one angle comes with var != 0: moments that no
+    such frame has.
+    """
+    N = n - 1
+    S1 = n * m - m * m
+    W = N * (n * (m * m + Q) - m**4) - S1 * S1
+    mean = Fraction(S1, N * m * m)
+    if len(multiplicities) == 1:
+        return (SurdForm(mean, Fraction(0), 1),) if W == 0 else None
+    k1, k2 = multiplicities
+    if W < 0:
+        return None
+    X, root, surd = W * k1 * k2, 1, 1  # sqrt(W k1 k2) = root * sqrt(X) * sqrt(surd)
+    for p, _ in factorize(n):
+        while X and X % (p * p) == 0:
+            X //= p * p
+            root *= p
+        if X and X % p == 0:
+            X //= p
+            surd *= p
+    r = isqrt(X)
+    if r * r != X:
+        return None
+    forms = []
+    for k in (-k1, k2):  # v_1 below the mean, v_2 above it
+        shift = Fraction(root * r, N * k * m * m)
+        if surd == 1:
+            forms.append(SurdForm(mean + shift, Fraction(0), 1))
+        else:
+            forms.append(SurdForm(mean, shift, surd))
+    return tuple(forms)
 
 
 def conjugate_form(form: SurdForm, alpha: float) -> SurdForm | None:

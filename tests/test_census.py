@@ -14,18 +14,23 @@ the squared character sums, which take one value on D and another off it,
 so for d != 0, c(d) is an affine function of sum_{chi in D} chi(d) with a
 nonzero slope.  Hence the count levels are as many as the distinct values
 of that sum.
+
+Every BTF and ETF also gets its exact squared angles from two integer
+moments (surd.moment_forms), with Q the sum of its squared count row.
 """
 
 from collections import Counter
 
 import numpy as np
 
+from framelab import surd
 from framelab.diffsets import _count_rows
 from framelab.frames import character_magnitudes
 from framelab.groups import full_character_table
 from framelab.search import SearchJob, abelian_groups_of_order, enumerate_and_classify
 
 BTFS = 13_884
+ETFS = 1_398
 # SearchReport.class_counts summed over the 169 searches
 CLASS_COUNTS = {
     "almost": 8_181, "bidifference": 23_679, "btf": 13_884, "difference_set": 1_398,
@@ -49,19 +54,30 @@ BIDIFFERENCE_WITHOUT_BTF = {
 }
 
 
-def dual_set_sizes(g, records) -> list[int]:
-    """|D| per BTF record, after checking the dual-set identity on each.
+def dual_sets_and_moments(g, records) -> tuple[list[int], float]:
+    """(|D| per BTF record, the largest deviation of a moment form), after
+    checking the dual-set identity on each BTF and the moment forms on every
+    BTF and ETF record.
 
     D is the set of nonzero x whose magnitude |sum_{s in S} chi_x(s)| / m
     is the less frequent angle (the smaller one on a tie; the sum over the
-    complement is -1 minus the sum over D, so it has as many values).
+    complement is -1 minus the sum over D, so it has as many values).  A
+    moment form deviates by |value - angle^2|, and may deviate by at most
+    surd.VERIFY_TOL, the bound frames holds it to.
     """
     index = {x: i for i, x in enumerate(g.elements())}
     rows = np.array([[index[x] for x in r.subset] for r in records])
     T = full_character_table(g)
     _, counts = _count_rows(g, rows)
-    sizes = []
+    sizes, worst = [], 0.0
     for r, mags, row in zip(records, character_magnitudes(T, rows), counts):
+        forms = surd.moment_forms(g.order, len(r.subset), int((row * row).sum()), r.multiplicities)
+        assert forms is not None, (g, r.subset)
+        for form, a in zip(forms, r.angles):
+            worst = max(worst, abs(form.value() - a * a))
+        assert worst <= surd.VERIFY_TOL, (g, r.subset)
+        if not r.is_btf:
+            continue
         (a1, a2), (k1, k2) = r.angles, r.multiplicities
         D = 1 + np.flatnonzero(np.abs(mags - (a1 if k1 <= k2 else a2)) <= 1e-7)
         sums = T[D, 1:].sum(axis=0)
@@ -69,11 +85,12 @@ def dual_set_sizes(g, records) -> list[int]:
         values = len(set(np.round(sums.real, 6).tolist()))
         assert values == len(set(row.tolist())), (g, r.subset)
         sizes.append(len(D))
-    return sizes
+    return sizes, worst
 
 
 def test_census_of_btfs_against_the_difference_set_classes():
-    searches = subsets = btfs = 0
+    searches = subsets = btfs = etfs = 0
+    worst = 0.0
     dual_outside: Counter = Counter()
     outside: Counter = Counter()
     without: Counter = Counter()
@@ -85,8 +102,11 @@ def test_census_of_btfs_against_the_difference_set_classes():
                 searches += 1
                 subsets += report.total_enumerated
                 counts.update(report.class_counts)
-                found = [r for r in report.records if r.is_btf]
-                for r, size in zip(found, dual_set_sizes(g, found) if found else []):
+                found = [r for r in report.records if r.is_btf or r.is_etf]
+                sizes, deviation = dual_sets_and_moments(g, found) if found else ([], 0.0)
+                worst = max(worst, deviation)
+                etfs += sum(r.is_etf for r in found)
+                for r, size in zip([r for r in found if r.is_btf], sizes):
                     btfs += 1
                     if not (r.flags["bidifference"] or r.flags["nested_divisible"]):
                         outside[g.name, m] += 1
@@ -95,7 +115,8 @@ def test_census_of_btfs_against_the_difference_set_classes():
                     if not r.is_btf and r.flags["proper_bidifference"]:
                         without[g.name] += 1
     assert (searches, subsets) == (169, 198_911)
-    assert btfs == BTFS
+    assert (btfs, etfs) == (BTFS, ETFS)
+    assert worst <= 1e-15
     assert dict(counts) == CLASS_COUNTS
     assert dict(outside) == BTF_OUTSIDE
     assert dict(dual_outside) == DUAL_SIZES_OUTSIDE

@@ -121,7 +121,8 @@ def test_galois_classes_are_whole_clusters_and_whole_orbits():
     [
         ("Z13", "0,1,2,4,7", 1),  # 6 per-angle calls, none recognized
         ("Z11", "0,1,3", 1),  # 5
-        ("Z13", ",".join(map(str, residues(13, 2))), 1),  # 2, conjugate surds
+        # 2 conjugate surds, both from the two moments (surd.moment_forms)
+        ("Z13", ",".join(map(str, residues(13, 2))), 0),
         ("Z9", "0,1,3,4", 2),  # 4: orbits of order 9 and 3
         ("Z64", "0,1,5,11,20,33,40", 6),  # 31: one orbit per order 2..64
     ],
@@ -167,6 +168,32 @@ def _report_mix_frames():
     out += [cyclic(13, residues(13, 4)), cyclic(29, (0,) + residues(29, 4)),
             cyclic(37, (0,) + residues(37, 4))]
     return out + [cyclic(11, (0, 1, 3)), cyclic(13, (0, 1, 2, 4, 7))]
+
+
+# symbolic tuple of each _report_mix_frames() profile, in that order
+REPORT_MIX_SYMBOLIC = [
+    ("1/3", "sqrt(3)/3"),
+    (None, None, None, "1/2"),
+    ("1/3", "sqrt(5)/3"),
+    ("sqrt(2)/3",),
+    ("sqrt(3)/5",),
+    ("sqrt(7/72 - sqrt(13)/72)", "sqrt(7/72 + sqrt(13)/72)"),
+    ("sqrt(9/128 - sqrt(17)/128)", "sqrt(9/128 + sqrt(17)/128)"),
+    ("sqrt(15/392 - sqrt(29)/392)", "sqrt(15/392 + sqrt(29)/392)"),
+    ("sqrt(19/648 - sqrt(37)/648)", "sqrt(19/648 + sqrt(37)/648)"),
+    ("sqrt(5/18 - sqrt(13)/18)", "sqrt(5/18 + sqrt(13)/18)"),
+    ("sqrt(3/32 - sqrt(29)/64)", "sqrt(3/32 + sqrt(29)/64)"),
+    ("sqrt(3/40 - sqrt(37)/200)", "sqrt(3/40 + sqrt(37)/200)"),
+    (None,) * 5,
+    (None,) * 6,
+]
+
+
+def test_report_mix_strings_are_pinned():
+    # the one- and two-angle strings come from the moments, the rest from
+    # the Galois-class search; both must keep every string byte for byte
+    got = [angle_profile(f, symbolic=True).symbolic for f in _report_mix_frames()]
+    assert got == REPORT_MIX_SYMBOLIC
 
 
 def _sampled_frames(count, seed=18):

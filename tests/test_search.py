@@ -355,7 +355,9 @@ def test_search_leaves_numpy_random_and_ma_unimported():
 def test_serial_search_and_rational_reports_leave_mpmath_and_pools_unimported():
     # mpmath loads on the first PSLQ call and the process pool only for
     # jobs > 1; Z7 {1, 2, 4} has the angle sqrt(2)/3, whose square 2/9 is
-    # rational, so its report needs no PSLQ.  Z5 {0, 1} needs it.
+    # rational, and Z5 {0, 1} has two angles, whose forms come from the
+    # moments, so neither report needs PSLQ.  Z9 {0, 1, 3, 4} has four
+    # angles, so its report runs the search.
     code = (
         "import sys\n"
         "import framelab\n"
@@ -371,6 +373,9 @@ def test_serial_search_and_rational_reports_leave_mpmath_and_pools_unimported():
         "angles = frame_report(FrameSpec(GroupSpec((5,)), ((0,), (1,))))['angles']\n"
         "assert [a['symbolic'] for a in angles] == "
         "['sqrt(3/8 - sqrt(5)/8)', 'sqrt(3/8 + sqrt(5)/8)'], angles\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "angles = frame_report(FrameSpec(GroupSpec((9,)), ((0,), (1,), (3,), (4,))))['angles']\n"
+        "assert [a.get('symbolic') for a in angles] == [None, None, None, '1/2'], angles\n"
         "assert 'mpmath' in sys.modules\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(framelab.__file__))}
