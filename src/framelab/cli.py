@@ -8,7 +8,7 @@ subcommand, where modulation takes --group/--set, etf-difference takes
 --max-order and no other suite takes a flag; search takes exactly one of
 --group and --order, and --mode reduced only with --group.  A missing flag,
 a flag the command does not read, or two flags that exclude each other is
-a usage error.  --jobs (default 1) is the worker count of a search.
+a usage error.  --jobs (default 1, at least 1) is the worker count of a search.
 Reports are JSON (schema field = 1); search with --group and tables also
 write CSV, chosen with `--format csv`.  `--out` writes to a file, with the
 format inferred from a .json/.csv suffix.  CSV asked of any other command is

@@ -17,14 +17,14 @@ Constant counts make a difference set a degenerate member of the two-level
 classes wherever a witness exists; witnesses {0} and the whole group are
 excluded as uninformative.
 
-Counts come from one count step, _count_rows (validation, one gather from
-the difference index table, the pair block, and one bincount), for one
-subset or a block; search hands it the pair block it already gathered for
-the class representatives.  The row kernel, classify_rows, decides every
-class for a whole block from its count matrix; search calls it on blocks.  Every class but partial depends
-on S only through its count row, which translation and negation leave
-unchanged (c_{S+g} = c_{-S} = c_S), so a block has few distinct rows: the
-kernel makes each count-only decision, the chain pass included, once per
+Counts come from one count step, _count_rows (validation, the pair block,
+and one bincount): a single subset's pairs come from its coordinates
+(groups._pair_differences), a search block's from the difference index table
+(_pair_block), which the class representatives read too.  The row kernel,
+classify_rows, decides every class of a block.  Every class but partial
+depends on S only through its count row, which translation and negation
+leave unchanged (c_{S+g} = c_{-S} = c_S), so a block has few distinct rows:
+the kernel makes each count-only decision, the chain pass included, once per
 distinct count row and gathers the columns back; partial, reversible and
 regular read S itself and run per row.  classify is the single-subset view
 of the same kernel (the CLI, frame reports, verify): it runs it on one row,
@@ -54,7 +54,10 @@ import numpy as np
 
 from .arith import factorize, is_prime, residues
 from .errors import InvalidElementError, InvalidOperationError, InvalidSubsetError, InvariantError
-from .groups import Element, GroupSpec, _difference_index_table, _subgroup_lattice, all_subgroups
+from .groups import (
+    Element, GroupSpec, _check_order, _difference_index_table, _negation_indices,
+    _pair_differences, _subgroup_lattice, all_subgroups,
+)
 
 
 @dataclass(frozen=True)
@@ -81,11 +84,12 @@ class DiffCounts:
 def difference_counts(g: GroupSpec, S: Sequence[Element]) -> DiffCounts:
     """Count the ordered difference pairs of S over every nonzero element.
 
-    The count step on one row; counts and levels follow element order, so
-    level tuples come out sorted.
+    The count step on one row, pairs from coordinates; counts and levels
+    follow element order, so level tuples come out sorted.
     """
     subset = tuple(S)
-    _, counts = _count_rows(g, np.array([[g.index(x) for x in subset]]))  # index validates
+    rows = np.array([[g.index(x) for x in subset]])  # index validates
+    _, counts = _count_rows(g, rows, _pair_differences(g, rows))
     return _diff_counts(g, subset, counts[0])
 
 
@@ -105,15 +109,16 @@ def _count_rows(
 
     Returns (member, counts): member[b] marks row b's elements, counts[b]
     its ordered pairs differing by each nonzero element, in element order.
-    pairs is the rows' pair block (_pair_block), gathered here unless the
-    caller already holds it, and one bincount counts its m^2 cells (row b
-    offset by bn); counts is the bincount's columns 1..n-1.  The m diagonal
-    cells of a row are its only identities: a table that gives the identity
-    for two distinct elements loses that pair.
+    pairs is the rows' pair block (_pair_block unless given), and one
+    bincount counts its m^2 cells (row b offset by bn); counts is the
+    bincount's columns 1..n-1.  The m diagonal cells of a row are its only
+    identities: pairs that give the identity for two distinct elements lose
+    that pair.  The order is bounded before anything of size n is built.
     """
+    n = g.order
+    _check_order(n, "difference counts")
     rows = np.asarray(rows, dtype=np.intp)
     B, m = rows.shape
-    n = g.order
     if m < 2:
         raise InvalidSubsetError("difference structure needs at least 2 elements")
     if rows.size and not 0 <= rows.min() <= rows.max() < n:
@@ -135,8 +140,9 @@ def _pair_block(g: GroupSpec, rows: np.ndarray) -> np.ndarray:
     """(B, m, m) pair block of a (B, m) index block: entry [b, i, j] is the
     index of s_j - s_i in row b, one gather from the difference index table.
 
-    The count step counts its cells; frames.class_representatives reads a
-    row's translates S - s_i and s_j - S from its rows and columns.
+    Search blocks' groups._pair_differences.  The count step counts its
+    cells; frames.class_representatives reads a row's translates S - s_i and
+    s_j - S from its rows and columns.
     """
     n = g.order
     return _difference_index_table(g).take(rows[:, :, None] * n + rows[:, None, :])
@@ -301,12 +307,14 @@ def classify(g: GroupSpec, S: Sequence[Element]) -> Classification:
 
     Every class decision (count levels, the subgroup witness, the partial
     and Gaussian splits, the chain length t, reversibility) is the row
-    kernel's.  This function only builds the records around it: the
+    kernel's, on pairs from coordinates (no n x n table).  This function
+    only builds the records around it: the
     bidifference witness sets, the divisible H, the partial and Gaussian
     (lam, mu) read from the count row, the almost t, and the chain subgroups.
     """
     subset = tuple(S)
-    cols, level, counts = _row_kernel(g, np.array([[g.index(x) for x in subset]]))  # validates
+    rows = np.array([[g.index(x) for x in subset]])  # index validates
+    cols, level, counts = _row_kernel(g, rows, _pair_differences(g, rows))
     dc = _diff_counts(g, subset, counts[0])
     zero = g.zero
     k = {name: col[0].item() for name, col in cols.items()}
@@ -600,7 +608,7 @@ def _row_kernel(
     # per row: partial, reversible and regular read S itself
     partial = np.zeros(B, dtype=bool)
     partial[split] = _constant_split_rows(counts[split], member[split, 1:])  # A = S + {0}
-    reversible = (member[:, _difference_index_table(g)[:, 0]] == member).all(axis=1)  # -x_i
+    reversible = (member[:, _negation_indices(g)] == member).all(axis=1)
     nested = t > 0
     return {
         "difference_set": one,

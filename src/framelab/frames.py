@@ -8,9 +8,10 @@ so angle profiles need only the n-1 sums against the identity index
 materialized as an explicit array only for the verification paths.  Every
 translate and the negation of S have the same angles, so frames and search
 sum the characters of one representative of that class
-(class_representatives), and all of them report the same bits.
-The closed-form modulation operators are read from the difference index
-table: entry (a, b) of X_xi is n/m exactly when g_b - g_a = xi.
+(class_representatives), and all of them report the same bits.  The
+generators' differences g_b - g_a (FrameSpec.pairs, behind the class
+representative, the moment forms and the closed-form modulation operators)
+come from their coordinates, so no frame report builds an n x n table.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ from .groups import (
     _character_block,
     _coords,
     _difference_index_table,
+    _pair_differences,
     _radix,
     character_phase,
     character_table_columns,
     full_character_table,
     galois_orbits,
-    phase_column,
 )
 
 DEFAULT_ANGLE_TOL = 1e-7
@@ -74,6 +75,10 @@ class FrameSpec:
     def vectors(self) -> np.ndarray:
         """(n, m) array of frame vectors as rows; built on demand only."""
         return character_table_columns(self.group, self.generators) / math.sqrt(self.m)
+
+    def pairs(self) -> np.ndarray:
+        """(m, m) element indices of g_j - g_i at [i, j], from coordinates."""
+        return _pair_differences(self.group, np.array(self.generators) @ _radix(self.group))
 
 
 def frame_inner_product(f: FrameSpec, x: Element, y: Element) -> complex:
@@ -231,7 +236,7 @@ def class_representatives(g: GroupSpec, pairs: np.ndarray) -> np.ndarray:
     candidates S - s_i and s_j - S, row i and column j of the pair block.
     Search gathers the block from the difference index table
     (diffsets._pair_block, shared with the count step); angle_magnitudes
-    sets its one row from coordinates.  Every member of a class has the
+    takes its one row from FrameSpec.pairs.  Every member of a class has the
     same candidates, so the same representative; only two distinct
     candidates with equal keys (a 64-bit collision) are told apart by
     position.
@@ -256,24 +261,16 @@ def angle_magnitudes(f: FrameSpec) -> np.ndarray:
     """|<f_x, f_0>| for every x != 0: one character_magnitudes row over the
     characters of the frame's class representative (class_representatives).
 
-    The representative's one pair block row is _coordinate_pairs(f), and its
+    The representative's one pair block row is FrameSpec.pairs, and its
     m character columns come from the phase product behind
     character_table_columns (groups._character_block), so no n x n table is
     built and any group order is served.  Every translate and the negation
     of the generators, in any order, give the bits of their search records.
     """
     g = f.group
-    rep = class_representatives(g, _coordinate_pairs(f)[None])[0]
+    rep = class_representatives(g, f.pairs()[None])[0]
     table = _character_block(g, _coords(g, rep)).T
     return character_magnitudes(table, np.arange(f.m)[None, :])[0]
-
-
-def _coordinate_pairs(f: FrameSpec) -> np.ndarray:
-    """(m, m) element indices of g_j - g_i at [i, j], from the generators'
-    coordinates and the radix; no n x n table."""
-    g = f.group
-    C = np.array(f.generators, dtype=np.int64).reshape(f.m, g.rank)
-    return ((C[None, :, :] - C[:, None, :]) % g.factors) @ _radix(g)
 
 
 def angle_profile(
@@ -305,10 +302,10 @@ def _with_symbolic(f: FrameSpec, prof: AngleProfile, mags: np.ndarray) -> AngleP
 
 def _moment_forms(f: FrameSpec, prof: AngleProfile) -> tuple[surd.SurdForm, ...] | None:
     """surd.moment_forms of a one- or two-angle profile, Q counted from the
-    generators' pair indices (_coordinate_pairs); None unless every form
+    generators' pair indices (FrameSpec.pairs); None unless every form
     matches its cluster's squared angle within surd.VERIFY_TOL and passes
     the conductor rule."""
-    _, counts = np.unique(_coordinate_pairs(f), return_counts=True)
+    _, counts = np.unique(f.pairs(), return_counts=True)
     Q = int((counts * counts).sum()) - f.m * f.m  # c_S(0) = m
     forms = surd.moment_forms(f.n, f.m, Q, prof.multiplicities)
     N = f.group.exponent
@@ -477,25 +474,8 @@ class ModulationOperator:
 
 
 def modulation_operator(f: FrameSpec, xi: Element) -> ModulationOperator:
-    """Closed form: entry (a,b) is n/m when g_b - g_a = xi, else 0."""
-    return ModulationOperator(xi, _closed_operators(f, f.group.index(xi)))
-
-
-def _closed_operators(f: FrameSpec, z: int | np.ndarray) -> np.ndarray:
-    """(n/m) [D[a, b] == z], D the pair index table of the generators (_pair_indices).
-
-    D[a, b] is the index of g_b - g_a, so for an element index z this is
-    the (m, m) closed-form operator at that element; z = arange(n)[:, None, None]
-    gives all n operators as one (n, m, m) array.  The operators are real.
-    """
-    return np.where(_pair_indices(f)[1] == z, f.n / f.m, 0.0)
-
-
-def _pair_indices(f: FrameSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, D): the generators' element indices, one product with the radix,
-    and the difference index table at their pairs, D[a, b] the index of g_b - g_a."""
-    ids = np.array(f.generators, dtype=np.int64) @ _radix(f.group)
-    return ids, _difference_index_table(f.group)[np.ix_(ids, ids)]
+    """Closed form: entry (a,b) is n/m when g_b - g_a = xi (FrameSpec.pairs), else 0."""
+    return ModulationOperator(xi, np.where(f.pairs() == f.group.index(xi), f.n / f.m, 0.0))
 
 
 @dataclass(frozen=True)
@@ -533,9 +513,9 @@ def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationR
     """Check the three modulation-operator identities on an explicit frame.
 
     Flattened to rows of length m^2, the closed-form operator X_xi holds n/m
-    in each column c with at[c] == xi, at the pair index table of the
-    generators (_pair_indices) read row after row, and 0 elsewhere; X is
-    never formed.  The other side of every check comes from the character
+    in each column c with at[c] == xi, at the generators' pair indices
+    (FrameSpec.pairs) read row after row, and 0 elsewhere; X is never
+    formed.  The other side of every check comes from the character
     table T and the frame vectors V = T[:, ids] / sqrt(m), with W[x, a m + b]
     = V[x, a] conj(V[x, b]) the rank-one operators f_x f_x^*.  Each
     difference is taken in place in one (n, m^2) array and, as each column
@@ -548,14 +528,14 @@ def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationR
           with column c of T X the gather T[:, at[c]] n/m;
     (iii) n^2 |<f_x,f_y>|^2 from the frame Gram matrix V V^* equals
           sum_xi chi_{y-x}(xi) ||X_xi||^2_HS, the norms of the closed forms
-          read from a bincount of at.
+          read from a bincount of at, y - x from the difference index table.
     """
     n, m = f.n, f.m
     if n * m * m > MODULATION_CAPACITY:
         raise CapacityError(f"modulation check needs n*m^2 <= {MODULATION_CAPACITY}")
     T = full_character_table(f.group)
-    ids, D = _pair_indices(f)
-    at = D.ravel()
+    ids = np.array(f.generators) @ _radix(f.group)
+    at = _pair_differences(f.group, ids).ravel()
     V = T[:, ids] / math.sqrt(m)
     W = (V[:, :, None] * V.conj()[:, None, :]).reshape(n, m * m)
     diff = T.T @ W
@@ -584,13 +564,9 @@ def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationR
 
 
 def is_real_frame(f: FrameSpec) -> bool:
-    """True when every selected character takes only the values +-1.
-
-    chi_g(x) is real exactly when twice its integer phase is 0 mod the
-    exponent, read from one phase_column per generator.
-    """
-    N = f.group.exponent
-    return all(not ((2 * phase_column(f.group, g)) % N).any() for g in f.generators)
+    """True when every selected character takes only the values +-1: chi_g is
+    real exactly when chi_g^2 = chi_{2g} is trivial, that is when 2g = 0, O(mk)."""
+    return all(f.group.add(x, x) == f.group.zero for x in f.generators)
 
 
 def frame_report(f: FrameSpec, tol: float = DEFAULT_ANGLE_TOL) -> dict:

@@ -10,7 +10,7 @@ which makes the index map a group isomorphism with chi_x(y) = chi_y(x) and
 conj(chi_x(y)) = chi_{-x}(y).  Phases are kept exact as fractions of the
 group exponent; complex values are derived from them.  Subgroups are one
 cached membership matrix per group, found by a walk on coordinates with no
-add table; the one (n, n) table is the difference index table.
+add table; the one (n, n) table holds the pair indices of the whole group.
 """
 
 from __future__ import annotations
@@ -363,25 +363,37 @@ def _check_order(n: int, what: str) -> None:
 
 @lru_cache(maxsize=8)
 def _difference_index_table(g: GroupSpec) -> np.ndarray:
-    """idx[i, j] = element index of x_j - x_i: the one (n, n) table, bounded before it is built.
-
-    int16, since every index is below SUBGROUP_ORDER_BOUND = 4096, and built
-    in place: the first coordinate's term is written into the table and each
-    further one into a single (n, n) int16 temporary, so a cyclic group
-    needs no temporary at all.  Sums over the table must promote first.
-    """
+    """idx[i, j] = element index of x_j - x_i, the whole group's _pair_differences:
+    the one (n, n) table, int16, bounded before it is built.  Sums over it must promote."""
     _check_order(g.order, "difference index table")
-    E = _coord_matrix(g).astype(np.int16)
-    table = np.zeros((g.order, g.order), dtype=np.int16)
-    term = np.empty_like(table) if g.rank > 1 else None
+    return _pair_differences(g, np.arange(g.order))
+
+
+def _pair_differences(g: GroupSpec, rows: np.ndarray) -> np.ndarray:
+    """(..., m, m) pair indices of a (..., m) block of element indices, [..., i, j]
+    the index of s_j - s_i, from coordinates, for any order (callers keep their caps).
+
+    int16 below order 2^15, and built in place: the first coordinate's term
+    is written into the result and each further one into a single temporary,
+    so a cyclic group needs none.
+    """
+    C = _coords(g, np.asarray(rows)).astype(np.int16 if g.order < 1 << 15 else np.int64)
+    pairs = np.empty(C.shape[:-1] + C.shape[-2:-1], dtype=C.dtype)
+    term = np.empty_like(pairs) if g.rank > 1 else None
     for j, (f, r) in enumerate(zip(g.factors, _radix(g).tolist())):
-        out = table if j == 0 else term
-        np.subtract(E[None, :, j], E[:, None, j], out=out)
+        out = pairs if j == 0 else term
+        np.subtract(C[..., None, :, j], C[..., :, None, j], out=out)
         out %= f
         out *= r
         if j:
-            table += term
-    return table
+            pairs += term
+    return pairs
+
+
+@lru_cache(maxsize=None)
+def _negation_indices(g: GroupSpec) -> np.ndarray:
+    """Per element index, the index of its negation -x, from coordinates."""
+    return ((-_coord_matrix(g)) % g.factors) @ _radix(g)
 
 
 def _coords(g: GroupSpec, idx: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ sums build tables of size p, so they take p <= PRIME_BOUND only, checked
 before anything else (a larger p is a CapacityError whether or not it is
 prime, so no unbounded primality test runs on it).  paley_pds,
 quartic_gaussian_ds and quartic_special_cases count differences in Z_p, so
-they make the order check of its difference index table (p <=
+they make the order check of diffsets' difference counts (p <=
 SUBGROUP_ORDER_BOUND) before anything else.  The quartic machinery
 covers primes p = 8q+5, where the fourth powers split the residues and
 furnish two-level difference structures relative to the quadratic ones.
@@ -177,7 +177,7 @@ def paley_pds(p: int) -> tuple[tuple[Element, ...], Classification]:
     p = 3 mod 4 gives a (p, (p-1)/2, (p-3)/4)-difference set; p = 1 mod 4
     gives a regular (p, (p-1)/2, (p-5)/4, (p-1)/4)-partial difference set.
     """
-    _check_order(p, "difference index table")
+    _check_order(p, "difference counts")
     _require_odd_prime(p)
     g = GroupSpec((p,))
     S = tuple((r,) for r in residues(p, 2))
@@ -230,7 +230,7 @@ def quartic_gaussian_ds(
     the nonzero part of QR + {0}, mu outside.  Without zero lam + mu = q;
     adjoining zero bumps lam by one.
     """
-    _check_order(p, "difference index table")
+    _check_order(p, "difference counts")
     q, r = divmod(p - 5, 8)
     if r != 0 or q <= 0 or not is_prime(p):
         raise DomainError(f"{p} is not a prime of the form 8q+5 with q > 0")
@@ -278,7 +278,7 @@ def quartic_special_cases(p: int) -> QuarticCaseReport:
     applicable (this restricts the almost/difference-set families to the
     p = 5 mod 8 branch where the fourth powers form a two-level structure).
     """
-    _check_order(p, "difference index table")
+    _check_order(p, "difference counts")
     _require_odd_prime(p)
     if p % 4 != 1:
         raise DomainError(f"quartic special cases need p = 1 mod 4, got {p}")

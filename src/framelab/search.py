@@ -350,13 +350,15 @@ def enumerate_and_classify(job: SearchJob) -> SearchReport:
         raise DomainError(f"m={job.m} out of range for order {n}")
     if job.mode not in ("full", "reduced"):
         raise DomainError(f"unknown mode {job.mode!r}")
+    if job.jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {job.jobs}")
     _filter_column(job)
     total = job.subset_count()
     if total > SUBSET_CAP:
         raise CapacityError(f"{total} subsets exceed cap {SUBSET_CAP}")
 
     t0 = time.perf_counter()
-    jobs = 1 if total <= _block_rows(n) else max(1, job.jobs)
+    jobs = 1 if total <= _block_rows(n) else job.jobs
     kept: list[SubsetRecord] = []
     totals = np.zeros(len(COUNTED), dtype=np.int64)
     for records, counts in _map_blocks(job, _index_blocks(job), jobs):

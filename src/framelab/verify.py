@@ -15,7 +15,7 @@ blocks, all m-subsets of a group at once (_frame_violations): identity-row
 magnitudes of each subset's own characters from frames.character_magnitudes
 clustered in one call, and the Gram magnitudes of every frame as one batched
 product.  The modulation check sets closed-form operators from
-the difference index table against products with the character table,
+the generators' pair indices against products with the character table,
 visiting its random frames group by group; the example, Paley, quartic and
 table suites set closed forms from predictions and residues against frames
 built from characters; gauss-sums sets the quadratic sums of all a of a

@@ -9,16 +9,18 @@ the library's count kernel, row kernel or chain DAG, so tests that compare
 the library against it are not comparing the library with itself.
 
 oracle_modulation_operator and oracle_is_real_frame are the frames
-functions before they read the difference index table and integer phase
-columns: one GroupSpec.sub per generator pair, one exact Fraction phase
-per (generator, element).  oracle_verify_modulation_identities is the
+functions before they read pair indices and the generators' coordinates:
+one GroupSpec.sub per generator pair, one exact Fraction phase per
+(generator, element).  oracle_verify_modulation_identities is the
 identity check before it became matrix products: four einsums, over the
 (n, m, m) operator stack and, for the Hilbert-Schmidt Gram matrix of the
 definitional operators, over the character table and |<f_x, f_y>|^2.
 oracle_dense_modulation_identities is the check before it worked from the
 pair index alone: the closed forms scattered into a dense (n, m^2) array,
 subtracted from T^T W and multiplied by the character table in two real
-products for the inversion.
+products for the inversion.  Both take y - x from GroupSpec.sub and
+GroupSpec.index (_oracle_difference_table), not from the library's
+tables, so a wrong library table cannot pass the oracle too.
 
 oracle_frame_violations is the properties sweep before it went by
 (group, m) blocks: one FrameSpec per subset, its angle_profile tight sum
@@ -49,6 +51,7 @@ Galois class: surd.recognize_angle on every angle of the profile, then the
 conductor rule.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import replace
@@ -76,15 +79,12 @@ from framelab.frames import (
     Clusters,
     FrameSpec,
     ModulationReport,
-    _closed_operators,
     _surd_in_cyclotomic_field,
     angle_profile,
 )
 from framelab.groups import (
     GroupSpec,
     Subgroup,
-    _difference_index_table,
-    _radix,
     _root_table,
     all_subgroups,
     character_phase,
@@ -278,12 +278,25 @@ def oracle_is_real_frame(f):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _oracle_difference_table(g):
+    """(n, n) element indices of y - x at [x, y], one GroupSpec.sub per pair."""
+    els = g.elements()
+    return np.array([[g.index(g.sub(y, x)) for y in els] for x in els])
+
+
+def _oracle_pairs(f):
+    """(ids, pairs): the generators' element indices and the (m, m) indices of g_b - g_a."""
+    ids = [f.group.index(x) for x in f.generators]
+    return ids, _oracle_difference_table(f.group)[np.ix_(ids, ids)]
+
+
 def oracle_verify_modulation_identities(f, tol=1e-8):
     n, m = f.n, f.m
     V = f.vectors()
     T = full_character_table(f.group)
     D = np.einsum("xz,xa,xb->zab", T, V, V.conj(), optimize=True)
-    closed = _closed_operators(f, np.arange(n)[:, None, None])
+    closed = np.where(_oracle_pairs(f)[1] == np.arange(n)[:, None, None], n / m, 0.0)
     dev_def = float(np.max(np.abs(D - closed)))
 
     G = V @ V.conj().T
@@ -297,7 +310,7 @@ def oracle_verify_modulation_identities(f, tol=1e-8):
     hs = np.einsum("zab,zab->z", closed, closed.conj(), optimize=True).real
     rhs = T @ hs
     lhs = (n * n) * np.abs(G) ** 2
-    idx = _difference_index_table(f.group)
+    idx = _oracle_difference_table(f.group)
     dev_enc = float(np.max(np.abs(lhs - rhs.real[idx])))
     return ModulationReport(dev_def, dev_hs, dev_inv, dev_enc, tol)
 
@@ -305,11 +318,11 @@ def oracle_verify_modulation_identities(f, tol=1e-8):
 def oracle_dense_modulation_identities(f, tol=1e-8):
     n, m = f.n, f.m
     T = full_character_table(f.group)
-    ids = np.array(f.generators, dtype=np.int64) @ _radix(f.group)
+    ids, pairs = _oracle_pairs(f)
     V = T[:, ids] / math.sqrt(m)
     W = (V[:, :, None] * V.conj()[:, None, :]).reshape(n, m * m)
-    table = _difference_index_table(f.group)
-    at = table[np.ix_(ids, ids)].ravel()
+    table = _oracle_difference_table(f.group)
+    at = pairs.ravel()
     closed = np.zeros((n, m * m))
     closed[at, np.arange(m * m)] = n / m
     diff = T.T @ W

@@ -236,11 +236,27 @@ def test_classify_counts_once(monkeypatch):
 
 def test_classify_capped_before_any_table():
     g = GroupSpec((5003,))
+    for call in (classify, diffsets.difference_counts):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="difference counts capped at order 4096"):
+                call(g, ((0,), (1,), (3,)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 1024 * 1024, call
+
+
+def test_classify_at_the_order_cap_builds_no_table():
+    # the pairs of one subset come from its coordinates, so classify at the
+    # cap allocates O(n + m^2), not the 32 MB (n, n) int16 difference table
+    g = GroupSpec((4093,))
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError):
-            classify(g, ((0,), (1,), (3,)))
+        cls = classify(g, ((0,), (1,), (3,)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 1024 * 1024
+    assert cls.proper_bidifference
+    assert cls.counts.levels[1] == ((1,), (2,), (3,), (4090,), (4091,), (4092,))
+    assert peak < 5 * 1024 * 1024

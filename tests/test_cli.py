@@ -251,7 +251,7 @@ def test_gauss_paley_above_the_order_bound_exit_1(capsys):
     # 4099 is a prime above groups.SUBGROUP_ORDER_BOUND = 4096
     code, out, err = run(capsys, "gauss", "paley", "4099")
     assert code == 1 and out == ""
-    assert err.startswith("error: difference index table capped at order 4096")
+    assert err.startswith("error: difference counts capped at order 4096")
 
 
 @pytest.mark.parametrize("action", ["sum", "half-sum"])
@@ -265,6 +265,15 @@ def test_domain_error_exit_1(capsys):
     code, _, err = run(capsys, "gauss", "legendre", "3", "9")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("--group", "Z21", "-m", "4"), ("--order", "8", "-m", "3", "--filter", "angles=0,1")]
+)
+def test_search_worker_count_below_one_exit_1(capsys, argv):
+    code, out, err = run(capsys, "search", *argv, "--jobs", "-5")
+    assert code == 1 and out == ""
+    assert err == "error: jobs must be at least 1, got -5\n"
 
 
 def test_usage_error_exit_2(capsys):

@@ -328,11 +328,36 @@ def test_count_rows_offsets_promote_past_int16():
         assert counts[i].tolist() == [diffs[x] for x in range(1, 21)]
 
 
+def test_pair_indices_from_coordinates_match_the_table_gather():
+    # a single subset's pair indices come from coordinates, a search block's
+    # from the difference index table: the same entries and dtype
+    from framelab.diffsets import _pair_block
+    from framelab.groups import _pair_differences
+
+    blocks = 0
+    for n in range(2, 13):
+        for g in abelian_groups_of_order(n):
+            for m in range(1, n + 1):
+                rows = np.array(list(itertools.combinations(range(n), m)))
+                got, want = _pair_differences(g, rows), _pair_block(g, rows)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (g, m)
+                blocks += 1
+    assert blocks == 118
+
+
 def test_difference_counts_invariant_is_a_typed_error(monkeypatch):
-    # a table that sends every difference to the identity loses every pair
+    # pair indices that send every difference to the identity lose every
+    # pair: a single subset's, from coordinates, and a block's, from the table
     from framelab import diffsets
     from framelab.errors import InvariantError
 
-    monkeypatch.setattr(diffsets, "_difference_index_table", lambda g: np.zeros((g.order, g.order), int))
+    def zeros(g, rows):
+        return np.zeros(rows.shape + rows.shape[-1:], dtype=np.int16)
+
+    monkeypatch.setattr(diffsets, "_pair_differences", zeros)
     with pytest.raises(InvariantError):
         difference_counts(Z6, S(Z6, "0,1,3"))
+    monkeypatch.undo()
+    monkeypatch.setattr(diffsets, "_pair_block", zeros)
+    with pytest.raises(InvariantError):
+        diffsets.classify_rows(Z6, np.array([[0, 1, 3], [0, 1, 2]]))

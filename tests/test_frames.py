@@ -215,15 +215,37 @@ def test_modulation_operator_matches_scalar_oracle():
 
 
 def test_modulation_check_fails_on_transposed_difference_table(monkeypatch):
-    # the transposed table gives X_(-xi) in place of X_xi; only the
-    # definitional sums, from the character table, can see it
+    # transposed pair indices give X_(-xi) in place of X_xi; only the
+    # definitional sums, from the character table, can see it.  The closed
+    # forms read the generators' pair indices; the table itself reaches only
+    # the encoding check, which is symmetric in it
     f = F("Z7", "0,1,3")
     assert verify_modulation_identities(f).passed
-    table = frames._difference_index_table
-    monkeypatch.setattr(frames, "_difference_index_table", lambda g: table(g).T)
+    pairs = frames._pair_differences
+    monkeypatch.setattr(frames, "_pair_differences", lambda g, rows: pairs(g, rows).swapaxes(-1, -2))
     rep = verify_modulation_identities(f)
     assert not rep.passed
     assert rep.definitional_deviation == pytest.approx(7 / 3)
+
+
+def test_single_subset_paths_build_no_difference_table():
+    # classify, the counts, a frame report, the closed-form operators and
+    # realness read the generators' coordinates; only search blocks and the
+    # modulation check's encoding identity read the (n, n) table
+    from framelab.groups import _difference_index_table
+
+    _difference_index_table.cache_clear()
+    for n in range(2, 13):
+        for g in abelian_groups_of_order(n):
+            for m in range(1, n + 1):
+                f = FrameSpec(g, g.elements()[:m])
+                if m >= 2:
+                    diffsets.classify(g, f.generators)
+                    diffsets.difference_counts(g, f.generators)
+                frame_report(f)
+                modulation_operator(f, g.elements()[-1])
+                is_real_frame(f)
+    assert _difference_index_table.cache_info().currsize == 0
 
 
 def test_is_real_frame():
@@ -368,6 +390,10 @@ def test_angles_past_the_difference_table_cap():
     assert got.profile.d == 2500 and sum(got.profile.multiplicities) == 5002
     shifted = FrameSpec(g, ((5001,), (0,), (5000,)))  # S - 3, in another order
     assert angle_magnitudes(shifted).tobytes() == mags.tobytes()
+    # the closed-form operators and realness read coordinates too
+    op = modulation_operator(FrameSpec(g, S), (2,)).entries  # 3 - 1 is the only difference 2
+    assert np.flatnonzero(op).tolist() == [5] and op[1, 2] == 5003 / 3
+    assert not is_real_frame(FrameSpec(g, S))
 
 
 def test_cluster_ambiguity_flag():

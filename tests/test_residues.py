@@ -312,7 +312,7 @@ def test_quadratic_sums_need_an_odd_prime(p):
 
 def test_paley_capped_before_any_table():
     # 4099 is a prime above groups.SUBGROUP_ORDER_BOUND = 4096: the difference
-    # table check refuses it before an (n, n) table is allocated
+    # counts check refuses it before anything of size n is allocated
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
@@ -326,9 +326,9 @@ def test_paley_capped_before_any_table():
 @pytest.mark.parametrize(
     "fn, message",
     [
-        (paley_pds, "difference index table capped at order 4096"),
-        (quartic_gaussian_ds, "difference index table capped at order 4096"),
-        (quartic_special_cases, "difference index table capped at order 4096"),
+        (paley_pds, "difference counts capped at order 4096"),
+        (quartic_gaussian_ds, "difference counts capped at order 4096"),
+        (quartic_special_cases, "difference counts capped at order 4096"),
         (quartic_coset_decomposition, "residue tables capped at p <= 65536"),
     ],
 )

@@ -260,6 +260,16 @@ def test_unknown_filter_is_rejected(name):
         enumerate_and_classify(SearchJob(parse_group("Z7"), 3, filter_name=name))
 
 
+@pytest.mark.parametrize("jobs", [0, -5])
+@pytest.mark.parametrize("n", [7, 21])  # one block, and more than one
+def test_worker_count_below_one_is_rejected_before_any_work(monkeypatch, jobs, n):
+    classified = []
+    monkeypatch.setattr(search, "_classify_block", lambda job, block: classified.append(block))
+    with pytest.raises(DomainError, match=f"jobs must be at least 1, got {jobs}"):
+        enumerate_and_classify(SearchJob(GroupSpec((n,)), 4, jobs=jobs))
+    assert classified == []
+
+
 @pytest.mark.parametrize("name", ["etf", "btf", "difference-set", "difference_set",
                                   "proper-bidifference", "nested-divisible", "regular"])
 def test_known_filters_are_accepted(name):
