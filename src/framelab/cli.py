@@ -8,11 +8,12 @@ subcommand, where modulation takes --group/--set, etf-difference takes
 --max-order and no other suite takes a flag; search takes exactly one of
 --group and --order, and --mode reduced only with --group.  A missing flag,
 a flag the command does not read, or two flags that exclude each other is
-a usage error.  --jobs (default 1, at least 1) is the worker count of a search.
-Reports are JSON (schema field = 1); search with --group and tables also
-write CSV, chosen with `--format csv`.  `--out` writes to a file, with the
-format inferred from a .json/.csv suffix.  CSV asked of any other command is
-an error (exit 1), raised before the command does any work.
+a usage error.  --jobs (default 1, at least 1) is the worker count of a search;
+--tol (default frames.DEFAULT_ANGLE_TOL) is the angle tolerance of classify and
+angles.  Reports are JSON (schema field = 1); search with --group and tables
+also write CSV, chosen with `--format csv`.  `--out` writes to a file, with the
+format inferred from a .json/.csv suffix in any letter case.  CSV asked of any
+other command is an error (exit 1), raised before the command does any work.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections.abc import Callable
 
 from .diffsets import classify, nested_divisible_chain
 from .errors import DomainError, FramelabError
-from .frames import FrameSpec, frame_report
+from .frames import DEFAULT_ANGLE_TOL, FrameSpec, frame_report
 from .groups import parse_group, parse_subset
 from .predictions import (
     dds_angles,
@@ -53,8 +54,8 @@ from .verify import SUITES, run_suite
 
 
 def _format(args) -> str:
-    """The report format: a .json/.csv suffix of --out, else --format, else json."""
-    out_path = getattr(args, "out", None) or ""
+    """The report format: a .json/.csv suffix of --out in any case, else --format, else json."""
+    out_path = (getattr(args, "out", None) or "").lower()
     for fmt in ("json", "csv"):
         if out_path.endswith("." + fmt):
             return fmt
@@ -256,12 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", parents=[out], help="taxonomy + frame report for one subset")
     _frame_args(p)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=DEFAULT_ANGLE_TOL)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("angles", parents=[out], help="angle profile and tightness for one subset")
     _frame_args(p)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=DEFAULT_ANGLE_TOL)
     p.set_defaults(func=cmd_angles)
 
     p = sub.add_parser("predict", help="closed-form angle prediction from parameters")

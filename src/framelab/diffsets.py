@@ -426,7 +426,8 @@ def _chain(
         e = e[np.argmin(dag.rank[dag.dst[e]])]
         path.append(int(dag.dst[e]))
         lambdas.append(int(total[0, e] // dag.size[e]))
-    return NestedChain(g, dc.subset, tuple(dag.subgroups[i] for i in path), tuple(lambdas))
+    subs = all_subgroups(g)
+    return NestedChain(g, dc.subset, tuple(subs[i].elements for i in path), tuple(lambdas))
 
 
 @dataclass(frozen=True)
@@ -440,7 +441,6 @@ class _ChainDag:
     order; member[i] is H_i's nonzero elements as a 0/1 row.
     """
 
-    subgroups: tuple[tuple[Element, ...], ...]
     src: np.ndarray
     dst: np.ndarray
     size: np.ndarray
@@ -473,7 +473,7 @@ def _chain_dag(g: GroupSpec) -> _ChainDag:
     rank = np.empty(count, dtype=np.int64)
     rank[sorted(range(count), key=lambda i: subs[i].elements)] = np.arange(count)
     return _ChainDag(
-        tuple(h.elements for h in subs), src, dst, sizes[dst] - sizes[src],
+        src, dst, sizes[dst] - sizes[src],
         np.searchsorted(src, np.arange(count - 1)), rank, member[:, 1:].astype(np.float64),
     )
 
@@ -545,9 +545,10 @@ def _row_kernel(
     divisible, relative, almost, gaussian, t) is computed once per distinct
     count row (_distinct_rows) and gathered back to the rows; partial,
     reversible and regular depend on S itself and are computed per row, and
-    a one-row call takes the same path.  The levels have one row per row
-    that reached the chain pass (missed both fast paths, and max(3, levels)
-    <= _chain_height(g)), in row order; None when no row reached it.  A row
+    a one-row call takes the same path.  The levels have one row per
+    distinct count row that reached the chain pass (missed both fast paths,
+    and max(3, levels) <= _chain_height(g)), in _distinct_rows order, as
+    classify, their one reader, runs one row; None when no row reached it.  A row
     with at least three levels can meet no constant split, so the split
     tests see only rows with at most two.  classify walks its deep chain on
     the levels and reads its DiffCounts from the (B, n-1) counts, so the
@@ -593,10 +594,6 @@ def _row_kernel(
     if deep.size:
         level = _chain_levels(_chain_dag(g), distinct[deep])
         t[deep] = level[:, 0]
-        slot = np.full(U, -1)
-        slot[deep] = np.arange(deep.size)
-        slot = slot[inverse]
-        level = level[slot[slot >= 0]]  # back to row order
 
     # one stacked gather takes the count-only columns back to the rows
     levels, lam, mu, size, t, *flags = np.array(

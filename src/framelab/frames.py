@@ -47,6 +47,7 @@ from .groups import (
 
 DEFAULT_ANGLE_TOL = 1e-7
 MODULATION_CAPACITY = 4_000_000  # bound on n * m^2
+MODULATION_TOL = 1e-8  # bound on every deviation of verify_modulation_identities
 
 
 @dataclass(frozen=True)
@@ -400,13 +401,13 @@ class TightnessReport:
     passed: bool
 
 
-def verify_tightness(f: FrameSpec, tol: float = 1e-9) -> TightnessReport:
-    """Check sum_x f_x (x) f_x^* = (n/m) I entrywise; deviations are reported, never thrown."""
+def verify_tightness(f: FrameSpec) -> TightnessReport:
+    """Check sum_x f_x (x) f_x^* = (n/m) I entrywise to 1e-9; deviations are reported, not raised."""
     V = f.vectors()
     S = V.T @ V.conj()
     target = (f.n / f.m) * np.eye(f.m)
     dev = float(np.max(np.abs(S - target)))
-    return TightnessReport(f.n / f.m, dev, dev <= tol)
+    return TightnessReport(f.n / f.m, dev, dev <= 1e-9)
 
 
 @dataclass(frozen=True)
@@ -438,10 +439,8 @@ def _angularity(f: FrameSpec, mags: np.ndarray, tol: float) -> AngularityReport:
     return AngularityReport(prof.d, bool(is_etf[0]), bool(is_btf[0]), welch_bound(f.n, f.m), prof)
 
 
-def btf_multiplicities_from_angles(
-    n: int, m: int, alpha1: float, alpha2: float, tol: float = 1e-6
-) -> tuple[int, int]:
-    """Multiplicities forced by the tight-sum identity for a two-angle frame."""
+def btf_multiplicities_from_angles(n: int, m: int, alpha1: float, alpha2: float) -> tuple[int, int]:
+    """Multiplicities forced by the tight-sum identity for a two-angle frame, integral to 1e-6."""
     if not 0 <= alpha1 <= 1 or not 0 <= alpha2 <= 1:
         raise InvalidParametersError("angles must lie in [0, 1]")
     if alpha1 == alpha2:
@@ -450,7 +449,7 @@ def btf_multiplicities_from_angles(
     t1 = (n - 1) / (alpha2**2 - alpha1**2) * (alpha2**2 - w2)
     t2 = (n - 1) - t1
     r1, r2 = round(t1), round(t2)
-    if abs(t1 - r1) > tol or abs(t2 - r2) > tol or r1 < 0 or r2 < 0:
+    if abs(t1 - r1) > 1e-6 or abs(t2 - r2) > 1e-6 or r1 < 0 or r2 < 0:
         raise InconsistentAnglesError(
             f"angles ({alpha1}, {alpha2}) give non-integral multiplicities ({t1}, {t2})"
         )
@@ -509,8 +508,8 @@ class ModulationReport:
         }
 
 
-def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationReport:
-    """Check the three modulation-operator identities on an explicit frame.
+def verify_modulation_identities(f: FrameSpec) -> ModulationReport:
+    """Check the three modulation-operator identities on an explicit frame, to MODULATION_TOL.
 
     Flattened to rows of length m^2, the closed-form operator X_xi holds n/m
     in each column c with at[c] == xi, at the generators' pair indices
@@ -560,7 +559,7 @@ def verify_modulation_identities(f: FrameSpec, tol: float = 1e-8) -> ModulationR
     rhs = T @ hs  # rhs[z] = sum_xi chi_z(xi) ||X_xi||^2
     lhs = (n * n) * A
     dev_enc = float(np.max(np.abs(lhs - rhs.real[_difference_index_table(f.group)])))
-    return ModulationReport(dev_def, dev_hs, dev_inv, dev_enc, tol)
+    return ModulationReport(dev_def, dev_hs, dev_inv, dev_enc, MODULATION_TOL)
 
 
 def is_real_frame(f: FrameSpec) -> bool:

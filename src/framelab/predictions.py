@@ -238,7 +238,7 @@ class NddsPrediction:
     shell_values: tuple[tuple[float, int], ...]  # (squared-value as float, count)
 
 
-def ndds_angles(chain: NestedChain, m: int | None = None) -> NddsPrediction:
+def ndds_angles(chain: NestedChain) -> NddsPrediction:
     """Angles and biangularity verdict for a nested divisible chain.
 
     The chain's shells (_chain_shells) give every angle with its exact
@@ -246,9 +246,7 @@ def ndds_angles(chain: NestedChain, m: int | None = None) -> NddsPrediction:
     values; the predicted pair is the first two distinct shell values, and
     one value (constant counts) is a difference set, so an ETF.
     """
-    if m is None:
-        m = len(chain.subset)
-    n = chain.group.order
+    n, m = chain.group.order, len(chain.subset)
     params = {
         "n": n, "m": m, "t": chain.t, "lambdas": list(chain.lambdas), "sizes": list(chain.sizes)
     }
@@ -285,6 +283,8 @@ def quartic_family_angles(p: int, with_zero: bool) -> AnglePrediction | None:
 
 # ---------------------------------------------------------------------------
 # Tabulated families
+
+TABLE_TOL = 1e-10  # a row's angle column against its predictor
 
 
 @dataclass(frozen=True)
@@ -601,10 +601,8 @@ class RowCheckReport:
         return ("",) * 5 if self.params is None else _TABLE_LAYOUT[self.table][1](*self.params)
 
 
-def table_row_check(
-    table: str, row: int, sample: dict, tol: float = 1e-10
-) -> RowCheckReport:
-    """Instantiate a table row and compare its angle column with the predictor."""
+def table_row_check(table: str, row: int, sample: dict) -> RowCheckReport:
+    """Instantiate a table row and compare its angle column with the predictor, to TABLE_TOL."""
     r = get_row(table, row)
     reason = r.check(sample)
     if reason is not None:
@@ -621,14 +619,14 @@ def table_row_check(
     predicted = pred.angles if len(pred.angles) == 2 else (pred.angles[0], pred.angles[0])
     dev = max(abs(a - b) for a, b in zip(stated, predicted))
     return RowCheckReport(
-        table, row, sample, None, params, stated, pred.angles, dev, dev <= tol
+        table, row, sample, None, params, stated, pred.angles, dev, dev <= TABLE_TOL
     )
 
 
-def run_all_table_checks(tol: float = 1e-10) -> list[RowCheckReport]:
+def run_all_table_checks() -> list[RowCheckReport]:
     """Every row at its built-in sample instantiations."""
     out = []
     for r in TABLE_ROWS:
         for sample in r.samples:
-            out.append(table_row_check(r.table, r.row, sample, tol))
+            out.append(table_row_check(r.table, r.row, sample))
     return out

@@ -43,7 +43,7 @@ import numpy as np
 from .arith import factorize
 from .diffsets import ROW_FLAGS, _distinct_rows, _pair_block, classify, classify_rows  # noqa: F401 (re-exports classify)
 from .errors import CapacityError, DomainError
-from .frames import character_magnitudes, class_representatives, cluster_rows, etf_btf
+from .frames import DEFAULT_ANGLE_TOL, character_magnitudes, class_representatives, cluster_rows, etf_btf
 from .groups import Element, GroupSpec, full_character_table
 
 SUBSET_CAP = 10**7  # most subsets a job may enumerate, read when a search starts
@@ -87,7 +87,7 @@ class SearchJob:
     mode: str = "full"  # "full" | "reduced"
     filter_name: str | None = None  # etf | btf | difference-set | bidifference | ...
     target_angles: tuple[float, ...] | None = None
-    angle_tol: float = 1e-7
+    angle_tol: float = DEFAULT_ANGLE_TOL
     jobs: int = 1
 
     def subset_count(self) -> int:
@@ -387,7 +387,7 @@ def cross_group_angle_match(
     n: int,
     m: int,
     target_angles: tuple[float, ...],
-    tol: float = 1e-7,
+    tol: float = DEFAULT_ANGLE_TOL,
     jobs: int = 1,
 ) -> dict:
     """Match counts for a target angle set across every abelian group of order n.

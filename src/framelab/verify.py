@@ -20,8 +20,8 @@ visiting its random frames group by group; the example, Paley, quartic and
 table suites set closed forms from predictions and residues against frames
 built from characters; gauss-sums sets the quadratic sums of all a of a
 prime, from one kernel call, against closed forms signed by Euler's
-criterion.  A sweep that would cover nothing (no prime, no trial, no
-group) is a DomainError, not a pass.
+criterion.  Every sweep's range is fixed but etf-difference's max_order,
+and one below 2, which would cover nothing, is a DomainError, not a pass.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .diffsets import classify, pds_zero_toggle, reversal, translate
 from .errors import DomainError
 from .frames import (
     DEFAULT_ANGLE_TOL,
+    MODULATION_TOL,
     FrameSpec,
     angle_profile,
     btf_multiplicities_from_angles,
@@ -292,6 +293,9 @@ def suite_etf_difference(max_order: int = 10) -> list[CheckResult]:
 
 PALEY_BIANGULAR = (13, 17, 29, 37, 41)
 PALEY_EQUIANGULAR = (7, 11, 19, 23)
+GAUSS_MAX_P = 97  # gauss-sums covers the odd primes up to here
+# modulation draws this many frames of order at most MODULATION_MAX_ORDER
+MODULATION_TRIALS, MODULATION_MAX_ORDER, MODULATION_SEED = 200, 32, 718
 
 
 def suite_paley() -> list[CheckResult]:
@@ -330,26 +334,23 @@ def suite_paley() -> list[CheckResult]:
     return out
 
 
-def suite_gauss_sums(max_p: int = 97) -> list[CheckResult]:
-    """Numeric quadratic sums against the four-case closed forms, all a, p <= max_p.
+def suite_gauss_sums() -> list[CheckResult]:
+    """Numeric quadratic sums against the four-case closed forms, all a, p <= GAUSS_MAX_P.
 
     Per prime and kind, one gauss_sum_table call gives the numeric sums of
     every a in 1..p-1 (one kernel gather from the root table) beside their
     closed forms, signed by Euler's criterion rather than by the residue set
     the half sums run over.
     """
-    primes = [p for p in range(3, max_p + 1) if is_prime(p)]
-    if not primes:
-        raise DomainError(f"gauss-sums sweep needs an odd prime <= max_p, got max_p={max_p}")
     t0 = time.perf_counter()
     worst = {"full": 0.0, "half": 0.0}
-    for p in primes:
+    for p in filter(is_prime, range(3, GAUSS_MAX_P + 1)):
         for kind in worst:
             numeric, closed = gauss_sum_table(p, half=kind == "half")
             worst[kind] = max(worst[kind], float(np.abs(numeric - closed).max()))
     elapsed = time.perf_counter() - t0
     out = [
-        _check(f"gauss-sums/{kind}", dev <= 1e-9, f"max deviation {dev:.2e} over p <= {max_p}")
+        _check(f"gauss-sums/{kind}", dev <= 1e-9, f"max deviation {dev:.2e} over p <= {GAUSS_MAX_P}")
         for kind, dev in worst.items()
     ]
     out.append(_check("gauss-sums/runtime", elapsed < 5.0, f"{elapsed:.3f}s"))
@@ -458,21 +459,15 @@ def suite_quartic_special() -> list[CheckResult]:
     return out
 
 
-def _random_frame(rng: random.Random, max_order: int) -> FrameSpec:
-    n = rng.randint(2, max_order)
+def _random_frame(rng: random.Random) -> FrameSpec:
+    n = rng.randint(2, MODULATION_MAX_ORDER)
     g = rng.choice(abelian_groups_of_order(n))
     m = rng.randint(1, n)
     subset = tuple(sorted(rng.sample(g.elements(), m)))
     return FrameSpec(g, subset)
 
 
-def suite_modulation(
-    group: str | None = None,
-    subset: str | None = None,
-    trials: int = 200,
-    max_order: int = 32,
-    seed: int = 718,
-) -> list[CheckResult]:
+def suite_modulation(group: str | None = None, subset: str | None = None) -> list[CheckResult]:
     """Hilbert-Schmidt orthogonality, inversion, and the angle encoding identity."""
     t0 = time.perf_counter()
     out = []
@@ -488,12 +483,8 @@ def suite_modulation(
             if key.endswith("_deviation"):
                 out.append(_check(f"modulation/{group}-{key}", val <= rep.tolerance, f"{val:.2e}"))
         return out
-    if trials < 1:
-        raise DomainError(f"modulation check needs at least one trial, got {trials}")
-    if max_order < 2:
-        raise DomainError(f"modulation check needs max_order >= 2, got {max_order}")
-    rng = random.Random(seed)
-    drawn = [_random_frame(rng, max_order) for _ in range(trials)]
+    rng = random.Random(MODULATION_SEED)
+    drawn = [_random_frame(rng) for _ in range(MODULATION_TRIALS)]
     worst = {"definitional": 0.0, "hs": 0.0, "inversion": 0.0, "encoding": 0.0}
     # one group after another, so each group's tables are built once
     for f in sorted(drawn, key=lambda f: f.group.factors):
@@ -507,8 +498,9 @@ def suite_modulation(
         out.append(
             _check(
                 f"modulation/{key}",
-                val <= 1e-8,
-                f"max deviation {val:.2e} over {trials} random frames (n <= {max_order})",
+                val <= MODULATION_TOL,
+                f"max deviation {val:.2e} over {MODULATION_TRIALS} random frames "
+                f"(n <= {MODULATION_MAX_ORDER})",
             )
         )
     out.append(_check("modulation/runtime", elapsed < 120.0, f"{elapsed:.3f}s"))
@@ -516,7 +508,7 @@ def suite_modulation(
 
 
 def suite_tables() -> list[CheckResult]:
-    """Every tabulated family row at its sample instantiations, 1e-10."""
+    """Every tabulated family row at its sample instantiations, within predictions.TABLE_TOL."""
     out = []
     for rep in run_all_table_checks():
         name = f"tables/{rep.table}-row{rep.row}-{rep.sample}"

@@ -14,10 +14,13 @@ import pytest
 from framelab.diffsets import classify
 from framelab.frames import FrameSpec, angle_profile, btf_multiplicities_from_angles
 from framelab.groups import GroupSpec, parse_group, parse_subset
-from framelab.predictions import dds_angles, run_all_table_checks
+from framelab.predictions import TABLE_TOL, dds_angles, run_all_table_checks
 from framelab.residues import paley_pds, quartic_gaussian_ds
 from framelab.search import cross_group_angle_match
 from framelab.verify import (
+    GAUSS_MAX_P,
+    MODULATION_MAX_ORDER,
+    MODULATION_TRIALS,
     suite_etf_difference,
     suite_exhaustion_order8,
     suite_gauss_sums,
@@ -115,7 +118,8 @@ def test_criterion_5_paley_family():
 
 def test_criterion_6_gauss_sums():
     t0 = time.perf_counter()
-    results = suite_gauss_sums(max_p=97)
+    assert GAUSS_MAX_P == 97
+    results = suite_gauss_sums()
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
     _assert_all(results, "criterion 6: quadratic and half Gauss sums vs closed forms, p <= 97")
@@ -149,12 +153,14 @@ def test_criterion_8_quartic_special_cases():
 
 
 def test_criterion_9_modulation_identities():
-    results = suite_modulation(trials=200, max_order=32)
+    assert (MODULATION_TRIALS, MODULATION_MAX_ORDER) == (200, 32)
+    results = suite_modulation()
     _assert_all(results, "criterion 9: modulation identities within 1e-8 on 200 random frames, n <= 32")
 
 
 def test_criterion_10_table_consistency():
-    reports = run_all_table_checks(tol=1e-10)
+    assert TABLE_TOL == 1e-10
+    reports = run_all_table_checks()
     per_row: dict[tuple, int] = {}
     for rep in reports:
         assert rep.passed, f"{rep.table} row {rep.row} at {rep.sample}: {rep.skipped or rep.deviation}"

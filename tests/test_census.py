@@ -17,6 +17,10 @@ of that sum.
 
 Every BTF and ETF also gets its exact squared angles from two integer
 moments (surd.moment_forms), with Q the sum of its squared count row.
+
+Complements keep the angle class.  For d != 0 the complement S' of S has
+counts c_S(d) + n - 2m, and off the trivial character its character sum is
+minus that of S, so m alpha_S = (n - m) alpha_S' with equal multiplicities.
 """
 
 from collections import Counter
@@ -122,3 +126,36 @@ def test_census_of_btfs_against_the_difference_set_classes():
     assert dict(dual_outside) == DUAL_SIZES_OUTSIDE
     assert dict(without) == BIDIFFERENCE_WITHOUT_BTF
     assert sum(without.values()) == 10_191
+
+
+def test_complement_keeps_angles_and_count_shape():
+    # full searches at m and n - m for every m = 2..n-2 of the groups of
+    # order 4..12: each subset's record against its complement's
+    pairs, worst = 0, 0.0
+    differ: Counter = Counter()
+    for n in range(4, 13):
+        for g in abelian_groups_of_order(n):
+            whole = frozenset(g.elements())
+            by_m = {
+                m: {frozenset(r.subset): r for r in enumerate_and_classify(SearchJob(g, m)).records}
+                for m in range(2, n - 1)
+            }
+            for m, records in by_m.items():
+                for S, r in records.items():
+                    c = by_m[n - m][whole - S]
+                    pairs += 1
+                    for a, b in zip(r.angles, c.angles, strict=True):
+                        worst = max(worst, abs(m * a - (n - m) * b))
+                    assert (r.multiplicities, r.is_etf, r.is_btf) == (
+                        c.multiplicities, c.is_etf, c.is_btf
+                    )
+                    for k, v in r.flags.items():
+                        if k in ("lam", "mu"):  # None (more than two levels) on both sides
+                            assert c.flags[k] == (None if v is None else v + n - 2 * m)
+                        elif c.flags[k] != v:
+                            differ[k] += 1
+    assert pairs == 13_058
+    assert worst <= 1e-12
+    # relative needs lam = 0 and regular needs 0 outside S: neither survives
+    # the shift of the counts or the move of 0 into the complement
+    assert dict(differ) == {"relative": 224, "regular": 894}

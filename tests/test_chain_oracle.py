@@ -55,7 +55,7 @@ def test_kernels_match_scalar_oracle():
 def test_dag_edges_are_strict_inclusions(factors):
     g = GroupSpec(factors)
     dag = diffsets._chain_dag(g)
-    sets = [frozenset(h) for h in dag.subgroups]
+    sets = [h.as_set() for h in all_subgroups(g)]
     pairs = [(i, j) for i in range(len(sets)) for j in range(len(sets)) if sets[i] < sets[j]]
     assert list(zip(dag.src.tolist(), dag.dst.tolist())) == pairs
     assert dag.size.tolist() == [len(sets[j] - sets[i]) for i, j in pairs]
@@ -160,14 +160,14 @@ def _assert_same_kernel(want, got, where):
         assert cols[k].dtype == want[0][k].dtype, (where, k)
         assert np.array_equal(cols[k], want[0][k]), (where, k)
     assert (level is None) == (want[1] is None), where
-    if level is not None:
-        assert np.array_equal(level, want[1]), where
+    if level is not None:  # one row per distinct count row, in no fixed order
+        assert np.array_equal(np.unique(level, axis=0), np.unique(want[1], axis=0)), where
     assert np.array_equal(counts, want[2]), where
 
 
 def test_block_kernel_matches_row_kernel():
     # a block decides each distinct count row once and gathers the columns
-    # back; a one-row call shares nothing.  The levels stay in row order.
+    # back; a one-row call shares nothing.
     rows_seen = deep = 0
     for g, rows in _blocks(10):
         single = [diffsets._row_kernel(g, rows[i : i + 1]) for i in range(len(rows))]
@@ -212,7 +212,6 @@ def test_lattice_views_match_element_tuples(factors):
         masks.append(mask)
     assert diffsets._subgroup_keys(g) == {np.packbits(m[1:]).tobytes() for m in masks}
     dag = diffsets._chain_dag(g)
-    assert dag.subgroups == tuple(h.elements for h in subs)
     assert np.array_equal(dag.member, np.array([m[1:] for m in masks], dtype=np.float64))
     by_elements = sorted(range(len(subs)), key=lambda i: subs[i].elements)
     assert [by_elements.index(i) for i in range(len(subs))] == dag.rank.tolist()

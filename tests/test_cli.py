@@ -114,6 +114,24 @@ def test_search_csv_output(tmp_path, capsys):
     assert len(rows) > 1
 
 
+def test_search_out_suffix_in_upper_case_writes_csv(tmp_path, capsys):
+    out_file = tmp_path / "r.CSV"
+    code, _, _ = run(capsys, "search", "--group", "Z8", "-m", "3", "--out", str(out_file))
+    assert code == 0
+    _, want, _ = run(capsys, "search", "--group", "Z8", "-m", "3", "--format", "csv")
+    assert out_file.read_text() == want
+    assert want.startswith("group,subset,n,m,")
+
+
+def test_classify_out_suffix_in_upper_case_is_refused_as_csv(tmp_path, capsys):
+    out_file = tmp_path / "c.CSV"
+    argv = ("classify", "--group", "Z6", "--set", "0,1,3", "--out", str(out_file))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: csv output not available for this command\n"
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("fmt, other", [("json", "to_csv_rows"), ("csv", "to_dict")])
 def test_search_builds_only_the_format_it_writes(capsys, monkeypatch, fmt, other):
     from framelab.search import SearchReport
@@ -412,3 +430,20 @@ def test_readme_command_exits_0(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # for the examples that write --out files
     code, _, err = run(capsys, *argv)
     assert code == 0, err
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    library = text[text.index("\n## Library\n"):]
+    code = re.search(r"^```python\n(.*?)^```", library, re.M | re.S).group(1)
+    scope: dict = {}
+    exec(code, scope)
+    assert capsys.readouterr().out == "(2, 0, 1)\n"
+    prof, cls, chain, report = (scope[k] for k in ("prof", "cls", "chain", "report"))
+    assert prof.angles == pytest.approx((1 / 3, math.sqrt(5) / 3))
+    assert prof.multiplicities == (5, 2)
+    assert not cls.bidifference
+    assert (chain.t, chain.lambdas) == (3, (2, 0, 1))
+    counts = {g["group"]: g["match_count"] for g in report["groups"]}
+    assert counts == {"Z2xZ2xZ2": 0, "Z2xZ4": 32, "Z8": 16}
+    assert all(g["bidifference_matches"] == 0 for g in report["groups"])

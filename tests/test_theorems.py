@@ -69,7 +69,7 @@ def _check(g, m, rec, cls, family) -> bool:
     if family == "gaussian":
         q = cls.gaussian
         return _predicts(gaussian_angles(q.p, m, q.lam, q.mu), rec)
-    return _shells_predict(ndds_angles(cls.nested_divisible, m), rec)
+    return _shells_predict(ndds_angles(cls.nested_divisible), rec)
 
 
 def test_every_flagged_subset_of_the_small_groups_gets_its_predicted_frame():
