@@ -34,14 +34,17 @@ membership matrix, groups._subgroup_lattice.  Minimal chains come from one
 breadth-first pass over the subgroup inclusion DAG, _chain_levels: search
 reads the chain length from it, and the scalar chain walks its levels.
 
-The count levels bound which rows need the slower tests.  A chain has one
-count value per annulus, so its length t is at least the number of levels,
-and no subgroup chain is longer than Omega(n), the number of prime factors
-of n with multiplicity.  A row that misses the one- and two-level fast paths
-needs t >= 3, so it reaches the chain pass only when max(3, levels) <=
-Omega(n); a constant split (partial, gaussian) has at most two levels, so
-only such rows are split-tested.  Every other row reads t = -1 and False,
-as the tests would give it.
+One low-level mask per distinct count row (all True on one level) decides
+the three two-level witnesses.  A witness A works when the counts are
+constant on A and on the rest, both nonempty: on two levels A must be a
+level, so the subgroup witness looks the packed mask and its complement up
+among the subgroup keys, and gaussian and partial (A = S minus 0, per row)
+compare the mask with A; on one level any nonempty A with a nonempty rest
+works.  A row that misses both fast paths needs a chain of t >= 3, and t
+is at least the number of levels (one count value per annulus) and at most
+Omega(n), the number of prime factors of n with multiplicity; so only rows
+with max(3, levels) <= Omega(n) reach the chain pass, and the others read
+t = -1, as the pass would give them.
 """
 
 from __future__ import annotations
@@ -314,8 +317,8 @@ def classify(g: GroupSpec, S: Sequence[Element]) -> Classification:
     """
     subset = tuple(S)
     rows = np.array([[g.index(x) for x in subset]])  # index validates
-    cols, level, counts = _row_kernel(g, rows, _pair_differences(g, rows))
-    dc = _diff_counts(g, subset, counts[0])
+    cols, level, (row,) = _row_kernel(g, rows, _pair_differences(g, rows))
+    dc = _diff_counts(g, subset, row)
     zero = g.zero
     k = {name: col[0].item() for name, col in cols.items()}
     values = dc.values()
@@ -339,10 +342,10 @@ def classify(g: GroupSpec, S: Sequence[Element]) -> Classification:
 
     partial = gaussian = almost = None
     if k["partial"]:
-        a, b = _split(dc, frozenset(subset))
+        a, b = _split(row, np.isin(np.arange(1, g.order), rows))
         partial = PartialRecord(a, b, zero in subset, a != b)
     if k["gaussian"]:
-        a, b = _split(dc, frozenset((r,) for r in residues(g.order, 2)))
+        a, b = _split(row, _residue_mask(g))
         gaussian = GaussianRecord(g.order, a, b, a != b)
     if k["almost"]:
         almost = AlmostRecord(values[0], len(dc.levels[values[0]]))
@@ -360,17 +363,15 @@ def classify(g: GroupSpec, S: Sequence[Element]) -> Classification:
         partial=partial,
         gaussian=gaussian,
         almost=almost,
-        nested_divisible=_chain(dc, k["t"], divisible, level),
+        nested_divisible=_chain(dc, row, k["t"], divisible, level),
         reversible=k["reversible"],
         regular=k["regular"],
     )
 
 
-def _split(dc: DiffCounts, inside: frozenset[Element]) -> tuple[int, int]:
-    """(lam, mu): the counts at the first nonzero element in inside and outside it."""
-    a = next(x for x in dc.counts if x in inside)
-    b = next(x for x in dc.counts if x not in inside)
-    return dc.counts[a], dc.counts[b]
+def _split(row: np.ndarray, inside: np.ndarray) -> tuple[int, int]:
+    """(lam, mu): a count row at the first nonzero element inside the mask and outside it."""
+    return int(row[inside.argmax()]), int(row[(~inside).argmax()])
 
 
 @lru_cache(maxsize=None)
@@ -395,9 +396,10 @@ def nested_divisible_chain(g: GroupSpec, S: Sequence[Element]) -> NestedChain | 
 
 
 def _chain(
-    dc: DiffCounts, t: int, divisible: DivisibleRecord | None, level: np.ndarray | None
+    dc: DiffCounts, row: np.ndarray, t: int, divisible: DivisibleRecord | None,
+    level: np.ndarray | None,
 ) -> NestedChain | None:
-    """The chain of the row kernel's length t (-1: none) for a count structure.
+    """The chain of the row kernel's length t (-1: none) for dc and its count row.
 
     t = 1 is {0} < G and t = 2 is {0} < H < G, H the subgroup witness
     divisible.H.  A longer chain follows level, the (1, subgroups) output
@@ -418,7 +420,7 @@ def _chain(
             g, dc.subset, ((g.zero,), divisible.H, whole), (divisible.lam, divisible.mu)
         )
     dag = _chain_dag(g)
-    total, usable = _edge_sums(dag, dc.row()[None])
+    total, usable = _edge_sums(dag, row[None])
     down = usable[0] & (level[0, dag.dst] == level[0, dag.src] - 1)
     path, lambdas = [0], []
     while level[0, path[-1]] > 0:
@@ -525,13 +527,13 @@ def classify_rows(
     distinct count row and gathered back; partial, reversible and regular
     are computed per row.  The number of levels comes from sorted rows; a
     two-level witness is a subgroup when its packed level mask is among the
-    subgroup keys; t is 1 or 2 on those fast paths.  Of the remaining rows
+    subgroup keys, and the partial and Gaussian witnesses are read off the
+    same mask; t is 1 or 2 on those fast paths.  Of the remaining rows
     only those with max(3, levels) <= _chain_height(g) go through
     _chain_levels, breadth-first from G for all of them at once; the others
-    read t = -1.  The partial and Gaussian split tests run only on rows with
-    at most two levels; the others read False.  classify is this function
-    on one row.  pairs is the rows' pair block (_pair_block), for a caller
-    that already holds it; the count step gathers it otherwise.
+    read t = -1.  classify is this function on one row.  pairs is the rows'
+    pair block (_pair_block), for a caller that already holds it; the count
+    step gathers it otherwise.
     """
     return _row_kernel(g, rows, pairs)[0]
 
@@ -545,13 +547,13 @@ def _row_kernel(
     divisible, relative, almost, gaussian, t) is computed once per distinct
     count row (_distinct_rows) and gathered back to the rows; partial,
     reversible and regular depend on S itself and are computed per row, and
-    a one-row call takes the same path.  The levels have one row per
-    distinct count row that reached the chain pass (missed both fast paths,
-    and max(3, levels) <= _chain_height(g)), in _distinct_rows order, as
-    classify, their one reader, runs one row; None when no row reached it.  A row
-    with at least three levels can meet no constant split, so the split
-    tests see only rows with at most two.  classify walks its deep chain on
-    the levels and reads its DiffCounts from the (B, n-1) counts, so the
+    a one-row call takes the same path.  One low-level mask per distinct
+    row decides the three two-level witnesses (_is_level).  The levels have
+    one row per distinct count row that reached the chain pass (missed both
+    fast paths, and max(3, levels) <= _chain_height(g)), in _distinct_rows
+    order, as classify, their one reader, runs one row; None when no row
+    reached it.  classify walks its deep chain on the levels and reads its
+    DiffCounts, chain sums and (lam, mu) from the (B, n-1) counts, so the
     level pass and the count step run once.
     """
     member, counts = _count_rows(g, rows, pairs)
@@ -563,6 +565,7 @@ def _row_kernel(
     lo, hi = ordered[:, 0], ordered[:, -1]
     levels = 1 + (ordered[:, 1:] != ordered[:, :-1]).sum(axis=1)
     one, two = levels == 1, levels == 2
+    low = distinct == lo[:, None]  # the low level; all True on one level
 
     # two levels: the witness {0} + level(lam) is tried with lam = lo, then hi
     lam = np.where(one | two, lo, -1)
@@ -570,8 +573,8 @@ def _row_kernel(
     witness = np.zeros(U, dtype=bool)
     keys = _subgroup_keys(g)
     pair = np.flatnonzero(two)
-    low = distinct[pair] == lo[pair, None]
-    for i, a, b in zip(pair.tolist(), np.packbits(low, axis=1), np.packbits(~low, axis=1)):
+    mask = low[pair]
+    for i, a, b in zip(pair.tolist(), np.packbits(mask, axis=1), np.packbits(~mask, axis=1)):
         if a.tobytes() in keys:
             witness[i] = True
         elif b.tobytes() in keys:
@@ -580,12 +583,9 @@ def _row_kernel(
     size = (distinct == lam[:, None]).sum(axis=1) + 1
     # one level: divisible when any subgroup lies strictly between {0} and G
     divisible = (two & witness) | (one & (len(keys) > 2))
-
-    gaussian = np.zeros(U, dtype=bool)
+    # one level: the residues and the non-residues are both nonempty
     q = _residue_mask(g)
-    if q is not None:
-        split = levels <= 2  # a constant split has at most two levels
-        gaussian[split] = _constant_split_rows(distinct[split], q)
+    gaussian = np.zeros(U, dtype=bool) if q is None else one | (two & _is_level(low, q))
 
     t = np.where(one, 1, np.where(two & witness, 2, -1))
     # a missed row needs t >= 3, and t >= levels (one count value per annulus)
@@ -600,16 +600,17 @@ def _row_kernel(
         (levels, lam, mu, np.where(two, size, -1), t, divisible, gaussian, two & (hi == lo + 1))
     )[:, inverse]
     divisible, gaussian, almost = (f.astype(bool) for f in flags)
-    one, two, split = levels == 1, levels == 2, levels <= 2
+    one, two = levels == 1, levels == 2
 
-    # per row: partial, reversible and regular read S itself
-    partial = np.zeros(B, dtype=bool)
-    partial[split] = _constant_split_rows(counts[split], member[split, 1:])  # A = S + {0}
+    # per row: partial (A = S + {0}), reversible and regular read S itself
+    inside = member[:, 1:]
+    partial = two & _is_level(low[inverse], inside)
+    partial |= one & inside.any(axis=1) & ~inside.all(axis=1)  # S \ {0} and the rest nonempty
     reversible = (member[:, _negation_indices(g)] == member).all(axis=1)
     nested = t > 0
     return {
         "difference_set": one,
-        "bidifference": split,
+        "bidifference": one | two,
         "proper_bidifference": two,
         "divisible": divisible,
         "relative": divisible & (lam == 0),
@@ -668,14 +669,10 @@ def _distinct_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, inverse
 
 
-def _constant_split_rows(counts: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """Per row: one count value on the inside columns and one on the rest, both nonempty."""
-
-    def constant(mask: np.ndarray) -> np.ndarray:
-        return np.where(mask, counts, big).min(axis=1) == np.where(mask, counts, -1).max(axis=1)
-
-    big = counts.max(initial=0) + 1
-    return constant(inside) & constant(~inside)
+def _is_level(low: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Per row of low-level masks: whether inside is the mask or its complement."""
+    other = low != inside
+    return ~other.any(axis=1) | other.all(axis=1)
 
 
 @lru_cache(maxsize=None)

@@ -166,8 +166,12 @@ def cluster_rows(values: np.ndarray, tol: float) -> Clusters:
     zero matters: reduceat adds a segment's first value to the pairwise sum
     of the rest, so a segment 0.0, v_1..v_k gives 0.0 + the pairwise sum of
     v_1..v_k, the same bits as ndarray.sum and ndarray.mean over the
-    cluster, where a segment without it would not.
+    cluster, where a segment without it would not.  Every path that
+    clusters angles comes here, so this is where tol must be finite and
+    positive (DomainError).
     """
+    if not 0 < tol < math.inf:
+        raise DomainError(f"angle tolerance must be finite and positive, got {tol}")
     order = np.sort(values, axis=1)
     rows, width = order.shape
     gaps = order[:, 1:] - order[:, :-1]

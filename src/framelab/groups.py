@@ -126,7 +126,7 @@ def parse_group(text: str) -> GroupSpec:
     s = text.strip()
     if not _GROUP_RE.match(s):
         raise DomainError(f"cannot parse group {text!r}; expected e.g. Z8 or Z2xZ4")
-    return GroupSpec(tuple(int(p[1:]) for p in s.split("x")))
+    return GroupSpec(tuple(int(p[1:]) for p in s.lower().split("x")))  # the pattern ignores case
 
 
 def parse_element(g: GroupSpec, text: str) -> Element:

@@ -352,6 +352,8 @@ def enumerate_and_classify(job: SearchJob) -> SearchReport:
         raise DomainError(f"unknown mode {job.mode!r}")
     if job.jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {job.jobs}")
+    if job.target_angles is not None and not np.isfinite(job.target_angles).all():
+        raise DomainError(f"target angles must be finite, got {list(job.target_angles)}")
     _filter_column(job)
     total = job.subset_count()
     if total > SUBSET_CAP:
@@ -368,13 +370,14 @@ def enumerate_and_classify(job: SearchJob) -> SearchReport:
     return SearchReport(job, kept, total, class_counts, time.perf_counter() - t0)
 
 
-def find_btfs(group: GroupSpec, m: int, jobs: int = 1) -> SearchReport:
+def find_btfs(group: GroupSpec, m: int) -> SearchReport:
     """All m-subsets generating two-angle tight frames, with their classifications.
 
-    Records carry a `btf_without_bidifference` marker for the headline case:
-    a two-angle frame whose generating set has three or more count levels.
+    A serial search.  Records carry a `btf_without_bidifference` marker for
+    the headline case: a two-angle frame whose generating set has three or
+    more count levels.
     """
-    job = SearchJob(group, m, filter_name="btf", jobs=jobs)
+    job = SearchJob(group, m, filter_name="btf")
     report = enumerate_and_classify(job)
     for r in report.records:
         r.flags["btf_without_bidifference"] = bool(
@@ -383,26 +386,19 @@ def find_btfs(group: GroupSpec, m: int, jobs: int = 1) -> SearchReport:
     return report
 
 
-def cross_group_angle_match(
-    n: int,
-    m: int,
-    target_angles: tuple[float, ...],
-    tol: float = DEFAULT_ANGLE_TOL,
-    jobs: int = 1,
-) -> dict:
+def cross_group_angle_match(n: int, m: int, target_angles: tuple[float, ...], jobs: int = 1) -> dict:
     """Match counts for a target angle set across every abelian group of order n.
 
-    Counts are split by whether the matching subset is a bidifference set or
-    carries a nested divisible chain; proper_chain_matches is a schema-1
-    alias of nested_divisible_matches (a returned chain is minimal).
+    Angles match within DEFAULT_ANGLE_TOL.  Counts are split by whether the
+    matching subset is a bidifference set or carries a nested divisible
+    chain; proper_chain_matches is a schema-1 alias of
+    nested_divisible_matches (a returned chain is minimal).
     """
     if n > 64:
         raise CapacityError(f"cross-group matching capped at order 64, got {n}")
     out = {"schema": 1, "order": n, "m": m, "target_angles": sorted(target_angles), "groups": []}
     for g in abelian_groups_of_order(n):
-        job = SearchJob(
-            g, m, target_angles=tuple(sorted(target_angles)), angle_tol=tol, jobs=jobs
-        )
+        job = SearchJob(g, m, target_angles=tuple(sorted(target_angles)), jobs=jobs)
         report = enumerate_and_classify(job)
         matches = report.records
         out["groups"].append({

@@ -49,6 +49,10 @@ sum(axis=1) / k per distinct cluster size k.
 oracle_with_symbolic is frames._with_symbolic before recognition went by
 Galois class: surd.recognize_angle on every angle of the profile, then the
 conductor rule.
+
+oracle_constant_split_rows is the row kernel's partial and Gaussian test
+before both read the low-level mask of the subgroup witness: a masked
+minimum and maximum of the counts inside the witness and outside it.
 """
 
 import functools
@@ -173,6 +177,16 @@ def _constant_split(dc, A):
     if len(inside) != 1 or len(outside) != 1:
         return None
     return inside.pop(), outside.pop()
+
+
+def oracle_constant_split_rows(counts, inside):
+    """Per row: one count value on the inside columns and one on the rest, both nonempty."""
+
+    def constant(mask):
+        return np.where(mask, counts, big).min(axis=1) == np.where(mask, counts, -1).max(axis=1)
+
+    big = counts.max(initial=0) + 1
+    return constant(inside) & constant(~inside)
 
 
 def _level_is_subgroup(g, dc, lam):

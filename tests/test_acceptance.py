@@ -44,7 +44,7 @@ def test_criterion_1_exhaustion_order8():
     t0 = time.perf_counter()
     results = suite_exhaustion_order8()
     elapsed = time.perf_counter() - t0
-    counts = cross_group_angle_match(8, 3, (1 / 3, math.sqrt(5) / 3), tol=1e-7)
+    counts = cross_group_angle_match(8, 3, (1 / 3, math.sqrt(5) / 3))
     by_name = {g["group"]: g["match_count"] for g in counts["groups"]}
     assert by_name == {"Z2xZ2xZ2": 0, "Z2xZ4": 32, "Z8": 16}
     assert elapsed < 1.0, f"took {elapsed:.2f}s"

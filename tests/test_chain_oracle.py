@@ -100,17 +100,18 @@ def _bound_cases():
 
 def test_level_bounds_are_exact(monkeypatch):
     # the columns with both bounds equal those with neither: the chain pass
-    # on every row that missed the fast paths, the splits on every row
+    # on every row that missed the fast paths, and in place of the level
+    # mask the oracle's min/max split test on every row
     bounded = [diffsets.classify_rows(g, rows) for g, rows in _bound_cases()]
     monkeypatch.setattr(diffsets, "_chain_height", lambda g: 1 << 30)
     rows_seen = 0
     for (g, rows), cols in zip(_bound_cases(), bounded, strict=True):
         free = diffsets.classify_rows(g, rows)
         member, counts = diffsets._count_rows(g, rows)
-        free["partial"] = diffsets._constant_split_rows(counts, member[:, 1:])
+        free["partial"] = scalar_oracle.oracle_constant_split_rows(counts, member[:, 1:])
         q = diffsets._residue_mask(g)
         if q is not None:
-            free["gaussian"] = diffsets._constant_split_rows(counts, q)
+            free["gaussian"] = scalar_oracle.oracle_constant_split_rows(counts, q)
         assert cols.keys() == free.keys()
         for k in cols:
             assert np.array_equal(cols[k], free[k]), (g, rows.shape, k)

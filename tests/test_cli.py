@@ -294,6 +294,32 @@ def test_search_worker_count_below_one_exit_1(capsys, argv):
     assert err == "error: jobs must be at least 1, got -5\n"
 
 
+@pytest.mark.parametrize("command", ["angles", "classify"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "0"])
+def test_tolerance_must_be_finite_and_positive(capsys, command, tol):
+    # each was once accepted: -1 reported five angles, nan and inf one angle
+    # (0.43094) that no character has, and 0 split sqrt(3)/3 so the BTF read no BTF
+    code, out, err = run(capsys, command, "--group", "Z6", "--set", "0,1,3", "--tol", tol)
+    assert code == 1 and out == ""
+    assert err.startswith("error: angle tolerance must be finite and positive")
+
+
+@pytest.mark.parametrize("where", [("--group", "Z7"), ("--order", "7")])
+@pytest.mark.parametrize("target", ["nan", "0.5,inf"])
+def test_search_target_angles_must_be_finite(capsys, where, target):
+    # nan was once accepted and written into the report as NaN, which is not JSON
+    code, out, err = run(capsys, "search", *where, "-m", "3", "--filter", f"angles={target}")
+    assert code == 1 and out == ""
+    assert err.startswith("error: target angles must be finite")
+
+
+def test_group_separator_in_either_case(capsys):
+    argv = ("classify", "--set", "(0,0),(1,0),(0,1)", "--group")
+    _, want, _ = run(capsys, *argv, "Z2xZ4")
+    code, got, err = run(capsys, *argv, "Z2XZ4")
+    assert code == 0 and err == "" and got == want
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--group", "Z6", "--bogus"])

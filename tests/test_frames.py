@@ -93,6 +93,14 @@ def test_angle_profile_z9_four_angles():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_angle_tolerance_must_be_finite_and_positive(tol):
+    f = F("Z6", "0,1,3")
+    for cluster in (angle_profile, frame_report):
+        with pytest.raises(DomainError, match="angle tolerance must be finite and positive"):
+            cluster(f, tol=tol)
+
+
 def test_angle_profile_matches_gram_oracle():
     for group, subset in [
         ("Z6", "0,1,3"),

@@ -46,6 +46,8 @@ def test_parse_group_grammar():
     assert parse_group("Z8").factors == (8,)
     assert parse_group("Z2xZ4").factors == (2, 4)
     assert parse_group("Z2xZ2xZ2").factors == (2, 2, 2)
+    # the grammar ignores case, the separator included
+    assert parse_group("Z2XZ4").factors == parse_group("z2XZ4").factors == (2, 4)
     with pytest.raises(DomainError):
         parse_group("S3")
     with pytest.raises(DomainError):

@@ -270,6 +270,19 @@ def test_worker_count_below_one_is_rejected_before_any_work(monkeypatch, jobs, n
     assert classified == []
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_angle_tolerance_must_be_finite_and_positive(tol):
+    # a negative tolerance cut at every gap and counted no ETF in Z7
+    with pytest.raises(DomainError, match="angle tolerance must be finite and positive"):
+        enumerate_and_classify(SearchJob(parse_group("Z7"), 3, angle_tol=tol))
+
+
+@pytest.mark.parametrize("target", [(math.nan,), (0.5, math.inf), (-math.inf,)])
+def test_target_angles_must_be_finite(target):
+    with pytest.raises(DomainError, match="target angles must be finite"):
+        enumerate_and_classify(SearchJob(parse_group("Z7"), 3, target_angles=target))
+
+
 @pytest.mark.parametrize("name", ["etf", "btf", "difference-set", "difference_set",
                                   "proper-bidifference", "nested-divisible", "regular"])
 def test_known_filters_are_accepted(name):
