@@ -92,12 +92,17 @@ def frame_inner_product(f: FrameSpec, x: Element, y: Element) -> complex:
     return complex(total) / f.m
 
 
+def _check_frame_size(n: int, m: int) -> None:
+    """DomainError unless n >= 2 vectors in dimension 1 <= m <= n."""
+    if n < 2:
+        raise DomainError(f"a frame needs n >= 2, got n={n}")
+    if not 1 <= m <= n:
+        raise DomainError(f"a frame needs 1 <= m <= n, got m={m}, n={n}")
+
+
 def welch_bound(n: int, m: int) -> float:
     """Lower bound sqrt((n-m)/(m(n-1))) on the maximal pairwise magnitude."""
-    if n < 2:
-        raise DomainError(f"Welch bound needs n >= 2, got n={n}")
-    if not 1 <= m <= n:
-        raise DomainError(f"Welch bound needs 1 <= m <= n, got m={m}, n={n}")
+    _check_frame_size(n, m)
     return math.sqrt((n - m) / (m * (n - 1)))
 
 
@@ -445,6 +450,7 @@ def _angularity(f: FrameSpec, mags: np.ndarray, tol: float) -> AngularityReport:
 
 def btf_multiplicities_from_angles(n: int, m: int, alpha1: float, alpha2: float) -> tuple[int, int]:
     """Multiplicities forced by the tight-sum identity for a two-angle frame, integral to 1e-6."""
+    _check_frame_size(n, m)
     if not 0 <= alpha1 <= 1 or not 0 <= alpha2 <= 1:
         raise InvalidParametersError("angles must lie in [0, 1]")
     if alpha1 == alpha2:

@@ -16,6 +16,7 @@ add table; the one (n, n) table holds the pair indices of the whole group.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +38,7 @@ from .errors import (
 Element = tuple[int, ...]
 
 SUBGROUP_ORDER_BOUND = 4096
+CHARACTER_TABLE_ORDER_BOUND = 1024  # full_character_table, so search and the modulation check
 
 
 @dataclass(frozen=True)
@@ -48,9 +50,13 @@ class GroupSpec:
     def __post_init__(self) -> None:
         if not self.factors:
             raise DomainError("group needs at least one cyclic factor")
-        if any(f < 2 for f in self.factors):
+        try:
+            factors = tuple(operator.index(f) for f in self.factors)
+        except TypeError:
+            raise DomainError(f"cyclic factors must be integers, got {self.factors}") from None
+        if any(f < 2 for f in factors):
             raise DomainError(f"cyclic factors must be >= 2, got {self.factors}")
-        object.__setattr__(self, "factors", tuple(int(f) for f in self.factors))
+        object.__setattr__(self, "factors", factors)
 
     @property
     def order(self) -> int:
@@ -266,8 +272,10 @@ def full_character_table(g: GroupSpec) -> np.ndarray:
     one (n, k) @ (k, n) integer product and one gather (tens of microseconds
     at n = 64); the cache serves search workloads that revisit one group.
     """
-    if g.order > 1024:
-        raise CapacityError(f"full character table capped at order 1024, got {g.order}")
+    if g.order > CHARACTER_TABLE_ORDER_BOUND:
+        raise CapacityError(
+            f"full character table capped at order {CHARACTER_TABLE_ORDER_BOUND}, got {g.order}"
+        )
     return _character_block(g, _coord_matrix(g))
 
 

@@ -7,7 +7,11 @@ A_t = G grade the nontrivial characters into shells, shell r those trivial
 on A_r but not on A_{r+1}, each with one squared angle, a running sum over
 the chain.  A set divisible relative to H is the chain {0} < H < G and a
 relative set the case lam = 0.  One shell value is an ETF, two a BTF.  The
-partial, Gaussian and quartic rules give a conjugate pair rat +- coef sqrt(s).
+partial and Gaussian rules give a conjugate pair rat +- coef sqrt(s), and
+the quartic families are the Gaussian rule at their (lam, mu).  Every
+two-level predictor first checks the frame's size and then one counting
+identity, m(m - 1) = lam(l - 1) + mu(n - l) for a witness of size l
+(_check_counts).
 
 Two-angle predictions carry stated multiplicities and those derived from
 the tight-sum identity.  The divisible and relative rules state the paper's
@@ -27,8 +31,8 @@ from . import surd
 from .arith import is_prime, is_prime_power
 from .diffsets import NestedChain
 from .errors import InvalidParametersError
-from .frames import btf_multiplicities_from_angles, welch_bound
-from .residues import quartic_conditions
+from .frames import _check_frame_size, btf_multiplicities_from_angles, welch_bound
+from .residues import QUARTIC_FAMILIES, quartic_conditions
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,31 @@ def _conjugate_pair(
     return [(*_surd_angle(rat, sign * coef, s), stated) for sign in (+1, -1)]
 
 
+def _check_counts(params: dict, n: int, m: int, l: int, lam: int, mu: int) -> None:
+    """The frame's size, then the two-level counting identity.
+
+    The m(m - 1) nonzero differences of S fall lam times on each of the
+    l - 1 nonzero elements of a witness of size l and mu times on each of
+    the other n - l elements.
+    """
+    _check_frame_size(n, m)
+    if m * (m - 1) != lam * (l - 1) + mu * (n - l):
+        raise InvalidParametersError(f"counting identity fails for {params}")
+
+
+def _gaussian_rule(
+    family: str, rule: str, params: dict, p: int, m: int, lam: int, mu: int
+) -> AnglePrediction:
+    """Counts lam on the quadratic residues and mu off them, from the half
+    Gauss sums (1 +- sqrt(p))/2: an ETF when lam = mu, else the pair
+    alpha^2 = (2m - lam - mu +- (lam - mu) sqrt(p)) / (2 m^2), each (p-1)/2 times."""
+    if lam == mu:
+        return _etf_prediction(family, rule, params, p, m)
+    den = Fraction(1, 2 * m * m)
+    pairs = _conjugate_pair((2 * m - lam - mu) * den, (lam - mu) * den, p, (p - 1) // 2)
+    return _assemble(family, rule, params, p, m, pairs)
+
+
 # ---------------------------------------------------------------------------
 # Predictors
 
@@ -173,8 +202,7 @@ def dds_angles(n: int, m: int, l: int, lam: int, mu: int) -> AnglePrediction:
     params = {"n": n, "m": m, "l": l, "lam": lam, "mu": mu}
     if l < 1 or n % l != 0:
         raise InvalidParametersError(f"l={l} must divide n={n}")
-    if m * (m - 1) != lam * (l - 1) + mu * (n - l):
-        raise InvalidParametersError(f"counting identity fails for {params}")
+    _check_counts(params, n, m, l, lam, mu)
     return _subgroup_rule("divisible", "divisible-angle-rule", params, n, m, l, lam, mu)
 
 
@@ -183,8 +211,7 @@ def rds_angles(n: int, m: int, l: int, mu: int) -> AnglePrediction:
     params = {"n": n, "m": m, "l": l, "mu": mu}
     if l < 1 or n % l != 0:
         raise InvalidParametersError(f"l={l} must divide n={n}")
-    if m * (m - 1) != mu * (n - l):
-        raise InvalidParametersError(f"counting identity fails for {params}")
+    _check_counts(params, n, m, l, 0, mu)
     if l * mu > m:
         raise InvalidParametersError(f"l*mu = {l * mu} exceeds m = {m}")
     return _subgroup_rule("relative", "relative-angle-rule", params, n, m, l, 0, mu)
@@ -193,13 +220,9 @@ def rds_angles(n: int, m: int, l: int, mu: int) -> AnglePrediction:
 def pds_angles(n: int, m: int, lam: int, mu: int, zero_in_s: bool) -> AnglePrediction:
     """Two radical angles from the character-sum values over S = -S."""
     params = {"n": n, "m": m, "lam": lam, "mu": mu, "zero_in_s": zero_in_s}
-    l = m if zero_in_s else m + 1
+    _check_counts(params, n, m, m if zero_in_s else m + 1, lam, mu)  # witness S + {0}
     if lam == mu:
-        if m * (m - 1) != lam * (n - 1):
-            raise InvalidParametersError(f"counting identity fails for {params}")
         return _etf_prediction("partial", "partial-angle-rule", params, n, m)
-    if m * (m - 1) != lam * (l - 1) + mu * (n - l):
-        raise InvalidParametersError(f"counting identity fails for {params}")
     gamma = m - lam if zero_in_s else m - mu
     delta = lam - mu
     disc = delta * delta + 4 * gamma
@@ -216,17 +239,12 @@ def gaussian_angles(p: int, m: int, lam: int, mu: int) -> AnglePrediction:
     params = {"p": p, "m": m, "lam": lam, "mu": mu}
     if not is_prime(p) or p == 2:
         raise InvalidParametersError(f"p={p} must be an odd prime")
-    if 2 * m * (m - 1) != (lam + mu) * (p - 1):
-        raise InvalidParametersError(f"counting identity fails for {params}")
-    if lam == mu:
-        return _etf_prediction("gaussian", "gaussian-angle-rule", params, p, m)
-    if p % 4 == 3:
+    _check_counts(params, p, m, (p + 1) // 2, lam, mu)  # witness the residues + {0}
+    if lam != mu and p % 4 == 3:
         raise InvalidParametersError(
             f"p = 3 mod 4 forces lam = mu; got ({lam}, {mu}) at p={p}"
         )
-    den = Fraction(1, 2 * m * m)
-    pairs = _conjugate_pair((2 * (m - lam) + (lam - mu)) * den, (lam - mu) * den, p, (p - 1) // 2)
-    return _assemble("gaussian", "gaussian-angle-rule", params, p, m, pairs)
+    return _gaussian_rule("gaussian", "gaussian-angle-rule", params, p, m, lam, mu)
 
 
 @dataclass(frozen=True)
@@ -263,22 +281,23 @@ def ndds_angles(chain: NestedChain) -> NddsPrediction:
 
 
 def quartic_family_angles(p: int, with_zero: bool) -> AnglePrediction | None:
-    """Closed forms for fourth-power subsets of Z_p, p = 8q+5; None if inapplicable."""
+    """The Gaussian rule for the fourth powers of Z_p (with zero), p = 8q+5; None if inapplicable.
+
+    Their counts sum to lam + mu = q + [0 in S] and differ by lam - mu = 0
+    under the family's difference-set condition, 1 under its almost condition.
+    """
     if not is_prime(p) or p % 8 != 5 or p <= 5:
         return None
-    m, etf, surd_pair, c = (
-        ((p + 3) // 4, "p=4a^2+9, a odd", "p=1+4a^2 or p=49+4a^2", 9) if with_zero
-        else ((p - 1) // 4, "p=4a^2+1, a odd", "p=9+4a^2 or p=25+4a^2", 1)
-    )
+    _, difference_set, almost = QUARTIC_FAMILIES[with_zero]
     holds = quartic_conditions(p)
-    params = {"p": p, "m": m, "with_zero": with_zero}
-    if holds[etf]:
-        return _etf_prediction("quartic-residue", "quartic-family-rule", params, p, m)
-    if not holds[surd_pair]:
+    if not (holds[difference_set] or holds[almost]):
         return None
-    den = Fraction(1, (4 * m) ** 2)
-    pairs = _conjugate_pair((3 * p + c) * den, 8 * den, p, (p - 1) // 2)
-    return _assemble("quartic-residue", "quartic-family-rule", params, p, m, pairs)
+    m = (p - 1) // 4 + with_zero
+    total = (p - 5) // 8 + with_zero
+    gap = 0 if holds[difference_set] else 1  # lam - mu
+    lam = (total + gap) // 2
+    params = {"p": p, "m": m, "with_zero": with_zero}
+    return _gaussian_rule("quartic-residue", "quartic-family-rule", params, p, m, lam, total - lam)
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,14 @@ class QuarticCaseReport:
     verified: bool
 
 
+# indexed by [0 in S]: the fourth-power set, its difference-set condition
+# and its almost condition, as named by quartic_conditions
+QUARTIC_FAMILIES: tuple[tuple[str, str, str], ...] = (
+    ("R4", "p=4a^2+1, a odd", "p=9+4a^2 or p=25+4a^2"),
+    ("R4+{0}", "p=4a^2+9, a odd", "p=1+4a^2 or p=49+4a^2"),
+)
+
+
 def quartic_conditions(p: int) -> dict[str, bool]:
     """The four conditions p = 4a^2 + c (c = 1, 9, 25, 49) of both quartic families, by name."""
     root = {c: four_square_plus(p, c) for c in (1, 9, 25, 49)}  # p = 4 root^2 + c
@@ -274,9 +282,13 @@ def quartic_conditions(p: int) -> dict[str, bool]:
 def quartic_special_cases(p: int) -> QuarticCaseReport:
     """Check the four quadratic representability conditions for p = 1 mod 4.
 
-    Conditions with non-integral implied parameters are reported as not
-    applicable (this restricts the almost/difference-set families to the
-    p = 5 mod 8 branch where the fourth powers form a two-level structure).
+    Each condition that holds implies parameters for its QUARTIC_FAMILIES
+    set, checked against its classification: difference-set conditions
+    first, then almost conditions, R4 before R4+{0}.  Conditions with
+    non-integral implied parameters are reported as not applicable (this
+    restricts the almost families to the p = 5 mod 8 branch where the
+    fourth powers form a two-level structure; the difference-set
+    conditions force p = 5 or 13 mod 32, where lambda is integral).
     """
     _check_order(p, "difference counts")
     _require_odd_prime(p)
@@ -286,57 +298,28 @@ def quartic_special_cases(p: int) -> QuarticCaseReport:
     m4 = (p - 1) // 4
     conditions = quartic_conditions(p)
 
+    R4 = tuple((z,) for z in residues(p, 4))
     implications: list[dict] = []
     verified = True
-
-    def classified(with_zero: bool) -> Classification:  # R4, or R4 + {0}
-        S = tuple((z,) for z in residues(p, 4))
-        return classify(g, ((0,),) + S if with_zero else S)
-
-    def check_almost(with_zero: bool, lam: int, t: int) -> bool:
-        almost = classified(with_zero).almost
-        return almost is not None and (almost.lam, almost.t) == (lam, t)
-
-    if conditions["p=4a^2+1, a odd"]:
-        lam = (p - 5) // 16
-        ok = (p - 5) % 16 == 0 and classified(False).difference_set_lambda == lam
-        implications.append(
-            {"set": "R4", "class": "difference_set", "params": [p, m4, lam], "holds": ok}
-        )
-        verified &= ok
-    if conditions["p=4a^2+9, a odd"]:
-        lam = (p + 3) // 16
-        ok = (p + 3) % 16 == 0 and classified(True).difference_set_lambda == lam
-        implications.append(
-            {"set": "R4+{0}", "class": "difference_set", "params": [p, m4 + 1, lam], "holds": ok}
-        )
-        verified &= ok
-    if conditions["p=9+4a^2 or p=25+4a^2"]:
-        if (p - 13) % 16 == 0:
-            lam, t = (p - 13) // 16, (p - 1) // 2
-            ok = check_almost(False, lam, t)
-            implications.append(
-                {"set": "R4", "class": "almost", "params": [p, m4, lam, t], "holds": ok}
-            )
+    for almost in (False, True):
+        for with_zero, (name, *conditions_of) in enumerate(QUARTIC_FAMILIES):
+            if not conditions[conditions_of[almost]]:
+                continue
+            entry = {"set": name, "class": "almost" if almost else "difference_set"}
+            # the two levels sum to (p - 5)/8 + [0 in S]; an almost set's lam is the lower
+            lam, r = divmod(p - 5 + 8 * with_zero - 8 * almost, 16)
+            if r:
+                implications.append({**entry, "params": None, "holds": False,
+                                     "reason": "implied lambda not integral"})
+                continue
+            params = [p, m4 + with_zero, lam] + ([(p - 1) // 2] if almost else [])
+            cls = classify(g, ((0,),) + R4 if with_zero else R4)
+            if almost:
+                ok = cls.almost is not None and [cls.almost.lam, cls.almost.t] == params[2:]
+            else:
+                ok = cls.difference_set_lambda == lam
+            implications.append({**entry, "params": params, "holds": ok})
             verified &= ok
-        else:
-            implications.append(
-                {"set": "R4", "class": "almost", "params": None, "holds": False,
-                 "reason": "implied lambda not integral"}
-            )
-    if conditions["p=1+4a^2 or p=49+4a^2"]:
-        if (p - 5) % 16 == 0:
-            lam, t = (p - 5) // 16, (p - 1) // 2
-            ok = check_almost(True, lam, t)
-            implications.append(
-                {"set": "R4+{0}", "class": "almost", "params": [p, m4 + 1, lam, t], "holds": ok}
-            )
-            verified &= ok
-        else:
-            implications.append(
-                {"set": "R4+{0}", "class": "almost", "params": None, "holds": False,
-                 "reason": "implied lambda not integral"}
-            )
 
     if p % 8 == 5:
         quartic_gaussian_ds(p)  # cross-check the two-level structure itself

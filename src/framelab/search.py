@@ -44,7 +44,7 @@ from .arith import factorize
 from .diffsets import ROW_FLAGS, _distinct_rows, _pair_block, classify, classify_rows  # noqa: F401 (re-exports classify)
 from .errors import CapacityError, DomainError
 from .frames import DEFAULT_ANGLE_TOL, character_magnitudes, class_representatives, cluster_rows, etf_btf
-from .groups import Element, GroupSpec, full_character_table
+from .groups import CHARACTER_TABLE_ORDER_BOUND, Element, GroupSpec, full_character_table
 
 SUBSET_CAP = 10**7  # most subsets a job may enumerate, read when a search starts
 
@@ -355,6 +355,8 @@ def enumerate_and_classify(job: SearchJob) -> SearchReport:
     if job.target_angles is not None and not np.isfinite(job.target_angles).all():
         raise DomainError(f"target angles must be finite, got {list(job.target_angles)}")
     _filter_column(job)
+    if n > CHARACTER_TABLE_ORDER_BOUND:  # every block reads the full character table
+        raise CapacityError(f"search capped at order {CHARACTER_TABLE_ORDER_BOUND}, got {n}")
     total = job.subset_count()
     if total > SUBSET_CAP:
         raise CapacityError(f"{total} subsets exceed cap {SUBSET_CAP}")

@@ -168,6 +168,13 @@ def test_btf_multiplicities(n, m, a1, a2, want):
     assert btf_multiplicities_from_angles(n, m, a1, a2) == want
 
 
+def test_btf_multiplicities_check_the_frame_size():
+    # n < 2 or m = 0 is a DomainError, not a division by zero
+    for n, m in ((1, 1), (5, 0)):
+        with pytest.raises(DomainError, match="a frame needs"):
+            btf_multiplicities_from_angles(n, m, 0.1, 0.2)
+
+
 def test_btf_multiplicities_rejects_noise():
     with pytest.raises(InconsistentAnglesError):
         btf_multiplicities_from_angles(8, 3, 0.31, 0.72)

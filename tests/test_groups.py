@@ -54,6 +54,14 @@ def test_parse_group_grammar():
         parse_group("Z1")
 
 
+def test_group_factors_must_be_integers():
+    # a float factor is refused, not truncated, and a string is a DomainError too
+    for factors in ((2.5,), ("a",), (4, 2.0)):
+        with pytest.raises(DomainError, match="integers"):
+            GroupSpec(factors)
+    assert GroupSpec((np.int64(4), 2)).factors == (4, 2)
+
+
 def test_parse_elements_and_subsets():
     assert parse_element(Z8, "5") == (5,)
     assert parse_element(Z2Z4, "(1,3)") == (1, 3)

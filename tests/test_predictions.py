@@ -1,12 +1,15 @@
 """Closed-form predictors against brute-force angle profiles and the tables."""
 
+import itertools
 import math
+from functools import partial
 
 import pytest
 
+from framelab import cli
 from framelab.arith import residues
 from framelab.diffsets import nested_divisible_chain
-from framelab.errors import InvalidParametersError
+from framelab.errors import FramelabError, InvalidParametersError
 from framelab.frames import FrameSpec, angle_profile
 from framelab.groups import parse_group, parse_subset
 from framelab.predictions import (
@@ -126,6 +129,44 @@ def test_gaussian_validation():
         gaussian_angles(7, 3, 0, 1)  # p = 3 mod 4 cannot be two-angle
     with pytest.raises(InvalidParametersError):
         gaussian_angles(13, 4, 0, 1)  # counting identity fails
+
+
+def _predictor_grid():
+    """Every predictor at every argument tuple over a few values; n (or p) and m lead."""
+    values = (-1, 0, 1, 2, 3, 7)
+    for args in itertools.product(values, repeat=5):
+        yield dds_angles, args
+    for args in itertools.product(values, repeat=4):
+        yield rds_angles, args
+        yield partial(pds_angles, zero_in_s=False), args
+        yield partial(pds_angles, zero_in_s=True), args
+        yield gaussian_angles, args
+
+
+def test_predictors_return_only_for_frames_that_exist():
+    returned = 0
+    for predictor, args in _predictor_grid():
+        try:
+            predictor(*args)
+        except FramelabError:
+            continue
+        n, m = args[:2]
+        assert n >= 2 and 1 <= m <= n, (predictor, args)
+        returned += 1
+    assert returned > 0
+
+
+@pytest.mark.parametrize("argv", [
+    # no such frame exists: no traceback and no printed angles
+    "predict dds -n 1 -m 0 -l 1 --lam 0 --mu 0",
+    "predict dds -n 0 -m 0 -l 1 --lam 0 --mu 0",
+    "predict pds -n 0 -m 0 --lam 1 --mu 0",
+    "predict pds -n -1 -m 1 --lam 2 --mu 0 --zero-in-s",
+])
+def test_predict_outside_the_frame_domain_is_a_domain_error(argv, capsys):
+    assert cli.main(argv.split()) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: a frame needs")
 
 
 def test_ndds_z2z4():

@@ -17,7 +17,7 @@ import framelab
 from framelab import search
 from framelab.diffsets import ROW_FLAGS, translate
 from framelab.errors import CapacityError, DomainError
-from framelab.groups import GroupSpec, parse_group
+from framelab.groups import GroupSpec, _difference_index_table, parse_group
 from framelab.search import (
     SearchJob,
     abelian_groups_of_order,
@@ -403,3 +403,18 @@ def test_serial_search_and_rational_reports_leave_mpmath_and_pools_unimported():
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(framelab.__file__))}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_search_above_the_character_table_cap_builds_nothing():
+    # refused before the first block gathers from a 4000 x 4000 difference
+    # table, which would peak at 30.7 MB and stay cached
+    _difference_index_table.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="1024"):
+            enumerate_and_classify(SearchJob(GroupSpec((4000,)), 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+    assert _difference_index_table.cache_info().currsize == 0
