@@ -298,9 +298,10 @@ def _with_symbolic(f: FrameSpec, prof: AngleProfile, mags: np.ndarray) -> AngleP
     prof is the clustering of mags.  A profile of one or two angles that is
     not ambiguous takes its forms from two integer moments of the generators
     (_moment_forms), with no integer-relation search.  Every other profile,
-    and one whose moment forms fail their check, goes to the Galois-class
-    search (_recognized_forms).  Either way, a form whose surd cannot lie in
-    Q(zeta_N), N the group exponent, is dropped (_surd_in_cyclotomic_field).
+    ambiguous or not, and one whose moment forms fail their check, gets its
+    forms once per Galois orbit of characters (_recognized_forms).  Either
+    way, a form whose surd cannot lie in Q(zeta_N), N the group exponent, is
+    dropped (_surd_in_cyclotomic_field).
     """
     forms = _moment_forms(f, prof) if prof.d <= 2 and not prof.ambiguous else None
     if forms is None:
@@ -330,60 +331,43 @@ def _moment_forms(f: FrameSpec, prof: AngleProfile) -> tuple[surd.SurdForm, ...]
 def _recognized_forms(
     f: FrameSpec, prof: AngleProfile, mags: np.ndarray
 ) -> list[surd.SurdForm | None]:
-    """Per angle of prof, the form surd.recognize_angle finds, once per Galois class.
+    """Per angle of prof, its exact form, with at most one surd.recognize_angle
+    call per Galois orbit.
 
-    Each squared angle m^2 |<f_x, f_0>|^2 lies in Q(zeta_N)^+, and the
-    Galois map sigma_k sends its value at x to its value at kx, so the
-    clusters of one Galois class (_galois_classes) are conjugates of its
-    first cluster.  surd.recognize_angle runs once on that first cluster.
-    Each other cluster of the class takes the first's form r0 + r1 sqrt(s)
-    or its conjugate r0 - r1 sqrt(s), whichever its square matches within
-    surd.VERIFY_TOL (surd.conjugate_form), and gets its own recognize_angle
-    call when neither does; when the first cluster is not recognized, no
-    cluster of its class is.  An ambiguous profile runs recognize_angle on
-    every angle.
+    Each squared angle m^2 |<f_x, f_0>|^2 lies in Q(zeta_N)^+, and the Galois
+    map sigma_k sends its value at x to its value at kx, so the values on one
+    orbit of characters (groups.galois_orbits) are conjugates of each other.
+    Each cluster looks at the orbit of its first character, in the argsort
+    order cluster_rows cuts.  The first time an orbit is seen, its form is
+    that of its smallest-index character's magnitude, a value some character
+    has: a form already found, or its conjugate, when one matches within
+    surd.VERIFY_TOL (surd.conjugate_form); none when that magnitude lies
+    within VERIFY_TOL of a magnitude of an orbit whose search failed (sigma_k
+    maps two orbits that share one value alike, so they share all their
+    values); else the one recognize_angle call.  The cluster takes the
+    orbit's form or its conjugate, whichever matches the cluster's own angle
+    within VERIFY_TOL, and no form when neither does, as when it merges
+    characters of different magnitudes.
     """
     extra = (f.n,) + f.group.factors
-    first = (
-        range(prof.d) if prof.ambiguous
-        else _galois_classes(f.group, mags, prof.multiplicities).tolist()
-    )
+    # mags[i] is element i + 1's; per i, the position of its orbit's first
+    orbit = galois_orbits(f.group)[1:] - 1
+    firsts = np.argsort(mags, kind="stable")[np.cumsum((0,) + prof.multiplicities[:-1])]
+    found: dict[int, surd.SurdForm | None] = {}
+    failed = np.empty(0)  # the magnitudes of orbits whose search failed
     forms: list[surd.SurdForm | None] = []
-    for j, a in enumerate(prof.angles):
-        if first[j] == j:
-            forms.append(surd.recognize_angle(a, extra_surds=extra))
-        elif forms[first[j]] is None:  # the class's first cluster is not recognized
-            forms.append(None)
-        else:
-            shared = surd.conjugate_form(forms[first[j]], a)
-            forms.append(shared or surd.recognize_angle(a, extra_surds=extra))
+    for o, a in zip(orbit[firsts].tolist(), prof.angles):
+        if o not in found:
+            v = float(mags[o])
+            known = (surd.conjugate_form(k, v) for k in found.values() if k is not None)
+            fm = next((k for k in known if k is not None), None)
+            if fm is None and not (np.abs(failed - v) <= surd.VERIFY_TOL).any():
+                fm = surd.recognize_angle(v, extra_surds=extra)
+                if fm is None:
+                    failed = np.concatenate((failed, mags[orbit == o]))
+            found[o] = fm
+        forms.append(None if found[o] is None else surd.conjugate_form(found[o], a))
     return forms
-
-
-def _galois_classes(g: GroupSpec, mags: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
-    """Per cluster of mags, the index of the first cluster of its Galois class.
-
-    Cluster membership is the argsort of mags cut by the cluster sizes, the
-    order cluster_rows cuts.  Two Galois orbits (groups.galois_orbits) that
-    share a cluster share every value, as each orbit's values are the
-    conjugates of any one of them; a class is the clusters linked through
-    shared orbits, found as the fixed point of two minimum scatters, orbit
-    from clusters and cluster from orbits.  Each class is a union of whole
-    clusters and of whole orbits.
-    """
-    d = len(sizes)
-    cluster = np.empty(len(mags), dtype=np.int64)
-    cluster[np.argsort(mags, kind="stable")] = np.repeat(np.arange(d), sizes)
-    orbit = np.delete(galois_orbits(g), g.index(g.zero))
-    first = np.arange(d)
-    while True:
-        low = np.full(g.order, d)
-        np.minimum.at(low, orbit, first[cluster])
-        new = np.full(d, d)
-        np.minimum.at(new, cluster, low[orbit])
-        if np.array_equal(new, first):
-            return first
-        first = new
 
 
 def _admissible(form: surd.SurdForm, N: int) -> bool:

@@ -9,9 +9,9 @@ the chain.  A set divisible relative to H is the chain {0} < H < G and a
 relative set the case lam = 0.  One shell value is an ETF, two a BTF.  The
 partial and Gaussian rules give a conjugate pair rat +- coef sqrt(s), and
 the quartic families are the Gaussian rule at their (lam, mu).  Every
-two-level predictor first checks the frame's size and then one counting
-identity, m(m - 1) = lam(l - 1) + mu(n - l) for a witness of size l
-(_check_counts).
+two-level predictor first checks the frame's size, then that lam and mu
+are nonnegative, and then one counting identity, m(m - 1) = lam(l - 1) +
+mu(n - l) for a witness of size l (_check_counts).
 
 Two-angle predictions carry stated multiplicities and those derived from
 the tight-sum identity.  The divisible and relative rules state the paper's
@@ -169,13 +169,18 @@ def _conjugate_pair(
 
 
 def _check_counts(params: dict, n: int, m: int, l: int, lam: int, mu: int) -> None:
-    """The frame's size, then the two-level counting identity.
+    """The frame's size, then nonnegative counts, then the two-level counting
+    identity.
 
     The m(m - 1) nonzero differences of S fall lam times on each of the
     l - 1 nonzero elements of a witness of size l and mu times on each of
-    the other n - l elements.
+    the other n - l elements.  A count on a level with no elements (lam at
+    l = 1, mu at l = n) drops out of the identity, so its sign is checked
+    on its own.
     """
     _check_frame_size(n, m)
+    if lam < 0 or mu < 0:
+        raise InvalidParametersError(f"difference counts must be nonnegative for {params}")
     if m * (m - 1) != lam * (l - 1) + mu * (n - l):
         raise InvalidParametersError(f"counting identity fails for {params}")
 

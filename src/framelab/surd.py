@@ -15,11 +15,12 @@ surd against it, as frames._with_symbolic does.
 
 Frames with one or two angles need no search: moment_forms gives their
 squared angles exactly from two integer moments of the generator subset,
-with no bound on the coefficients.  For more angles, frames calls
-recognize_angle once per Galois orbit: the other angles of the orbit take
+with no bound on the coefficients.  For more angles, or an ambiguous
+profile, frames calls recognize_angle at most once per Galois orbit of
+characters, on a magnitude one of them has: every angle of the orbit takes
 the form found or its conjugate rat - coef*sqrt(surd), whichever
-conjugate_form matches within VERIFY_TOL, and only an angle matching
-neither is searched on its own.
+conjugate_form matches within VERIFY_TOL, and an angle matching neither
+gets no form.
 """
 
 from __future__ import annotations

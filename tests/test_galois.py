@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 import scalar_oracle
 
-from framelab import frames, surd
+from framelab import diffsets, frames, surd
 from framelab.arith import residues, unit_generators
-from framelab.frames import FrameSpec, angle_profile, cluster_rows, frame_report
+from framelab.frames import FrameSpec, angle_profile, frame_report
 from framelab.groups import (
     GroupSpec,
     full_character_table,
@@ -95,25 +95,39 @@ def test_orbit_sums_are_integers():
     assert seen == 13_308 and bad > 0
 
 
-def test_galois_classes_are_whole_clusters_and_whole_orbits():
-    # every orbit of a frame meets exactly the clusters of its class: orbits
-    # that share a value share every value, so a class is a union of whole
-    # clusters and whole orbits, and its clusters are conjugates
-    seen = 0
+def _element_orders(g):
+    """The order of each element: a union of whole orbits, one label per order."""
+    E = np.array(g.elements())
+    sizes = np.array(g.factors) // np.gcd(E, g.factors)
+    return np.lcm.reduce(sizes, axis=1)
+
+
+def _orbit_sharing_violations(label_of):
+    """(frames, frames in which two orbits of label_of(g) share one magnitude
+    within 1e-9 but not all of them)."""
+    seen = bad = 0
     for g, m, sums in _small_frames():
-        orbit = np.delete(galois_orbits(g), g.index(g.zero))
+        labels = np.delete(label_of(g), g.index(g.zero))
         mags = np.delete(np.abs(sums) / m, g.index(g.zero), axis=1)
-        c = cluster_rows(mags, frames.DEFAULT_ANGLE_TOL)
-        for i, row in enumerate(mags):
-            sizes = c.sizes[c.starts[i] : c.starts[i + 1]]
-            first = frames._galois_classes(g, row, tuple(sizes.tolist()))
-            cluster = np.empty(len(row), dtype=np.int64)
-            cluster[np.argsort(row, kind="stable")] = np.repeat(np.arange(len(sizes)), sizes)
-            meets = np.zeros((g.order, len(sizes)), dtype=bool)
-            meets[orbit, cluster] = True
-            assert (meets[orbit] == (first[None, :] == first[cluster][:, None])).all()
-            seen += 1
-    assert seen == 13_308
+        onehot = (labels[:, None] == np.unique(labels)[None, :]).astype(np.int64)
+        near = (np.abs(mags[:, :, None] - mags[:, None, :]) <= 1e-9).astype(np.int64)
+        # hits[b, p, o]: the characters of orbit p with a magnitude within
+        # 1e-9 of one in orbit o; near is symmetric, so some implies all
+        # both ways exactly when the two orbits have the same magnitudes
+        hits = onehot.T @ ((near @ onehot) > 0)
+        some, every = hits > 0, hits == onehot.sum(axis=0)[:, None]
+        bad += int((some != every).any(axis=(1, 2)).sum())
+        seen += len(sums)
+    return seen, bad
+
+
+def test_orbits_that_share_one_magnitude_share_all():
+    # the failed-orbit rule of frames._recognized_forms: sigma_k maps two
+    # orbits that share one value alike, so they share every value; the
+    # elements of one order, a union of orbits, need not
+    assert _orbit_sharing_violations(galois_orbits) == (13_308, 0)
+    seen, bad = _orbit_sharing_violations(_element_orders)
+    assert seen == 13_308 and bad > 0
 
 
 @pytest.mark.parametrize(
@@ -131,14 +145,38 @@ def test_one_recognition_per_galois_class(monkeypatch, group, subset, calls):
     assert len(_recognized(monkeypatch, lambda: frame_report(F(group, subset)))) == calls
 
 
-def test_ambiguous_profiles_recognize_every_angle(monkeypatch):
-    # at tol 0.004 two of Z9's clusters sit closer than 10 * tol
+def test_ambiguous_profiles_search_once_per_orbit(monkeypatch):
+    # at tol 0.004 two of Z9's clusters sit closer than 10 * tol; its 4
+    # clusters still come from 2 orbits (orders 9 and 3)
     f = F("Z9", "0,1,3,4")
-    assert len(_recognized(monkeypatch, lambda: angle_profile(f, symbolic=True))) == 2
     prof = angle_profile(f, tol=0.004)
     assert prof.ambiguous and prof.d == 4
-    seen = _recognized(monkeypatch, lambda: angle_profile(f, tol=0.004, symbolic=True))
-    assert seen == list(prof.angles)
+    assert len(_recognized(monkeypatch, lambda: angle_profile(f, tol=0.004, symbolic=True))) == 2
+    # Z1601 is prime: its 800 clusters are one orbit, searched once
+    f = F("Z1601", "0,1,3")
+    got = []
+    assert len(_recognized(monkeypatch, lambda: got.append(angle_profile(f, symbolic=True)))) == 1
+    assert got[0].ambiguous and got[0].d == 800 and got[0].symbolic == (None,) * 800
+
+
+@pytest.mark.parametrize("extra", [(), ((0, 3),)])
+def test_a_cluster_merging_magnitudes_gets_no_string(extra):
+    # at tol 0.03 one cluster merges characters of different magnitudes
+    # (0.0813 twice and 0.1111 three times in the first set); no character
+    # has its mean, so it gets no exact form, and every other form is exact
+    g = GroupSpec((3, 4))
+    S = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 3)) + extra
+    f = FrameSpec(g, tuple(sorted(S)))
+    mags = frames.angle_magnitudes(f)
+    prof = angle_profile(f, tol=0.03, symbolic=True)
+    cuts = np.cumsum(prof.multiplicities)[:-1]
+    merged = [np.ptp(c) > 1e-9 for c in np.split(np.sort(mags), cuts)]
+    assert sum(merged) == 1
+    for a, text, mixed in zip(prof.angles, prof.symbolic, merged):
+        if mixed:
+            assert text is None
+        else:
+            assert abs(eval(text, {"__builtins__": {}, "sqrt": math.sqrt}) - a) <= 1e-9
 
 
 def _recognized(monkeypatch, run):
@@ -191,7 +229,7 @@ REPORT_MIX_SYMBOLIC = [
 
 def test_report_mix_strings_are_pinned():
     # the one- and two-angle strings come from the moments, the rest from
-    # the Galois-class search; both must keep every string byte for byte
+    # the Galois-orbit search; both must keep every string byte for byte
     got = [angle_profile(f, symbolic=True).symbolic for f in _report_mix_frames()]
     assert got == REPORT_MIX_SYMBOLIC
 
@@ -207,14 +245,36 @@ def _sampled_frames(count, seed=18):
     return out
 
 
+def _class_frames(max_order):
+    """One frame per translate-negation class of the proper nonempty subsets
+    of every group of order <= max_order."""
+    out = []
+    for n in range(2, max_order + 1):
+        for g in abelian_groups_of_order(n):
+            elements = g.elements()
+            reps = set()
+            for m in range(1, n):
+                rows = np.array(list(itertools.combinations(range(n), m)))
+                pairs = diffsets._pair_block(g, rows)
+                reps |= set(map(tuple, frames.class_representatives(g, pairs).tolist()))
+            out += [FrameSpec(g, tuple(elements[i] for i in r)) for r in sorted(reps)]
+    return out
+
+
 def test_symbolic_forms_match_the_per_angle_oracle(monkeypatch):
-    # both paths share one memo of recognize_angle, so PSLQ runs once per value
+    # both paths share one memo of recognize_angle, so PSLQ runs once per
+    # value; at tol 0.004 the small groups' classes include ambiguous
+    # profiles (orders <= 8 keep the oracle's PSLQ to a few seconds)
     memo = functools.lru_cache(maxsize=None)(surd.recognize_angle)
     monkeypatch.setattr(surd, "recognize_angle", memo)
-    nested = set()
-    for f in _report_mix_frames() + _sampled_frames(10):
-        got = angle_profile(f, symbolic=True)
-        want = scalar_oracle.oracle_with_symbolic(f, angle_profile(f))
-        assert got.symbolic == want.symbolic, f
+    nested, ambiguous = set(), 0
+    cases = [(f, frames.DEFAULT_ANGLE_TOL) for f in _report_mix_frames() + _sampled_frames(10)]
+    cases += [(f, 0.004) for f in _class_frames(8)]
+    for f, tol in cases:
+        got = angle_profile(f, tol=tol, symbolic=True)
+        want = scalar_oracle.oracle_with_symbolic(f, angle_profile(f, tol=tol))
+        assert got.symbolic == want.symbolic, (f, tol)
         nested |= {s[s.index(" ") + 1] for s in got.symbolic if s and " " in s}
+        ambiguous += got.ambiguous
     assert nested == {"+", "-"}  # both signs of conjugate surds were compared
+    assert len(cases) == 26 + 147 and ambiguous == 2

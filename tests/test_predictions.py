@@ -144,16 +144,20 @@ def _predictor_grid():
 
 
 def test_predictors_return_only_for_frames_that_exist():
+    # 153 tuples returned before negative counts were refused; the 19 that
+    # carried lam or mu = -1 (16 dds, 3 rds) had it on a level with no
+    # elements, where the counting identity cannot see it
     returned = 0
     for predictor, args in _predictor_grid():
         try:
-            predictor(*args)
+            pred = predictor(*args)
         except FramelabError:
             continue
         n, m = args[:2]
         assert n >= 2 and 1 <= m <= n, (predictor, args)
+        assert pred.params.get("lam", 0) >= 0 and pred.params.get("mu", 0) >= 0, (predictor, args)
         returned += 1
-    assert returned > 0
+    assert returned == 134
 
 
 @pytest.mark.parametrize("argv", [
@@ -167,6 +171,17 @@ def test_predict_outside_the_frame_domain_is_a_domain_error(argv, capsys):
     assert cli.main(argv.split()) == 1
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: a frame needs")
+
+
+@pytest.mark.parametrize("argv", [
+    # lam at l = 1 and mu at l = n count no differences, so the identity holds
+    "predict dds -n 7 -m 3 -l 1 --lam -1 --mu 1",
+    "predict rds -n 7 -m 1 -l 7 --mu -1",
+])
+def test_predict_negative_counts_are_refused(argv, capsys):
+    assert cli.main(argv.split()) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: difference counts must be nonnegative")
 
 
 def test_ndds_z2z4():
