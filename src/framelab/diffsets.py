@@ -79,10 +79,6 @@ class DiffCounts:
     def values(self) -> tuple[int, ...]:
         return tuple(sorted(self.levels))
 
-    def row(self) -> np.ndarray:
-        """The counts in element order, as one int64 row."""
-        return np.fromiter(self.counts.values(), dtype=np.int64, count=len(self.counts))
-
 
 def difference_counts(g: GroupSpec, S: Sequence[Element]) -> DiffCounts:
     """Count the ordered difference pairs of S over every nonzero element.

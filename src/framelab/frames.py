@@ -10,8 +10,8 @@ translate and the negation of S have the same angles, so frames and search
 sum the characters of one representative of that class
 (class_representatives), and all of them report the same bits.  The
 generators' differences g_b - g_a (FrameSpec.pairs, behind the class
-representative, the moment forms and the closed-form modulation operators)
-come from their coordinates, so no frame report builds an n x n table.
+representative and the closed-form modulation operators) come from their
+coordinates, so no frame report builds an n x n table.
 """
 
 from __future__ import annotations
@@ -295,59 +295,37 @@ def angle_profile(
 def _with_symbolic(f: FrameSpec, prof: AngleProfile, mags: np.ndarray) -> AngleProfile:
     """prof with the exact form of each angle, None where there is none.
 
-    prof is the clustering of mags.  A profile of one or two angles that is
-    not ambiguous takes its forms from two integer moments of the generators
-    (_moment_forms), with no integer-relation search.  Every other profile,
-    ambiguous or not, and one whose moment forms fail their check, gets its
-    forms once per Galois orbit of characters (_recognized_forms).  Either
-    way, a form whose surd cannot lie in Q(zeta_N), N the group exponent, is
-    dropped (_surd_in_cyclotomic_field).
+    prof is the clustering of mags.  The forms come once per Galois orbit of
+    characters (_recognized_forms), and a form whose surd cannot lie in
+    Q(zeta_N), N the group exponent, is dropped (_surd_in_cyclotomic_field).
     """
-    forms = _moment_forms(f, prof) if prof.d <= 2 and not prof.ambiguous else None
-    if forms is None:
-        forms = _recognized_forms(f, prof, mags)
+    forms = _recognized_forms(f, prof, mags)
     N = f.group.exponent
     sym = tuple(surd.display(fm) if fm is not None and _admissible(fm, N) else None for fm in forms)
     return replace(prof, symbolic=sym)
 
 
-def _moment_forms(f: FrameSpec, prof: AngleProfile) -> tuple[surd.SurdForm, ...] | None:
-    """surd.moment_forms of a one- or two-angle profile, Q counted from the
-    generators' pair indices (FrameSpec.pairs); None unless every form
-    matches its cluster's squared angle within surd.VERIFY_TOL and passes
-    the conductor rule."""
-    _, counts = np.unique(f.pairs(), return_counts=True)
-    Q = int((counts * counts).sum()) - f.m * f.m  # c_S(0) = m
-    forms = surd.moment_forms(f.n, f.m, Q, prof.multiplicities)
-    N = f.group.exponent
-    if forms is None or not all(
-        abs(fm.value() - a * a) <= surd.VERIFY_TOL and _admissible(fm, N)
-        for fm, a in zip(forms, prof.angles)
-    ):
-        return None
-    return forms
-
-
 def _recognized_forms(
     f: FrameSpec, prof: AngleProfile, mags: np.ndarray
 ) -> list[surd.SurdForm | None]:
-    """Per angle of prof, its exact form, with at most one surd.recognize_angle
-    call per Galois orbit.
+    """Per angle of prof, its exact form, read once per Galois orbit.
 
     Each squared angle m^2 |<f_x, f_0>|^2 lies in Q(zeta_N)^+, and the Galois
     map sigma_k sends its value at x to its value at kx, so the values on one
     orbit of characters (groups.galois_orbits) are conjugates of each other.
     Each cluster looks at the orbit of its first character, in the argsort
     order cluster_rows cuts.  The first time an orbit is seen, its form is
-    that of its smallest-index character's magnitude, a value some character
-    has: a form already found, or its conjugate, when one matches within
-    surd.VERIFY_TOL (surd.conjugate_form); none when that magnitude lies
-    within VERIFY_TOL of a magnitude of an orbit whose search failed (sigma_k
-    maps two orbits that share one value alike, so they share all their
-    values); else the one recognize_angle call.  The cluster takes the
-    orbit's form or its conjugate, whichever matches the cluster's own angle
-    within VERIFY_TOL, and no form when neither does, as when it merges
-    characters of different magnitudes.
+    surd.orbit_form of its values, which serves every orbit of one or two
+    distinct values.  An orbit that rule refuses, one of three or more
+    values, is looked up by the magnitude of its smallest-index character, a
+    value some character has: a form already found, or its conjugate, when
+    one matches within surd.VERIFY_TOL (surd.conjugate_form); none when that
+    magnitude lies within VERIFY_TOL of a magnitude of an orbit whose search
+    failed (sigma_k maps two orbits that share one value alike, so they
+    share all their values); else one surd.recognize_angle call.  The
+    cluster takes the orbit's form or its conjugate, whichever matches the
+    cluster's own angle within VERIFY_TOL, and no form when neither does, as
+    when it merges characters of different magnitudes.
     """
     extra = (f.n,) + f.group.factors
     # mags[i] is element i + 1's; per i, the position of its orbit's first
@@ -358,13 +336,15 @@ def _recognized_forms(
     forms: list[surd.SurdForm | None] = []
     for o, a in zip(orbit[firsts].tolist(), prof.angles):
         if o not in found:
-            v = float(mags[o])
-            known = (surd.conjugate_form(k, v) for k in found.values() if k is not None)
-            fm = next((k for k in known if k is not None), None)
+            own, v = mags[orbit == o], float(mags[o])
+            fm = surd.orbit_form(((f.m * own) ** 2).tolist(), f.m, f.n)
+            if fm is None:
+                known = (surd.conjugate_form(k, v) for k in found.values() if k is not None)
+                fm = next((k for k in known if k is not None), None)
             if fm is None and not (np.abs(failed - v) <= surd.VERIFY_TOL).any():
                 fm = surd.recognize_angle(v, extra_surds=extra)
                 if fm is None:
-                    failed = np.concatenate((failed, mags[orbit == o]))
+                    failed = np.concatenate((failed, own))
             found[o] = fm
         forms.append(None if found[o] is None else surd.conjugate_form(found[o], a))
     return forms

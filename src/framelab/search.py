@@ -403,18 +403,13 @@ def cross_group_angle_match(n: int, m: int, target_angles: tuple[float, ...], jo
         job = SearchJob(g, m, target_angles=tuple(sorted(target_angles)), jobs=jobs)
         report = enumerate_and_classify(job)
         matches = report.records
+        nested = sum(1 for r in matches if r.flags.get("nested_divisible"))
         out["groups"].append({
             "group": g.name,
             "total_subsets": report.total_enumerated,
             "match_count": len(matches),
             "bidifference_matches": sum(1 for r in matches if r.flags.get("bidifference")),
-            "nested_divisible_matches": sum(
-                1 for r in matches if r.flags.get("nested_divisible")
-            ),
-            "proper_chain_matches": sum(
-                1
-                for r in matches
-                if r.flags.get("nested_divisible") and r.flags.get("proper_chain")
-            ),
+            "nested_divisible_matches": nested,
+            "proper_chain_matches": nested,
         })
     return out

@@ -1,26 +1,24 @@
 """Recognition of angle values as exact quadratic surds.
 
 Frame angles arising from character sums over small groups have squares of
-the form r0 + r1*sqrt(s) with small rational r0, r1 and squarefree s.  The
-recognizer searches for an integer relation a*v + b + c*sqrt(s) = 0 with
-bounded coefficients; failure is silent (the float value is still reported).
+the form r0 + r1*sqrt(s) with rational r0, r1 and squarefree s.  frames
+reads them once per Galois orbit of characters.  An orbit's values
+m^2 alpha^2 are the conjugates of one algebraic integer, so an orbit of one
+or two distinct values gets its form exactly from their sum and product
+(orbit_form), with no bound on the coefficients.  Only an orbit of three or
+more values goes to recognize_angle, which searches for an integer relation
+a*v + b + c*sqrt(s) = 0 with bounded coefficients; failure is silent (the
+float value is still reported).  Every angle of the orbit takes the form
+found or its conjugate rat - coef*sqrt(surd), whichever conjugate_form
+matches within VERIFY_TOL, and an angle matching neither gets no form.
 
-Coefficient bound and acceptance tolerance are coupled: with coefficients up
-to 1e4, genuine relations verify to ~1e-15 and most spurious relations for a
-random real verify no better than ~1e-12, but the 3e-13 cutoff does not
-separate the two.  Spurious relations do pass it: the frame angle of Z14
-{0,2,4,7,8,9} near 0.3003 is accepted with sqrt(42), which cannot occur in
-Q(zeta_14).  A caller that knows the field the value lives in must check the
-surd against it, as frames._with_symbolic does.
-
-Frames with one or two angles need no search: moment_forms gives their
-squared angles exactly from two integer moments of the generator subset,
-with no bound on the coefficients.  For more angles, or an ambiguous
-profile, frames calls recognize_angle at most once per Galois orbit of
-characters, on a magnitude one of them has: every angle of the orbit takes
-the form found or its conjugate rat - coef*sqrt(surd), whichever
-conjugate_form matches within VERIFY_TOL, and an angle matching neither
-gets no form.
+Coefficient bound and acceptance tolerance of the search are coupled: with
+coefficients up to 1e4, genuine relations verify to ~1e-15 and most
+spurious relations for a random real verify no better than ~1e-12, but the
+3e-13 cutoff does not separate the two.  Spurious relations do pass it: the
+frame angle of Z14 {0,2,4,7,8,9} near 0.3003 is accepted with sqrt(42),
+which cannot occur in Q(zeta_14).  A caller that knows the field the value
+lives in must check the surd against it, as frames._with_symbolic does.
 """
 
 from __future__ import annotations
@@ -96,56 +94,44 @@ def recognize_angle(alpha: float, extra_surds: tuple[int, ...] = ()) -> SurdForm
     return None
 
 
-def moment_forms(
-    n: int, m: int, Q: int, multiplicities: tuple[int, ...]
-) -> tuple[SurdForm, ...] | None:
-    """Exact alpha^2 of each angle of a harmonic frame with one or two angles.
+def orbit_form(values, m: int, n: int) -> SurdForm | None:
+    """The exact alpha^2 = v / m^2 of one Galois orbit's values v, or None.
 
-    A subset S of m elements of a group of order n, with c_S(d) its ordered
-    pairs differing by d and Q = sum_{d != 0} c_S(d)^2, fixes two moments of
-    v_x = m^2 |<f_x, f_0>|^2 over the n - 1 characters x != 0: Parseval
-    gives sum v_x = nm - m^2 and the fourth-power identity sum v_x^2 =
-    n(m^2 + Q) - m^4.  One angle is their mean, (n - m) / (m(n - 1)).  Two
-    angles v_1 < v_2, with multiplicities (k_1, k_2) in that order, sit at
-    v_1 = mu - sqrt(var k_2 / k_1) and v_2 = mu + sqrt(var k_1 / k_2), mu
-    and var the mean and variance of v.  With W = (n - 1)^2 var, an integer,
-    the two roots are sqrt(W k_1 k_2) / ((n - 1) k_i), i = 1, 2.
-
-    v lies in Q(zeta_N) with N | n, and so does sqrt(s) for the squarefree
-    part s of W k_1 k_2; the conductor of Q(sqrt(s)) then divides n, so no
-    prime outside n divides s, and s is read off the primes of n alone (no
-    coefficient bound, no search).  None when var < 0 or when W k_1 k_2 / s
-    is not a square, or when one angle comes with var != 0: moments that no
-    such frame has.
+    v = m^2 |<f_x, f_0>|^2 is an algebraic integer, and its values over one
+    orbit of characters are its conjugates, so one distinct value is an
+    integer and two are the roots (s -+ sqrt(D)) / 2 of t^2 - s t + p, with
+    s = lo + hi and p = lo hi integers and D = s^2 - 4p.  sqrt(D) lies in
+    Q(zeta_N) with N | n, so no prime outside n divides the squarefree part
+    of D: D is read off the primes of n alone, with no coefficient bound and
+    no search.  Two conjugates differ by sqrt(D) >= 1, so rounding s and p
+    needs no tolerance of its own.  When D is a square the form is the
+    rational v = s / 2 (two distinct integer values are no orbit's, and fail
+    the check).  The form is kept only when it or its conjugate
+    rat - coef*sqrt(surd) matches every value within VERIFY_TOL; None when
+    D < 0, when D stripped of the primes of n leaves a non-square, or when a
+    value matches neither, as every orbit of three or more distinct values
+    does.
     """
-    N = n - 1
-    S1 = n * m - m * m
-    W = N * (n * (m * m + Q) - m**4) - S1 * S1
-    mean = Fraction(S1, N * m * m)
-    if len(multiplicities) == 1:
-        return (SurdForm(mean, Fraction(0), 1),) if W == 0 else None
-    k1, k2 = multiplicities
-    if W < 0:
+    lo, hi = min(values), max(values)
+    s, p = round(lo + hi), round(lo * hi)
+    X, root, surd = s * s - 4 * p, 1, 1  # sqrt(D) = root * sqrt(X) * sqrt(surd)
+    if X < 0:
         return None
-    X, root, surd = W * k1 * k2, 1, 1  # sqrt(W k1 k2) = root * sqrt(X) * sqrt(surd)
-    for p, _ in factorize(n):
-        while X and X % (p * p) == 0:
-            X //= p * p
-            root *= p
-        if X and X % p == 0:
-            X //= p
-            surd *= p
+    for q, _ in factorize(n):
+        while X and X % (q * q) == 0:
+            X //= q * q
+            root *= q
+        if X and X % q == 0:
+            X //= q
+            surd *= q
     r = isqrt(X)
     if r * r != X:
         return None
-    forms = []
-    for k in (-k1, k2):  # v_1 below the mean, v_2 above it
-        shift = Fraction(root * r, N * k * m * m)
-        if surd == 1:
-            forms.append(SurdForm(mean + shift, Fraction(0), 1))
-        else:
-            forms.append(SurdForm(mean, shift, surd))
-    return tuple(forms)
+    den, k = 2 * m * m, root * r if surd > 1 else 0
+    mid, half = s / den, k * sqrt(surd) / den  # alpha^2 = mid -+ half
+    if all(abs(abs(v / (m * m) - mid) - half) <= VERIFY_TOL for v in values):
+        return SurdForm(Fraction(s, den), Fraction(k, den), surd)
+    return None
 
 
 def conjugate_form(form: SurdForm, alpha: float) -> SurdForm | None:

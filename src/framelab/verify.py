@@ -26,6 +26,7 @@ and one below 2, which would cover nothing, is a DomainError, not a pass.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
@@ -683,11 +684,19 @@ SUITES = {
 
 
 def run_suite(name: str, **kwargs) -> list[CheckResult]:
+    """The checks of one named suite, or of every suite for 'all'.
+
+    kwargs are the named suite's own parameters; 'all' takes none.  An
+    unknown suite, or an argument the suite does not take, is a DomainError
+    raised before any suite runs.
+    """
     if name == "all":
-        results = []
-        for suite in SUITES.values():
-            results.extend(suite())
-        return results
-    if name not in SUITES:
+        suites, takes = list(SUITES.values()), {}
+    elif name in SUITES:
+        suites, takes = [SUITES[name]], inspect.signature(SUITES[name]).parameters
+    else:
         raise DomainError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](**kwargs)
+    for key in kwargs:
+        if key not in takes:
+            raise DomainError(f"suite {name!r} takes no argument {key!r}")
+    return [r for suite in suites for r in suite(**kwargs)]

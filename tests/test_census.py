@@ -15,8 +15,9 @@ so for d != 0, c(d) is an affine function of sum_{chi in D} chi(d) with a
 nonzero slope.  Hence the count levels are as many as the distinct values
 of that sum.
 
-Every BTF and ETF also gets its exact squared angles from two integer
-moments (surd.moment_forms), with Q the sum of its squared count row.
+Every Galois orbit of the characters of every BTF and ETF holds one or two
+distinct values of m^2 alpha^2, so each gets its exact form from their sum
+and product (surd.orbit_form).
 
 Complements keep the angle class.  For d != 0 the complement S' of S has
 counts c_S(d) + n - 2m, and off the trivial character its character sum is
@@ -24,13 +25,14 @@ minus that of S, so m alpha_S = (n - m) alpha_S' with equal multiplicities.
 """
 
 from collections import Counter
+from math import sqrt
 
 import numpy as np
 
 from framelab import surd
 from framelab.diffsets import _count_rows
 from framelab.frames import character_magnitudes
-from framelab.groups import full_character_table
+from framelab.groups import full_character_table, galois_orbits
 from framelab.search import SearchJob, abelian_groups_of_order, enumerate_and_classify
 
 BTFS = 13_884
@@ -58,28 +60,34 @@ BIDIFFERENCE_WITHOUT_BTF = {
 }
 
 
-def dual_sets_and_moments(g, records) -> tuple[list[int], float]:
-    """(|D| per BTF record, the largest deviation of a moment form), after
-    checking the dual-set identity on each BTF and the moment forms on every
-    BTF and ETF record.
+def dual_sets_and_orbit_forms(g, records) -> tuple[list[int], float]:
+    """(|D| per BTF record, the largest deviation of an orbit form), after
+    checking the dual-set identity on each BTF and surd.orbit_form on every
+    Galois orbit of every BTF and ETF record.
 
     D is the set of nonzero x whose magnitude |sum_{s in S} chi_x(s)| / m
     is the less frequent angle (the smaller one on a tie; the sum over the
-    complement is -1 minus the sum over D, so it has as many values).  A
-    moment form deviates by |value - angle^2|, and may deviate by at most
-    surd.VERIFY_TOL, the bound frames holds it to.
+    complement is -1 minus the sum over D, so it has as many values).  An
+    orbit form deviates from an angle of its orbit by |value - angle^2|,
+    the nearer of the form and its conjugate; orbit_form holds it to
+    surd.VERIFY_TOL.
     """
     index = {x: i for i, x in enumerate(g.elements())}
     rows = np.array([[index[x] for x in r.subset] for r in records])
     T = full_character_table(g)
+    labels = galois_orbits(g)[1:]
+    orbits = [np.flatnonzero(labels == o) for o in np.unique(labels)]
     _, counts = _count_rows(g, rows)
     sizes, worst = [], 0.0
+    # per character: its orbit's form and conjugate, mid -+ half
+    mid, half = np.empty(g.order - 1), np.empty(g.order - 1)
     for r, mags, row in zip(records, character_magnitudes(T, rows), counts):
-        forms = surd.moment_forms(g.order, len(r.subset), int((row * row).sum()), r.multiplicities)
-        assert forms is not None, (g, r.subset)
-        for form, a in zip(forms, r.angles):
-            worst = max(worst, abs(form.value() - a * a))
-        assert worst <= surd.VERIFY_TOL, (g, r.subset)
+        m = len(r.subset)
+        for orbit in orbits:
+            form = surd.orbit_form(((m * mags[orbit]) ** 2).tolist(), m, g.order)
+            assert form is not None, (g, r.subset)
+            mid[orbit], half[orbit] = form.rat, form.coef * sqrt(form.surd)
+        worst = max(worst, float(np.abs(np.abs(mags * mags - mid) - half).max()))
         if not r.is_btf:
             continue
         (a1, a2), (k1, k2) = r.angles, r.multiplicities
@@ -107,7 +115,7 @@ def test_census_of_btfs_against_the_difference_set_classes():
                 subsets += report.total_enumerated
                 counts.update(report.class_counts)
                 found = [r for r in report.records if r.is_btf or r.is_etf]
-                sizes, deviation = dual_sets_and_moments(g, found) if found else ([], 0.0)
+                sizes, deviation = dual_sets_and_orbit_forms(g, found) if found else ([], 0.0)
                 worst = max(worst, deviation)
                 etfs += sum(r.is_etf for r in found)
                 for r, size in zip([r for r in found if r.is_btf], sizes):

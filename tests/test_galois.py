@@ -135,10 +135,15 @@ def test_orbits_that_share_one_magnitude_share_all():
     [
         ("Z13", "0,1,2,4,7", 1),  # 6 per-angle calls, none recognized
         ("Z11", "0,1,3", 1),  # 5
-        # 2 conjugate surds, both from the two moments (surd.moment_forms)
+        # 2 conjugate surds, both off the one orbit's two values (surd.orbit_form)
         ("Z13", ",".join(map(str, residues(13, 2))), 0),
-        ("Z9", "0,1,3,4", 2),  # 4: orbits of order 9 and 3
-        ("Z64", "0,1,5,11,20,33,40", 6),  # 31: one orbit per order 2..64
+        # 4 per angle; of the orbits of order 9 and 3 only the first, of
+        # three values, is searched: surd.orbit_form gives {3, 6} the
+        # rational 1/2
+        ("Z9", "0,1,3,4", 1),
+        # 31 per angle; of the 6 orbits of order 2..64, surd.orbit_form
+        # reads the 3 of order 2, 4 and 8, each of one value
+        ("Z64", "0,1,5,11,20,33,40", 3),
     ],
 )
 def test_one_recognition_per_galois_class(monkeypatch, group, subset, calls):
@@ -147,11 +152,12 @@ def test_one_recognition_per_galois_class(monkeypatch, group, subset, calls):
 
 def test_ambiguous_profiles_search_once_per_orbit(monkeypatch):
     # at tol 0.004 two of Z9's clusters sit closer than 10 * tol; its 4
-    # clusters still come from 2 orbits (orders 9 and 3)
+    # clusters still come from 2 orbits (orders 9 and 3), and only the one
+    # of three values is searched
     f = F("Z9", "0,1,3,4")
     prof = angle_profile(f, tol=0.004)
     assert prof.ambiguous and prof.d == 4
-    assert len(_recognized(monkeypatch, lambda: angle_profile(f, tol=0.004, symbolic=True))) == 2
+    assert len(_recognized(monkeypatch, lambda: angle_profile(f, tol=0.004, symbolic=True))) == 1
     # Z1601 is prime: its 800 clusters are one orbit, searched once
     f = F("Z1601", "0,1,3")
     got = []
@@ -228,8 +234,8 @@ REPORT_MIX_SYMBOLIC = [
 
 
 def test_report_mix_strings_are_pinned():
-    # the one- and two-angle strings come from the moments, the rest from
-    # the Galois-orbit search; both must keep every string byte for byte
+    # the strings of orbits of one or two values come from surd.orbit_form,
+    # the rest from the search; both must keep every string byte for byte
     got = [angle_profile(f, symbolic=True).symbolic for f in _report_mix_frames()]
     assert got == REPORT_MIX_SYMBOLIC
 
@@ -259,6 +265,23 @@ def _class_frames(max_order):
                 reps |= set(map(tuple, frames.class_representatives(g, pairs).tolist()))
             out += [FrameSpec(g, tuple(elements[i] for i in r)) for r in sorted(reps)]
     return out
+
+
+def test_only_orbits_of_three_or_more_values_are_searched(monkeypatch):
+    # surd.orbit_form serves every orbit of one or two distinct values, so a
+    # recognize_angle call reads the smallest-index magnitude of an orbit
+    # holding at least three; over every class of the groups of order <= 8
+    # and the report-mix and sampled frames
+    searched = 0
+    for f in _class_frames(8) + _report_mix_frames() + _sampled_frames(10):
+        mags = frames.angle_magnitudes(f)
+        orbit = galois_orbits(f.group)[1:] - 1
+        for alpha in _recognized(monkeypatch, lambda: angle_profile(f, symbolic=True)):
+            (o,) = [i for i in np.flatnonzero(mags == alpha) if orbit[i] == i]
+            values = np.sort(mags[orbit == o])
+            assert 1 + (np.diff(values) > 1e-9).sum() >= 3, (f, alpha)
+            searched += 1
+    assert searched == 18
 
 
 def test_symbolic_forms_match_the_per_angle_oracle(monkeypatch):

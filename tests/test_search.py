@@ -377,10 +377,12 @@ def test_search_leaves_numpy_random_and_ma_unimported():
 
 def test_serial_search_and_rational_reports_leave_mpmath_and_pools_unimported():
     # mpmath loads on the first PSLQ call and the process pool only for
-    # jobs > 1; Z7 {1, 2, 4} has the angle sqrt(2)/3, whose square 2/9 is
-    # rational, and Z5 {0, 1} has two angles, whose forms come from the
-    # moments, so neither report needs PSLQ.  Z9 {0, 1, 3, 4} has four
-    # angles, so its report runs the search.
+    # jobs > 1; PSLQ runs only on a Galois orbit of three or more values.
+    # Z7 {1, 2, 4} has the angle sqrt(2)/3, whose square 2/9 is rational,
+    # Z5 {0, 1} has two angles on one orbit, and Z3 x Z13 with S = Z3 x the
+    # squares has three angles, 0 and a conjugate pair, on orbits of one or
+    # two values, so no report needs PSLQ.  The orbit of order 9 of
+    # Z9 {0, 1, 3, 4} holds three values, so its report runs the search.
     code = (
         "import sys\n"
         "import framelab\n"
@@ -396,6 +398,11 @@ def test_serial_search_and_rational_reports_leave_mpmath_and_pools_unimported():
         "angles = frame_report(FrameSpec(GroupSpec((5,)), ((0,), (1,))))['angles']\n"
         "assert [a['symbolic'] for a in angles] == "
         "['sqrt(3/8 - sqrt(5)/8)', 'sqrt(3/8 + sqrt(5)/8)'], angles\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "S = tuple((a, x) for a in range(3) for x in (1, 3, 4, 9, 10, 12))\n"
+        "angles = frame_report(FrameSpec(GroupSpec((3, 13)), S))['angles']\n"
+        "assert [a['symbolic'] for a in angles] == "
+        "['0', 'sqrt(7/72 - sqrt(13)/72)', 'sqrt(7/72 + sqrt(13)/72)'], angles\n"
         "assert 'mpmath' not in sys.modules\n"
         "angles = frame_report(FrameSpec(GroupSpec((9,)), ((0,), (1,), (3,), (4,))))['angles']\n"
         "assert [a.get('symbolic') for a in angles] == [None, None, None, '1/2'], angles\n"

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from test_galois import _recognized
 
-from framelab import surd
+from framelab import frames, surd
 from framelab.arith import residues
 from framelab.frames import FrameSpec, angle_profile, frame_report
-from framelab.groups import GroupSpec
-from framelab.surd import SurdForm, display, moment_forms, recognize_angle
+from framelab.groups import GroupSpec, galois_orbits
+from framelab.surd import SurdForm, display, orbit_form, recognize_angle
 
 
 @pytest.mark.parametrize(
@@ -87,7 +87,8 @@ def _paley(p):
     [(149, 10952), (197, 19208), (1009, 508032)],  # (p - 1)^2 / 2, past MAX_COEFF
 )
 def test_paley_angles_keep_their_strings_past_the_coefficient_bound(monkeypatch, p, den):
-    # ((p + 1)/2 -+ sqrt(p)) / ((p - 1)^2 / 2), from the two moments alone
+    # ((p + 1)/2 -+ sqrt(p)) / ((p - 1)^2 / 2), read off the one Galois
+    # orbit's two values (surd.orbit_form), with no search
     reports = []
     assert _recognized(monkeypatch, lambda: reports.append(frame_report(_paley(p)))) == []
     angles = reports[0]["angles"]
@@ -100,28 +101,85 @@ def test_paley_angles_keep_their_strings_past_the_coefficient_bound(monkeypatch,
         assert abs(value * value - a["value"] ** 2) <= 1e-15
 
 
+@pytest.mark.parametrize("p,den", [(197, 19208), (1009, 508032)])
+def test_three_angles_on_orbits_of_two_values_keep_their_strings(monkeypatch, p, den):
+    # Z3 x Z_p with S = Z3 x the squares: the angle 0 on the characters
+    # nontrivial on Z3, and Z_p's Paley pair on the rest; no orbit holds
+    # three values, so nothing is searched, and the pair's denominators are
+    # past the search's MAX_COEFF
+    f = FrameSpec(GroupSpec((3, p)), tuple((a, x) for a in range(3) for x in residues(p, 2)))
+    got = []
+    assert _recognized(monkeypatch, lambda: got.append(angle_profile(f, symbolic=True))) == []
+    half = (p + 1) // 2
+    assert got[0].symbolic == (
+        "0", f"sqrt({half}/{den} - sqrt({p})/{den})", f"sqrt({half}/{den} + sqrt({p})/{den})"
+    )
+
+
+def _cyclic(n, xs):
+    return FrameSpec(GroupSpec((n,)), tuple((x,) for x in xs))
+
+
 @pytest.mark.parametrize(
-    "n,m,Q,mults,want",
+    "f,want,text",
     [
-        (7, 3, 6, (6,), [(Fraction(2, 9), 0, 1)]),  # Z7 {1, 2, 4}: the Welch bound
-        (6, 3, 8, (3, 2), [(Fraction(1, 9), 0, 1), (Fraction(1, 3), 0, 1)]),  # Z6 {0, 1, 3}
-        (13, 6, 78, (6, 6), [(Fraction(7, 72), Fraction(-1, 72), 13),
-                             (Fraction(7, 72), Fraction(1, 72), 13)]),  # Z13 residues
+        (_cyclic(7, (1, 2, 4)), [(Fraction(2, 9), 0, 1)], ("sqrt(2)/3",)),  # the Welch bound
+        (_cyclic(6, (0, 1, 3)), [(Fraction(1, 9), 0, 1), (Fraction(1, 3), 0, 1)],
+         ("1/3", "sqrt(3)/3")),
+        (_paley(13), [(Fraction(7, 72), Fraction(-1, 72), 13), (Fraction(7, 72), Fraction(1, 72), 13)],
+         ("sqrt(7/72 - sqrt(13)/72)", "sqrt(7/72 + sqrt(13)/72)")),
     ],
+    ids=["Z7-1,2,4", "Z6-0,1,3", "Z13-squares"],
 )
-def test_moment_forms(n, m, Q, mults, want):
-    assert moment_forms(n, m, Q, mults) == tuple(SurdForm(Fraction(r), Fraction(c), s)
-                                                 for r, c, s in want)
+def test_one_and_two_angle_frames_take_their_orbit_forms(monkeypatch, f, want, text):
+    # every Galois orbit of these frames has one or two values, so each angle
+    # takes its exact form from surd.orbit_form and nothing is searched
+    mags = frames.angle_magnitudes(f)
+    prof = angle_profile(f)
+    got = []
+    assert _recognized(monkeypatch, lambda: got.append(frames._recognized_forms(f, prof, mags))) == []
+    assert got[0] == [SurdForm(Fraction(r), Fraction(c), s) for r, c, s in want]
+    assert angle_profile(f, symbolic=True).symbolic == text
 
 
-def test_moment_forms_reject_moments_no_frame_has():
-    # Z6 {0, 1, 3} has Q = 8
-    assert moment_forms(6, 3, 7, (3, 2)) is None  # negative variance
-    assert moment_forms(6, 3, 10, (3, 2)) is None  # W k1 k2 = 504 = 2^3 3^2 7, 7 outside n = 6
-    assert moment_forms(6, 3, 8, (5,)) is None  # one angle with nonzero variance
-    # Q = 9 passes here, as the rational forms 1/15 and 2/5; only the
-    # comparison with the angles in frames can refuse them
-    assert moment_forms(6, 3, 9, (3, 2)) is not None
+def _orbit_values(f):
+    """v = m^2 alpha^2 on each Galois orbit of f's characters, as lists."""
+    mags = frames.angle_magnitudes(f)
+    orbit = galois_orbits(f.group)[1:]
+    return [((f.m * mags[orbit == o]) ** 2).tolist() for o in sorted(set(orbit.tolist()))]
+
+
+GOLDEN = (3 - math.sqrt(5)) / 2, (3 + math.sqrt(5)) / 2  # roots of t^2 - 3t + 1
+
+
+def test_orbit_form_reads_two_conjugates_off_their_sum_and_product():
+    assert orbit_form(list(GOLDEN), 1, 5) == SurdForm(Fraction(3, 2), Fraction(1, 2), 5)
+    assert orbit_form([4.0, 4.0], 3, 6) == SurdForm(Fraction(4, 9), Fraction(0), 1)
+    (values,) = _orbit_values(_paley(13))
+    assert orbit_form(values, 6, 13) == SurdForm(Fraction(7, 72), Fraction(1, 72), 13)
+
+
+def test_orbit_form_refuses_three_values():
+    # the middle value is neither root of t^2 - 3t + 1, though the extremes are
+    assert orbit_form([GOLDEN[0], 1.0, GOLDEN[1]], 1, 5) is None
+    # Z9 {0, 1, 3, 4}: the orbit of order 9 holds three cubic conjugates
+    orders_9, orders_3 = _orbit_values(_cyclic(9, (0, 1, 3, 4)))
+    assert len({round(v, 9) for v in orders_9}) == 3
+    assert orbit_form(orders_9, 4, 9) is None
+    assert orbit_form(orders_3, 4, 9) == SurdForm(Fraction(1, 4), Fraction(0), 1)
+
+
+@pytest.mark.parametrize("at", [0, 1, -1])
+def test_orbit_form_refuses_a_value_moved_off_its_form(at):
+    (values,) = _orbit_values(_paley(13))
+    values[values.index(sorted(values)[at])] += 36 * 1e-11  # alpha^2 moved by 1e-11
+    assert orbit_form(values, 6, 13) is None
+
+
+def test_orbit_form_refuses_a_remainder_that_is_not_a_square():
+    # D = 5 has no square factor over the primes of n = 6, and 5 is no square
+    assert orbit_form(list(GOLDEN), 1, 6) is None
+    assert orbit_form(list(GOLDEN), 1, 10) == SurdForm(Fraction(3, 2), Fraction(1, 2), 5)
 
 
 @pytest.mark.parametrize(
@@ -131,23 +189,25 @@ def test_moment_forms_reject_moments_no_frame_has():
 )
 @pytest.mark.parametrize("shift", [-1, 1, 2])
 def test_corrupted_moments_fall_back_to_the_search(monkeypatch, group, subset, shift):
-    # Q off by shift: every form is refused, and the search gives the strings
+    # values off by shift / 1000: the rule refuses every orbit, and the
+    # search gives the strings
     f = FrameSpec(GroupSpec(group), subset)
     want = angle_profile(f, symbolic=True).symbolic
-    assert _symbolic_with_q_off_by(monkeypatch, f, shift) == (want, True)
+    assert _symbolic_with_values_off_by(monkeypatch, f, shift) == (want, True)
 
 
 def test_corrupted_moments_report_no_wrong_string(monkeypatch):
     # Z149's Paley angles are beyond the search's coefficient bound, so with
-    # their moment forms refused the report carries no string at all
-    assert _symbolic_with_q_off_by(monkeypatch, _paley(149), 1) == ((None, None), True)
+    # its orbit refused the report carries no string at all
+    assert _symbolic_with_values_off_by(monkeypatch, _paley(149), 1) == ((None, None), True)
 
 
-def _symbolic_with_q_off_by(monkeypatch, f, shift):
-    """(f's symbolic tuple, whether it called surd.recognize_angle) with
-    surd.moment_forms handed Q + shift."""
-    exact = surd.moment_forms
-    monkeypatch.setattr(surd, "moment_forms", lambda n, m, Q, k: exact(n, m, Q + shift, k))
+def _symbolic_with_values_off_by(monkeypatch, f, shift):
+    """(f's symbolic tuple, whether it called surd.recognize_angle) with every
+    value handed to surd.orbit_form moved by shift / 1000, so that the two
+    moments it reads, the sum and product of the orbit's extremes, are off."""
+    exact = surd.orbit_form
+    monkeypatch.setattr(surd, "orbit_form", lambda v, m, n: exact([x + shift / 1000 for x in v], m, n))
     got = []
     calls = _recognized(monkeypatch, lambda: got.append(angle_profile(f, symbolic=True).symbolic))
     return got[0], bool(calls)

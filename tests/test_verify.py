@@ -1,5 +1,6 @@
 """The verify suites' own checks: each must be able to fail."""
 
+import inspect
 import itertools
 import random
 from collections import Counter
@@ -111,6 +112,36 @@ def test_etf_difference_sweep_fails_under_a_shifted_welch_bound(monkeypatch):
 def test_unknown_suite_is_a_domain_error():
     with pytest.raises(DomainError):
         verify.run_suite("no-such-suite")
+
+
+def _spied_suites(monkeypatch):
+    """The names of the suites run, each replaced by a spy with its parameters."""
+    ran = []
+    for name, suite in list(verify.SUITES.items()):
+        def spy(*args, _name=name, **kwargs):
+            ran.append(_name)
+            return []
+        spy.__signature__ = inspect.signature(suite)
+        monkeypatch.setitem(verify.SUITES, name, spy)
+    return ran
+
+
+def test_all_takes_no_argument(monkeypatch):
+    # it would sweep orders 2..10 with max_order dropped
+    ran = _spied_suites(monkeypatch)
+    with pytest.raises(DomainError, match="max_order"):
+        verify.run_suite("all", max_order=3)
+    assert ran == []
+    assert verify.run_suite("all") == [] and ran == list(verify.SUITES)
+
+
+def test_a_suite_refuses_an_argument_it_does_not_take(monkeypatch):
+    # z6-example takes none: the call would raise a bare TypeError
+    ran = _spied_suites(monkeypatch)
+    with pytest.raises(DomainError, match="max_order"):
+        verify.run_suite("z6-example", max_order=3)
+    assert ran == []
+    assert verify.run_suite("etf-difference", max_order=3) == [] and ran == ["etf-difference"]
 
 
 def _sweep_cases():
